@@ -14,14 +14,14 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .data import generate_dataset, save_dataset
-from .linear import fit_estimator, save_estimator, tune
+from .data import save_dataset
+from .linear import save_estimator
 from .model import check_assumptions, save_teacher, save_weights
-from .ngd import ChainDivergence, NgdConfig, run_chain, save_trace
+from .ngd import ChainDivergence, run_chain, save_trace
 from .lowerbound import build_bump_approx, save_approx_csv
 from .risk import excess_risk_mc
-from .sweep import (RESULTS_NAME, derive_seed, report, resolve_teacher,
-                    run_sweep, save_report, student_width)
+from .sweep import (RESULTS_NAME, cell_inputs, fit_baseline, report,
+                    resolve_teacher, run_sweep, save_report, student_width)
 
 __all__ = ["main"]
 
@@ -103,37 +103,27 @@ def _cmd_teacher(cfg, args):
 
 
 def _cmd_data(cfg, args):
-    teacher = resolve_teacher(cfg)
-    seed = derive_seed(cfg.sweep_base_seed, args.n, args.replicate, "data")
-    data = generate_dataset(teacher, args.n, noise_bound=cfg.noise_bound,
-                            noise_kind=cfg.noise_kind, seed=seed)
+    data = cell_inputs(cfg, resolve_teacher(cfg), args.n, args.replicate).data
     save_dataset(args.out, data)
-    print(f"wrote {args.out}: n={data.n} d={data.d} seed={seed}")
+    print(f"wrote {args.out}: n={data.n} d={data.d} seed={data.seed}")
     return 0
 
 
 def _cmd_train(cfg, args):
     teacher = resolve_teacher(cfg)
-    base = cfg.sweep_base_seed
-    data_seed = derive_seed(base, args.n, args.replicate, "data")
-    data = generate_dataset(teacher, args.n, noise_bound=cfg.noise_bound,
-                            noise_kind=cfg.noise_kind, seed=data_seed)
-    ngd_cfg = NgdConfig.auto(cfg.schedule, args.n, cfg.noise_bound,
-                             eta=cfg.ngd_eta, budget=cfg.ngd_budget,
-                             seed=derive_seed(base, args.n, args.replicate,
-                                              "ngd"))
-    print(f"chain: width={ngd_cfg.width} beta={ngd_cfg.beta:g} "
-          f"lam={ngd_cfg.lam:g} k_max={ngd_cfg.k_max} eta={ngd_cfg.eta:g}")
-    result = run_chain(cfg.schedule, ngd_cfg, data)
+    cell = cell_inputs(cfg, teacher, args.n, args.replicate)
+    ngd = cell.ngd
+    print(f"chain: width={ngd.width} beta={ngd.beta:g} "
+          f"lam={ngd.lam:g} k_max={ngd.k_max} eta={ngd.eta:g}")
+    result = run_chain(cfg.schedule, ngd, cell.data)
     save_weights(args.out, cfg.schedule, result.kept,
                  extra={"kind": "kept-iterates",
-                        "burn_in": ngd_cfg.burn_in,
-                        "thinning": ngd_cfg.thinning})
+                        "burn_in": ngd.burn_in,
+                        "thinning": ngd.thinning})
     if args.trace:
         save_trace(args.trace, result)
-    test_seed = derive_seed(base, args.n, args.replicate, "test")
     mc = excess_risk_mc(teacher, result.averaged_predictor(),
-                        n_test=cfg.risk_n_test, seed=test_seed)
+                        n_test=cfg.risk_n_test, seed=cell.test_seed)
     print(f"final empirical risk: {result.risk_trace[-1]:.6g}")
     print(f"averaged-predictor excess risk: {mc.value:.6g} "
           f"(stderr {mc.stderr:.2g})")
@@ -143,23 +133,14 @@ def _cmd_train(cfg, args):
 
 def _cmd_fit(cfg, args):
     teacher = resolve_teacher(cfg)
-    base = cfg.sweep_base_seed
-    data_seed = derive_seed(base, args.n, args.replicate, "data")
-    data = generate_dataset(teacher, args.n, noise_bound=cfg.noise_bound,
-                            noise_kind=cfg.noise_kind, seed=data_seed)
+    cell = cell_inputs(cfg, teacher, args.n, args.replicate)
     kind = args.estimator
-    cv_seed = derive_seed(base, args.n, args.replicate, f"cv-{kind}")
-    kernel_seed = derive_seed(base, args.n, args.replicate, f"kernel-{kind}")
-    tuned = tune(kind, data, grid=cfg.grid_for(kind, data),
-                 folds=min(cfg.tune_folds, args.n), seed=cv_seed,
-                 config=cfg.schedule, kernel_seed=kernel_seed)
-    est = fit_estimator(kind, data, tuned.params, config=cfg.schedule,
-                        kernel_seed=kernel_seed)
+    tuned, est = fit_baseline(cfg, cell, kind)
     save_estimator(args.out, est)
     params = " ".join(f"{k}={v:g}" for k, v in sorted(tuned.params.items()))
     print(f"{kind}: chose {params} (cv score {tuned.score:.6g})")
-    test_seed = derive_seed(base, args.n, args.replicate, "test")
-    mc = excess_risk_mc(teacher, est, n_test=cfg.risk_n_test, seed=test_seed)
+    mc = excess_risk_mc(teacher, est, n_test=cfg.risk_n_test,
+                        seed=cell.test_seed)
     print(f"excess risk: {mc.value:.6g} (stderr {mc.stderr:.2g})")
     print(f"wrote {args.out}")
     return 0

@@ -5,17 +5,19 @@ tune.*, sweep.*, risk.*, output.*, lemma.*, grid.<estimator>.<param>).
 Full-line `#` comments and blank lines are ignored.  Unknown keys, duplicate
 keys and malformed values are reported with their line numbers.  to_text()
 emits a canonical form that parses back to an identical configuration, which
-is what makes sweep outputs reproducible from the config file alone.
+is what makes sweep outputs reproducible from the config file alone.  One
+key table (_KEYS) drives parsing, defaults and to_text().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .data import NOISE_KINDS
 from .linear import ESTIMATOR_KINDS, default_grid
 from .lowerbound import BumpApproxConfig
-from .model import FLOAT_FMT, ScheduleConfig
+from .model import SCHEDULE_FIELDS, ScheduleConfig
+from .textio import format_text, parse_text
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
@@ -36,16 +38,6 @@ class ConfigError(ValueError):
     """Raised for unknown keys, duplicates, or values that fail to parse."""
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    if isinstance(value, (tuple, list)):
-        return ", ".join(_fmt(v) for v in value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep, a single training run, or the lemma demo needs."""
@@ -62,7 +54,6 @@ class ExperimentConfig:
     baselines: tuple = ("krr-rbf", "knn")
     grids: tuple = ()  # ((kind, param, (values...)), ...) overriding defaults
     tune_folds: int = 5
-    tune_seed: int = 0
     sweep_n_values: tuple = (64, 128, 256)
     sweep_replicates: int = 3
     sweep_base_seed: int = 0
@@ -123,57 +114,18 @@ class ExperimentConfig:
 
     def to_text(self):
         """Canonical text form; parse_config(to_text()) round-trips."""
-        s, lm = self.schedule, self.lemma
-        lines = [
-            "# experiment configuration",
-            f"schedule.d = {s.d}",
-            f"schedule.R = {_fmt(s.R)}",
-            f"schedule.gamma = {_fmt(s.gamma)}",
-            f"schedule.alpha1 = {_fmt(s.alpha1)}",
-            f"schedule.alpha2 = {_fmt(s.alpha2)}",
-            f"schedule.s = {_fmt(s.s)}",
-            f"schedule.c_mu = {_fmt(s.c_mu)}",
-            f"teacher.radius = {_fmt(self.teacher_radius)}",
-            f"teacher.seed = {self.teacher_seed}",
-            f"teacher.kind = {self.teacher_kind}",
-            "teacher.width = "
-            + ("auto" if self.teacher_width is None else str(self.teacher_width)),
-            f"noise.bound = {_fmt(self.noise_bound)}",
-            f"noise.kind = {self.noise_kind}",
-            f"ngd.eta = {_fmt(self.ngd_eta)}",
-            f"ngd.budget = {_fmt(self.ngd_budget)}",
-            f"baselines = {', '.join(self.baselines)}",
-        ]
-        for kind, param, values in sorted(self.grids):
-            lines.append(f"grid.{kind}.{param} = {_fmt(values)}")
-        lines += [
-            f"tune.folds = {self.tune_folds}",
-            f"tune.seed = {self.tune_seed}",
-            f"sweep.n_values = {_fmt(self.sweep_n_values)}",
-            f"sweep.replicates = {self.sweep_replicates}",
-            f"sweep.base_seed = {self.sweep_base_seed}",
-            f"sweep.include_last = {_fmt(self.sweep_include_last)}",
-            f"risk.n_test = {self.risk_n_test}",
-            f"output.dir = {self.output_dir}",
-            f"output.timing = {self.output_timing}",
-            f"lemma.d = {lm.d}",
-            f"lemma.h = {_fmt(lm.h)}",
-            f"lemma.center = {_fmt(lm.center)}",
-            f"lemma.direction_radius = {_fmt(lm.direction_radius)}",
-            f"lemma.quad_a = {lm.quad_a}",
-            f"lemma.quad_b = {lm.quad_b}",
-            f"lemma.grid = {lm.grid}",
-            f"lemma.offset_factor = {_fmt(lm.offset_factor)}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def _parse_int(text):
-    return int(text, 10)
-
-
-def _parse_float(text):
-    return float(text)
+        header = {}
+        for key in _KEYS:
+            group, _, name = key.partition(".")
+            if group in _NESTED:
+                value = getattr(getattr(self, group), name)
+            else:
+                value = getattr(self, key.replace(".", "_"))
+            header[key] = "auto" if value is None else value
+            if key == "baselines":
+                header.update((f"grid.{kind}.{param}", values)
+                              for kind, param, values in sorted(self.grids))
+        return format_text("experiment configuration", header)
 
 
 def _parse_bool(text):
@@ -186,11 +138,11 @@ def _parse_bool(text):
 
 
 def _parse_int_list(text):
-    return tuple(_parse_int(part.strip()) for part in text.split(","))
+    return tuple(int(part.strip()) for part in text.split(","))
 
 
 def _parse_float_list(text):
-    return tuple(_parse_float(part.strip()) for part in text.split(","))
+    return tuple(float(part.strip()) for part in text.split(","))
 
 
 def _parse_str_list(text):
@@ -198,55 +150,54 @@ def _parse_str_list(text):
 
 
 def _parse_width(text):
-    return None if text.lower() == "auto" else _parse_int(text)
+    return None if text.lower() == "auto" else int(text)
 
 
-_SCHEMA = {
-    "schedule.d": _parse_int,
-    "schedule.R": _parse_float,
-    "schedule.gamma": _parse_float,
-    "schedule.alpha1": _parse_float,
-    "schedule.alpha2": _parse_float,
-    "schedule.s": _parse_float,
-    "schedule.c_mu": _parse_float,
-    "teacher.radius": _parse_float,
-    "teacher.seed": _parse_int,
+# schedule.* and lemma.* keys set fields of these nested configs
+_NESTED = ("schedule", "lemma")
+
+# Every key with its parser, in canonical to_text() order.  A key outside
+# _NESTED sets the ExperimentConfig attribute key.replace(".", "_"); a key
+# left out of the text keeps that attribute's default.  grid.<kind>.<param>
+# keys are checked against _GRID_PARAMS instead.
+_KEYS = {
+    **{f"schedule.{name}": parse for name, parse in SCHEDULE_FIELDS.items()},
+    "teacher.radius": float,
+    "teacher.seed": int,
     "teacher.kind": str,
     "teacher.width": _parse_width,
-    "noise.bound": _parse_float,
+    "noise.bound": float,
     "noise.kind": str,
-    "ngd.eta": _parse_float,
-    "ngd.budget": _parse_float,
+    "ngd.eta": float,
+    "ngd.budget": float,
     "baselines": _parse_str_list,
-    "tune.folds": _parse_int,
-    "tune.seed": _parse_int,
+    "tune.folds": int,
     "sweep.n_values": _parse_int_list,
-    "sweep.replicates": _parse_int,
-    "sweep.base_seed": _parse_int,
+    "sweep.replicates": int,
+    "sweep.base_seed": int,
     "sweep.include_last": _parse_bool,
-    "risk.n_test": _parse_int,
+    "risk.n_test": int,
     "output.dir": str,
     "output.timing": str,
-    "lemma.d": _parse_int,
-    "lemma.h": _parse_float,
+    "lemma.d": int,
+    "lemma.h": float,
     "lemma.center": _parse_float_list,
-    "lemma.direction_radius": _parse_float,
-    "lemma.quad_a": _parse_int,
-    "lemma.quad_b": _parse_int,
-    "lemma.grid": _parse_int,
-    "lemma.offset_factor": _parse_float,
+    "lemma.direction_radius": float,
+    "lemma.quad_a": int,
+    "lemma.quad_b": int,
+    "lemma.grid": int,
+    "lemma.offset_factor": float,
 }
 
 
-def _parse_grid_key(key):
-    """grid.<estimator>.<param> -> (estimator, param) or None."""
+def _parser(key):
+    """The value parser for a key, None for an unknown key."""
     parts = key.split(".")
-    if len(parts) != 3 or parts[0] != "grid":
-        return None
-    kind, param = parts[1], parts[2]
-    if kind not in _GRID_PARAMS or param not in _GRID_PARAMS[kind]:
-        return None
-    return kind, param
+    if len(parts) == 3 and parts[0] == "grid":
+        if parts[2] not in _GRID_PARAMS.get(parts[1], ()):
+            return None
+        return _parse_int_list if parts[2] == "k" else _parse_float_list
+    return _KEYS.get(key)
 
 
 def parse_config(text, source="<config>"):
@@ -255,96 +206,40 @@ def parse_config(text, source="<config>"):
     Raises ConfigError naming the offending line for unknown or duplicate
     keys and unparseable values, and for semantically invalid combinations.
     """
-    values = {}
-    grids = {}
-    seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in seen:
-            raise ConfigError(
-                f"{source}:{lineno}: duplicate key {key!r}"
-                f" (first set on line {seen[key]})")
-        seen[key] = lineno
-        grid_key = _parse_grid_key(key)
-        if grid_key is not None:
-            parser = _parse_int_list if grid_key[1] == "k" else _parse_float_list
-            try:
-                grids[grid_key] = parser(val)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: bad value for"
-                                  f" {key!r}: {exc}") from None
-            continue
-        if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+    try:
+        header, lines, _ = parse_text(text, source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    top, grids = {}, []
+    nested = {group: {} for group in _NESTED}
+    for key, val in header.items():
+        parse = _parser(key)
+        if parse is None:
+            raise ConfigError(f"{source}:{lines[key]}: unknown key {key!r}")
         try:
-            values[key] = _SCHEMA[key](val)
+            value = parse(val)
         except ValueError as exc:
-            raise ConfigError(
-                f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
+            raise ConfigError(f"{source}:{lines[key]}: bad value for"
+                              f" {key!r}: {exc}") from None
+        group, _, name = key.partition(".")
+        if group == "grid":
+            grids.append((*name.split("."), value))
+        elif group in nested:
+            nested[group][name] = value
+        else:
+            top[key.replace(".", "_")] = value
 
     base = ExperimentConfig()
-
-    def pick(key, fallback):
-        return values.get(key, fallback)
-
+    lemma = nested["lemma"]
+    lemma.setdefault("center", (0.5,) * lemma.get("d", base.lemma.d))
+    lemma.setdefault("offset_factor", None)  # derived from lemma.d
+    for group in _NESTED:
+        try:
+            top[group] = replace(getattr(base, group), **nested[group])
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {group}.*: {exc}") from None
     try:
-        schedule = ScheduleConfig(
-            d=pick("schedule.d", base.schedule.d),
-            R=pick("schedule.R", base.schedule.R),
-            gamma=pick("schedule.gamma", base.schedule.gamma),
-            alpha1=pick("schedule.alpha1", base.schedule.alpha1),
-            alpha2=pick("schedule.alpha2", base.schedule.alpha2),
-            s=pick("schedule.s", base.schedule.s),
-            c_mu=pick("schedule.c_mu", base.schedule.c_mu),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: schedule.*: {exc}") from None
-    try:
-        lemma = BumpApproxConfig(
-            d=pick("lemma.d", base.lemma.d),
-            h=pick("lemma.h", base.lemma.h),
-            center=pick("lemma.center",
-                        (0.5,) * values.get("lemma.d", base.lemma.d)),
-            direction_radius=pick("lemma.direction_radius",
-                                  base.lemma.direction_radius),
-            quad_a=pick("lemma.quad_a", base.lemma.quad_a),
-            quad_b=pick("lemma.quad_b", base.lemma.quad_b),
-            grid=pick("lemma.grid", base.lemma.grid),
-            offset_factor=values.get("lemma.offset_factor"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: lemma.*: {exc}") from None
-    try:
-        return ExperimentConfig(
-            schedule=schedule,
-            teacher_radius=pick("teacher.radius", base.teacher_radius),
-            teacher_seed=pick("teacher.seed", base.teacher_seed),
-            teacher_kind=pick("teacher.kind", base.teacher_kind),
-            teacher_width=values.get("teacher.width", base.teacher_width),
-            noise_bound=pick("noise.bound", base.noise_bound),
-            noise_kind=pick("noise.kind", base.noise_kind),
-            ngd_eta=pick("ngd.eta", base.ngd_eta),
-            ngd_budget=pick("ngd.budget", base.ngd_budget),
-            baselines=pick("baselines", base.baselines),
-            grids=tuple(sorted((k, p, vals) for (k, p), vals in grids.items())),
-            tune_folds=pick("tune.folds", base.tune_folds),
-            tune_seed=pick("tune.seed", base.tune_seed),
-            sweep_n_values=pick("sweep.n_values", base.sweep_n_values),
-            sweep_replicates=pick("sweep.replicates", base.sweep_replicates),
-            sweep_base_seed=pick("sweep.base_seed", base.sweep_base_seed),
-            sweep_include_last=pick("sweep.include_last",
-                                    base.sweep_include_last),
-            risk_n_test=pick("risk.n_test", base.risk_n_test),
-            output_dir=pick("output.dir", base.output_dir),
-            output_timing=pick("output.timing", base.output_timing),
-            lemma=lemma,
-        )
+        return ExperimentConfig(grids=tuple(sorted(grids)), **top)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FLOAT_FMT, eval_network
+from .model import eval_network
+from .textio import FLOAT_FMT
 
 __all__ = ["Dataset", "generate_dataset", "empirical_risk", "save_dataset",
            "load_dataset", "NOISE_KINDS"]

@@ -11,21 +11,22 @@ layer.  Hyperparameters are tuned by deterministic k-fold cross validation.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 import scipy.linalg
 
+from .data import Dataset
 from .model import (
-    FLOAT_FMT,
     ScheduleConfig,
     sample_teacher,
+    schedule_from_header,
     soft_clip,
     soft_clip_deriv,
     with_ones,
 )
+from .textio import read_text, write_text
 
 __all__ = [
     "ESTIMATOR_KINDS",
@@ -365,7 +366,6 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0,
                 resid = csum[:, k - 1] / k - data.y[va]
                 sq_err[i] += float(resid @ resid)
     else:  # nw
-        from .data import Dataset
         for tr, va in masks:
             sub = Dataset(X=data.X[tr], y=data.y[tr],
                           noise_bound=data.noise_bound,
@@ -406,58 +406,30 @@ def fit_estimator(kind, data, params, config=None, kernel_seed=0,
 
 def save_estimator(path, est):
     """Structured-text dump: kind, hyperparameters, training set, dual coefs."""
-    lines = ["# ngdbench estimator", f"kind = {est.kind}"]
+    header = {"kind": est.kind}
     if isinstance(est, KrrEstimator):
-        lines.append(f"ridge = {FLOAT_FMT % est.ridge}")
         kern = est.kernel
+        header["ridge"] = est.ridge
         if isinstance(kern, RbfKernel):
-            lines.append(f"bandwidth = {FLOAT_FMT % kern.bandwidth}")
+            header["bandwidth"] = kern.bandwidth
         else:
-            cfg = kern.config
-            lines += [f"width = {kern.width}", f"kernel_seed = {kern.seed}",
-                      f"d = {cfg.d}", f"R = {FLOAT_FMT % cfg.R}",
-                      f"gamma = {FLOAT_FMT % cfg.gamma}",
-                      f"alpha1 = {FLOAT_FMT % cfg.alpha1}",
-                      f"alpha2 = {FLOAT_FMT % cfg.alpha2}",
-                      f"s = {FLOAT_FMT % cfg.s}",
-                      f"c_mu = {FLOAT_FMT % cfg.c_mu}"]
-        lines.append(f"n = {est.X.shape[0]}")
-        lines.append("inputs:")
-        lines += [" ".join(FLOAT_FMT % v for v in row) for row in est.X]
-        lines.append("dual_coef:")
-        lines += [FLOAT_FMT % v for v in est.dual_coef]
+            header.update(width=kern.width, kernel_seed=kern.seed,
+                          **asdict(kern.config))
+        header["n"] = est.X.shape[0]
+        sections = [("inputs", est.X), ("dual_coef", est.dual_coef[:, None])]
     elif isinstance(est, (KnnEstimator, NwEstimator)):
-        for key, val in sorted(est.params.items()):
-            sval = str(val) if isinstance(val, int) else FLOAT_FMT % val
-            lines.append(f"{key} = {sval}")
-        lines.append(f"n = {est.data.n}")
-        lines.append("train:")
-        for xi, yi in zip(est.data.X, est.data.y):
-            lines.append(" ".join(FLOAT_FMT % v for v in xi) + " " + FLOAT_FMT % yi)
+        header.update(sorted(est.params.items()))
+        header["n"] = est.data.n
+        sections = [("train", np.column_stack([est.data.X, est.data.y]))]
     else:
         raise TypeError(f"cannot serialize {type(est).__name__}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "ngdbench estimator", header, sections)
 
 
 def load_estimator(path, config=None):
     """Inverse of save_estimator; krr round trips exactly."""
-    header, section, rows = {}, None, {"inputs": [], "dual_coef": [], "train": []}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line in ("inputs:", "dual_coef:", "train:"):
-                section = line[:-1]
-                continue
-            if section is None:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                rows[section].append([float(t) for t in line.split()])
+    header, _, rows = read_text(path, ("inputs", "dual_coef", "train"))
     kind = header["kind"]
-    from .data import Dataset
     if kind.startswith("krr"):
         X = np.asarray(rows["inputs"], dtype=float)
         coef = np.asarray(rows["dual_coef"], dtype=float).ravel()
@@ -465,12 +437,8 @@ def load_estimator(path, config=None):
             kern = RbfKernel(bandwidth=float(header["bandwidth"]))
             params = {"bandwidth": kern.bandwidth}
         else:
-            cfg = config or ScheduleConfig(
-                d=int(header["d"]), R=float(header["R"]),
-                gamma=float(header["gamma"]), alpha1=float(header["alpha1"]),
-                alpha2=float(header["alpha2"]), s=float(header["s"]),
-                c_mu=float(header["c_mu"]))
-            kern = make_kernel(kind, config=cfg, width=int(header["width"]),
+            kern = make_kernel(kind, config=config or schedule_from_header(header),
+                               width=int(header["width"]),
                                seed=int(header["kernel_seed"]))
             params = {"width": kern.width}
         ridge = float(header["ridge"])

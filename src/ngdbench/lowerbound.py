@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .model import FLOAT_FMT, sigmoid
+from .model import sigmoid
+from .textio import FLOAT_FMT
 
 __all__ = [
     "sigmoid_window",

@@ -17,12 +17,13 @@ by zero padding, which changes neither the function nor any norm.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit
+
+from .textio import read_text, write_text
 
 __all__ = [
     "ScheduleConfig",
@@ -43,36 +44,10 @@ __all__ = [
     "load_teacher",
     "save_weights",
     "load_weights",
-    "FLOAT_FMT",
 ]
 
-# All text serialization uses 17 significant digits: exact float64 round trip.
-FLOAT_FMT = "%.17g"
-
-# sigmoid(u) rounds to exactly 1.0 for u >= 38 and exactly 0.0 for u <= -746
-# (exp underflow), so expit is only evaluated on the middle band.  Verified
-# bitwise against expit in the test suite.
-_SIG_HI = 38.0
-_SIG_LO = -746.0
-
-
-def sigmoid(u):
-    """Logistic sigmoid 1/(1+exp(-u)), saturation short-circuited."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        if u >= _SIG_HI:
-            return 1.0
-        if u <= _SIG_LO:
-            return 0.0
-        return float(expit(u))
-    out = np.empty_like(u)
-    hi = u >= _SIG_HI
-    lo = u <= _SIG_LO
-    mid = ~(hi | lo)
-    out[hi] = 1.0
-    out[lo] = 0.0
-    out[mid] = expit(u[mid])
-    return out
+# the logistic function 1/(1+exp(-u)); a float64 scalar for scalar input
+sigmoid = expit
 
 
 def sigmoid_deriv(u):
@@ -152,10 +127,9 @@ def check_assumptions(config=None, **params) -> AssumptionReport:
     """
     p = {"R": 1.0, "c_mu": 1.0}
     if config is not None:
-        p.update(d=config.d, R=config.R, gamma=config.gamma, alpha1=config.alpha1,
-                 alpha2=config.alpha2, s=config.s, c_mu=config.c_mu)
+        p.update(asdict(config))
     p.update(params)
-    missing = {k for k in ("d", "gamma", "alpha1", "alpha2", "s") if k not in p}
+    missing = set(SCHEDULE_FIELDS) - set(p)
     if missing:
         raise TypeError(f"check_assumptions missing parameters: {sorted(missing)}")
     failures = tuple(clause for clause, ok in _ASSUMPTION_CLAUSES if not ok(p))
@@ -224,20 +198,19 @@ class ScheduleConfig:
         For extreme schedules width(m) can underflow to exactly 0; those
         blocks have identically zero activation and derivative.
         """
-        b = np.asarray(self.width(m), dtype=float)
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", divide="ignore", under="ignore"):
-            scaled = np.where(b > 0.0, u / np.where(b > 0.0, b, 1.0), np.inf)
-            out = b**self.s * sigmoid(scaled)
-        return out if out.ndim else float(out)
+        return self._width_scaled(m, u, self.s, sigmoid)
 
     def activation_deriv(self, m, u):
         """Derivative of activation w.r.t. u: width^(s-1) * sigmoid'(u / width)."""
+        return self._width_scaled(m, u, self.s - 1.0, sigmoid_deriv)
+
+    def _width_scaled(self, m, u, power, fn):
+        """width^power * fn(u / width), with fn(+inf) on zero-width blocks."""
         b = np.asarray(self.width(m), dtype=float)
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", divide="ignore", under="ignore"):
             scaled = np.where(b > 0.0, u / np.where(b > 0.0, b, 1.0), np.inf)
-            out = b ** (self.s - 1.0) * sigmoid_deriv(scaled)
+            out = b**power * fn(scaled)
         return out if out.ndim else float(out)
 
 
@@ -361,9 +334,8 @@ def sample_teacher(config, width, radius=1.0, seed=0):
 
     Per-coordinate Gaussians are scaled by mu(m)^(gamma/2) and then the whole
     vector is renormalized so hgamma_norm equals `radius` exactly.
+    TeacherSpec rejects radii outside (0, 1].
     """
-    if not 0.0 < radius <= 1.0:
-        raise ValueError("teacher radius must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     raw, scaled = _gaussian_hg_draw(config, width, rng)
     norm = np.sqrt(np.sum(raw * raw))
@@ -384,8 +356,6 @@ def bump_teacher(config, width, index=1, center=None, direction=None, radius=1.0
     """
     if not 1 <= index <= width:
         raise ValueError("bump index must lie in [1, width]")
-    if not 0.0 < radius <= 1.0:
-        raise ValueError("teacher radius must lie in (0, 1]")
     d = config.d
     c = np.full(d, 0.5) if center is None else np.asarray(center, dtype=float)
     u = np.ones(d) if direction is None else np.asarray(direction, dtype=float)
@@ -409,79 +379,44 @@ def bump_teacher(config, width, index=1, center=None, direction=None, radius=1.0
 
 # -- structured-text serialization ------------------------------------------
 
-def _config_header_lines(config):
-    return [
-        f"d = {config.d}",
-        f"R = {FLOAT_FMT % config.R}",
-        f"gamma = {FLOAT_FMT % config.gamma}",
-        f"alpha1 = {FLOAT_FMT % config.alpha1}",
-        f"alpha2 = {FLOAT_FMT % config.alpha2}",
-        f"s = {FLOAT_FMT % config.s}",
-        f"c_mu = {FLOAT_FMT % config.c_mu}",
-    ]
+# ScheduleConfig's fields with their text parsers, in declaration order (the
+# annotations are strings here).  Every text format reads the schedule
+# through this table and writes it with dataclasses.asdict.
+SCHEDULE_FIELDS = {f.name: int if f.type == "int" else float
+                   for f in fields(ScheduleConfig)}
 
 
-def _weights_block_lines(W):
-    return [" ".join(FLOAT_FMT % v for v in row) for row in W]
+def schedule_from_header(header):
+    """ScheduleConfig from the value strings of a parsed text header."""
+    return ScheduleConfig(**{name: parse(header[name])
+                             for name, parse in SCHEDULE_FIELDS.items()})
 
 
 def save_teacher(path, teacher):
     """Write a teacher to a self-describing text file (17 sig digits)."""
-    lines = ["# ngdbench teacher"]
-    lines += _config_header_lines(teacher.config)
-    lines.append(f"M = {teacher.width}")
-    lines.append(f"seed = {'none' if teacher.seed is None else teacher.seed}")
-    lines.append(f"radius = {FLOAT_FMT % teacher.radius}")
-    lines.append(f"kind = {teacher.kind}")
-    lines.append("blocks:")
-    lines += _weights_block_lines(teacher.weights)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = dict(asdict(teacher.config), M=teacher.width,
+                  seed="none" if teacher.seed is None else teacher.seed,
+                  radius=teacher.radius, kind=teacher.kind)
+    write_text(path, "ngdbench teacher", header, [("blocks", teacher.weights)])
 
 
-def _parse_header_and_blocks(path, expect_tag):
-    header = {}
-    blocks = []
-    in_blocks = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "blocks:":
-                in_blocks = True
-                continue
-            if in_blocks:
-                blocks.append([float(tok) for tok in line.split()])
-            else:
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-    return header, blocks
-
-
-def _config_from_header(header):
-    return ScheduleConfig(
-        d=int(header["d"]),
-        R=float(header["R"]),
-        gamma=float(header["gamma"]),
-        alpha1=float(header["alpha1"]),
-        alpha2=float(header["alpha2"]),
-        s=float(header["s"]),
-        c_mu=float(header["c_mu"]),
-    )
+def _load_blocks(path):
+    """Header, schedule and (S, M, d+2) weight blocks of a saved file; a
+    teacher file holds one snapshot."""
+    header, _, rows = read_text(path, ("blocks",))
+    config = schedule_from_header(header)
+    M, S = int(header["M"]), int(header.get("snapshots", 1))
+    W = np.asarray(rows["blocks"], dtype=float)
+    if W.shape != (S * M, config.d + 2):
+        raise ValueError(f"{path}: block shape {W.shape} does not match header")
+    return header, config, W.reshape(S, M, config.d + 2)
 
 
 def load_teacher(path):
     """Read a teacher written by save_teacher; round trip is exact."""
-    header, blocks = _parse_header_and_blocks(path, "teacher")
-    config = _config_from_header(header)
-    W = np.asarray(blocks, dtype=float)
-    if W.shape != (int(header["M"]), config.d + 2):
-        raise ValueError(f"{path}: block shape {W.shape} does not match header")
+    header, config, W = _load_blocks(path)
     seed = None if header["seed"] == "none" else int(header["seed"])
-    return TeacherSpec(config=config, weights=W, radius=float(header["radius"]),
+    return TeacherSpec(config=config, weights=W[0], radius=float(header["radius"]),
                        seed=seed, kind=header.get("kind", "gaussian"))
 
 
@@ -495,27 +430,13 @@ def save_weights(path, config, weights, extra=None):
     stack = W[None, ...] if W.ndim == 2 else W
     if stack.ndim != 3 or stack.shape[2] != config.d + 2:
         raise ValueError(f"bad weight shape {W.shape}")
-    lines = ["# ngdbench weights"]
-    lines += _config_header_lines(config)
-    lines.append(f"M = {stack.shape[1]}")
-    lines.append(f"snapshots = {stack.shape[0]}")
-    for key, val in (extra or {}).items():
-        sval = FLOAT_FMT % val if isinstance(val, float) else str(val)
-        lines.append(f"{key} = {sval}")
-    lines.append("blocks:")
-    for snap in stack:
-        lines += _weights_block_lines(snap)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = dict(asdict(config), M=stack.shape[1], snapshots=stack.shape[0])
+    header.update(extra or {})
+    write_text(path, "ngdbench weights", header,
+               [("blocks", stack.reshape(-1, config.d + 2))])
 
 
 def load_weights(path):
     """Read weights written by save_weights -> (config, stack (S, M, d+2))."""
-    header, blocks = _parse_header_and_blocks(path, "weights")
-    config = _config_from_header(header)
-    M = int(header["M"])
-    S = int(header.get("snapshots", 1))
-    W = np.asarray(blocks, dtype=float)
-    if W.shape != (S * M, config.d + 2):
-        raise ValueError(f"{path}: block shape {W.shape} does not match header")
-    return config, W.reshape(S, M, config.d + 2)
+    _, config, stack = _load_blocks(path)
+    return config, stack

@@ -17,12 +17,13 @@ wide-time limit; closed forms for that law are exposed for diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
 
-from .model import FLOAT_FMT, eval_network, h_norm, hgamma_norm, sigmoid, soft_clip
+from .model import eval_network, h_norm, hgamma_norm, sigmoid, with_ones
+from .textio import FLOAT_FMT
 
 __all__ = [
     "NgdConfig",
@@ -127,18 +128,8 @@ def apply_shrink(config, eta, lam, W):
     return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
 
 
-def _forward(config, W, X1, b_safe, bs, bs1, amp):
-    """Shared forward pass: preactivations, scaled sigmoids, clipped outputs."""
-    with np.errstate(over="ignore", under="ignore"):
-        z = X1 @ W[:, :-1].T
-        sig = sigmoid(z / b_safe)
-    t2 = np.tanh(W[:, -1] / config.R)
-    act = bs * sig
-    coef = amp * (config.R * t2)
-    return sig, act, coef, t2
-
-
 def _grad_tables(config, width):
+    """Per-block constants of the gradient kernel."""
     m = np.arange(1, width + 1)
     amp = config.amp(m)
     b = config.width(m)
@@ -147,6 +138,25 @@ def _grad_tables(config, width):
         bs = b**config.s
         bs1 = b ** (config.s - 1.0)
     return amp, b_safe, bs, bs1
+
+
+def _loss_grad(config, tables, W, X1, y):
+    """The gradient kernel behind loss_grad, step and run_chain; X1 holds
+    the inputs with the constant-1 column appended."""
+    amp, b_safe, bs, bs1 = tables
+    with np.errstate(over="ignore", under="ignore"):
+        z = X1 @ W[:, :-1].T
+        sig = sigmoid(z / b_safe)
+    t2 = np.tanh(W[:, -1] / config.R)
+    act = bs * sig
+    coef = amp * (config.R * t2)
+    r = act @ coef - y
+    two_n = 2.0 / y.shape[0]
+    rsp = r[:, None] * (bs1 * (sig * (1.0 - sig)))
+    G = np.empty_like(W)
+    G[:, :-1] = (two_n * coef)[:, None] * (X1.T @ rsp).T
+    G[:, -1] = two_n * (r @ act) * amp * (1.0 - t2 * t2)
+    return G
 
 
 def loss_grad(config, W, data):
@@ -159,17 +169,8 @@ def loss_grad(config, W, data):
     with residuals r_i = f_W(x_i) - y_i.
     """
     W = np.asarray(W, dtype=float)
-    M = W.shape[0]
-    amp, b_safe, bs, bs1 = _grad_tables(config, M)
-    X1 = np.concatenate([data.X, np.ones((data.n, 1))], axis=1)
-    sig, act, coef, t2 = _forward(config, W, X1, b_safe, bs, bs1, amp)
-    r = act @ coef - data.y
-    two_n = 2.0 / data.n
-    rsp = r[:, None] * (bs1 * (sig * (1.0 - sig)))
-    G = np.empty_like(W)
-    G[:, :-1] = (two_n * coef)[:, None] * (X1.T @ rsp).T
-    G[:, -1] = two_n * (r @ act) * amp * (1.0 - t2 * t2)
-    return G
+    X1, _ = with_ones(data.X, config.d)
+    return _loss_grad(config, _grad_tables(config, W.shape[0]), W, X1, data.y)
 
 
 def loss_grad_bound(config, noise_bound):
@@ -289,36 +290,16 @@ def run_chain(config, ngd, data=None, init=None):
 
     s_fac = shrink_factors(config, ngd.eta, ngd.lam, M)[:, None]
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
-    eta = ngd.eta
 
-    have_data = data is not None
-    if have_data:
-        if data.d != config.d:
-            raise ValueError("dataset dimension does not match config")
-        X1 = np.concatenate([data.X, np.ones((data.n, 1))], axis=1)
-        y = data.y
-        amp, b_safe, bs, bs1 = _grad_tables(config, M)
-        two_n = 2.0 / data.n
-        R = config.R
+    if data is not None:
+        X1, _ = with_ones(data.X, config.d)
+        tables = _grad_tables(config, M)
 
     kept, kept_steps, risks, hn, h1n = [], [], [], [], []
     for k in range(1, ngd.k_max + 1):
-        if have_data:
-            with np.errstate(over="ignore", under="ignore"):
-                z = X1 @ W[:, :-1].T
-                sig = sigmoid(z / b_safe)
-            t2 = np.tanh(W[:, -1] / R)
-            act = bs * sig
-            coef = amp * (R * t2)
-            r = act @ coef - y
-            rsp = r[:, None] * (bs1 * (sig * (1.0 - sig)))
-            V = np.empty_like(W)
-            V[:, :-1] = W[:, :-1] - (eta * two_n * coef)[:, None] * (X1.T @ rsp).T
-            V[:, -1] = W[:, -1] - eta * two_n * (r @ act) * amp * (1.0 - t2 * t2)
-        else:
-            V = W
-        V = V + noise_sd * rng.standard_normal((M, dp2))
-        W = s_fac * V
+        if data is not None:
+            W = W - ngd.eta * _loss_grad(config, tables, W, X1, data.y)
+        W = s_fac * (W + noise_sd * rng.standard_normal((M, dp2)))
         if k > ngd.burn_in and (k - ngd.burn_in) % ngd.thinning == 0:
             _check_finite(W, f"at step {k}")
             nrm = h_norm(W)
@@ -326,8 +307,8 @@ def run_chain(config, ngd, data=None, init=None):
                 raise ChainDivergence(f"h_norm {nrm:.3g} at step {k}")
             kept.append(W.copy())
             kept_steps.append(k)
-            risks.append(float(np.mean((eval_network(config, W, data.X) - y) ** 2))
-                         if have_data else 0.0)
+            risks.append(0.0 if data is None else
+                         float(np.mean((eval_network(config, W, data.X) - data.y) ** 2)))
             hn.append(nrm)
             h1n.append(hgamma_norm(config, W, 1.0))
     _check_finite(W, "at final step")

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FLOAT_FMT
+from .textio import FLOAT_FMT
 
 __all__ = [
     "MonteCarloRisk",
     "excess_risk_mc",
     "RiskRecord",
+    "records_csv",
     "save_records",
     "load_records",
     "RateFit",
@@ -86,13 +87,16 @@ class RiskRecord:
 CSV_HEADER = "estimator,n,seed,excess_risk,stderr,wall_ms"
 
 
-def save_records(path, records):
+def records_csv(records):
     """Canonical CSV: sorted by (estimator, n, seed), 17 significant digits."""
     ordered = sorted(records, key=lambda r: (r.estimator, r.n, r.seed))
+    return "".join(f"{row}\n" for row in
+                   [CSV_HEADER] + [rec.csv_row() for rec in ordered])
+
+
+def save_records(path, records):
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in ordered:
-            fh.write(rec.csv_row() + "\n")
+        fh.write(records_csv(records))
 
 
 def load_records(path):
@@ -161,14 +165,6 @@ def rate_fit(records):
         stderr = 0.0
     return RateFit(slope=slope, intercept=intercept, slope_stderr=stderr,
                    n_values=tuple(ns), medians=tuple(medians))
-
-
-def save_rate_points(path, fit):
-    """Two-column plot file: log n, log median (gnuplot-ready)."""
-    with open(path, "w") as fh:
-        fh.write("# log_n log_median\n")
-        for n, med in zip(fit.n_values, fit.medians):
-            fh.write(f"{FLOAT_FMT % math.log(n)} {FLOAT_FMT % math.log(med)}\n")
 
 
 # -- theoretical exponents ---------------------------------------------------

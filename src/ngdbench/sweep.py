@@ -25,15 +25,17 @@ from pathlib import Path
 
 from .config import parse_config
 from .data import generate_dataset
-from .linear import fit_estimator, tune
-from .model import FLOAT_FMT, bump_teacher, sample_teacher
+from .linear import ESTIMATOR_KINDS, fit_estimator, tune
+from .model import bump_teacher, sample_teacher
 from .ngd import ChainDivergence, NgdConfig, run_chain
-from .risk import (CSV_HEADER, RiskRecord, dominance_condition,
-                   excess_risk_mc, linear_lower_exponents, load_records,
-                   nn_upper_exponent, rate_fit, save_records)
+from .risk import (RiskRecord, dominance_condition, excess_risk_mc,
+                   linear_lower_exponents, load_records, nn_upper_exponent,
+                   rate_fit, records_csv, save_records)
+from .textio import FLOAT_FMT
 
-__all__ = ["derive_seed", "resolve_teacher", "run_cell", "run_sweep",
-           "SweepReport", "report", "save_report"]
+__all__ = ["derive_seed", "CellInputs", "cell_inputs", "fit_baseline",
+           "resolve_teacher", "run_cell", "run_sweep", "SweepReport",
+           "report", "save_report"]
 
 RESULTS_NAME = "results.csv"
 _FAILED_PREFIX = "# failed: "
@@ -51,10 +53,56 @@ def derive_seed(base_seed, n, replicate, tag):
     return int.from_bytes(digest[:8], "big")
 
 
+@dataclass(frozen=True)
+class CellInputs:
+    """What one (n, replicate) cell draws from the config.
+
+    data is the training set, whose seed field is the cell's data seed (None
+    when no teacher was given); ngd holds the sampler's auto hyperparameters
+    and chain seed; baseline_seeds maps every estimator kind to its
+    (cv, kernel) seeds.
+    """
+
+    data: object
+    test_seed: int
+    ngd: NgdConfig
+    baseline_seeds: dict
+
+
+def cell_inputs(cfg, teacher, n, replicate):
+    """Training set, seeds and sampler settings of one cell.
+
+    The only place cell seeds are derived, so sweep cells and the single-run
+    CLI commands draw identical streams.
+    """
+    def seed(tag):
+        return derive_seed(cfg.sweep_base_seed, n, replicate, tag)
+
+    data = None if teacher is None else generate_dataset(
+        teacher, n, noise_bound=cfg.noise_bound, noise_kind=cfg.noise_kind,
+        seed=seed("data"))
+    ngd = NgdConfig.auto(cfg.schedule, n, cfg.noise_bound, eta=cfg.ngd_eta,
+                         budget=cfg.ngd_budget, seed=seed("ngd"))
+    baseline_seeds = {kind: (seed(f"cv-{kind}"), seed(f"kernel-{kind}"))
+                      for kind in ESTIMATOR_KINDS}
+    return CellInputs(data=data, test_seed=seed("test"), ngd=ngd,
+                      baseline_seeds=baseline_seeds)
+
+
 def student_width(cfg, n):
     """Network width the auto rule assigns at sample size n."""
-    return NgdConfig.auto(cfg.schedule, n, cfg.noise_bound,
-                          eta=cfg.ngd_eta, budget=cfg.ngd_budget).width
+    return cell_inputs(cfg, None, n, 0).ngd.width
+
+
+def fit_baseline(cfg, cell, kind):
+    """Cross-validate one baseline on the cell's training set and refit it
+    at the chosen hyperparameters; returns (TuneResult, predictor)."""
+    grid = cfg.grid_for(kind, cell.data)  # rejects unknown kinds
+    cv_seed, kernel_seed = cell.baseline_seeds[kind]
+    tuned = tune(kind, cell.data, grid=grid, folds=min(cfg.tune_folds, cell.data.n),
+                 seed=cv_seed, config=cfg.schedule, kernel_seed=kernel_seed)
+    return tuned, fit_estimator(kind, cell.data, tuned.params,
+                                config=cfg.schedule, kernel_seed=kernel_seed)
 
 
 def resolve_teacher(cfg):
@@ -69,10 +117,6 @@ def resolve_teacher(cfg):
                           seed=cfg.teacher_seed)
 
 
-def _estimators(cfg):
-    return ("ngd",) + tuple(cfg.baselines)
-
-
 def cell_name(estimator, n, replicate):
     return f"{estimator}-n{n:06d}-r{replicate:04d}.csv"
 
@@ -82,10 +126,7 @@ def _write_cell(path, records=None, failed=None):
     with open(tmp, "w") as fh:
         if failed is not None:
             fh.write(_FAILED_PREFIX + failed.replace("\n", " ") + "\n")
-        fh.write(CSV_HEADER + "\n")
-        for rec in sorted(records or [],
-                          key=lambda r: (r.estimator, r.n, r.seed)):
-            fh.write(rec.csv_row() + "\n")
+        fh.write(records_csv(records or []))
     tmp.replace(path)
 
 
@@ -107,39 +148,25 @@ def run_cell(cfg, teacher, estimator, n, replicate):
     cross-validate on the training set, refit, and score.  A diverged chain
     becomes a failed cell rather than an exception.
     """
-    base = cfg.sweep_base_seed
-    data_seed = derive_seed(base, n, replicate, "data")
-    test_seed = derive_seed(base, n, replicate, "test")
-    data = generate_dataset(teacher, n, noise_bound=cfg.noise_bound,
-                            noise_kind=cfg.noise_kind, seed=data_seed)
+    cell = cell_inputs(cfg, teacher, n, replicate)
     timing = cfg.output_timing == "wall"
     start = time.perf_counter()
     try:
         if estimator == "ngd":
-            ngd_cfg = NgdConfig.auto(cfg.schedule, n, cfg.noise_bound,
-                                     eta=cfg.ngd_eta, budget=cfg.ngd_budget,
-                                     seed=derive_seed(base, n, replicate, "ngd"))
-            result = run_chain(cfg.schedule, ngd_cfg, data)
+            result = run_chain(cfg.schedule, cell.ngd, cell.data)
             predictors = [("ngd", result.averaged_predictor())]
             if cfg.sweep_include_last:
                 predictors.append(("ngd-last", result.last_predictor()))
         else:
-            cv_seed = derive_seed(base, n, replicate, f"cv-{estimator}")
-            kernel_seed = derive_seed(base, n, replicate, f"kernel-{estimator}")
-            tuned = tune(estimator, data, grid=cfg.grid_for(estimator, data),
-                         folds=min(cfg.tune_folds, n), seed=cv_seed,
-                         config=cfg.schedule, kernel_seed=kernel_seed)
-            est = fit_estimator(estimator, data, tuned.params,
-                                config=cfg.schedule, kernel_seed=kernel_seed)
-            predictors = [(estimator, est)]
+            predictors = [(estimator, fit_baseline(cfg, cell, estimator)[1])]
     except ChainDivergence as exc:
         return [], f"{estimator} n={n} replicate={replicate}: {exc}"
     wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
     records = []
     for tag, predictor in predictors:
         mc = excess_risk_mc(teacher, predictor,
-                            n_test=cfg.risk_n_test, seed=test_seed)
-        records.append(RiskRecord(estimator=tag, n=n, seed=data_seed,
+                            n_test=cfg.risk_n_test, seed=cell.test_seed)
+        records.append(RiskRecord(estimator=tag, n=n, seed=cell.data.seed,
                                   excess_risk=mc.value, stderr=mc.stderr,
                                   wall_ms=wall_ms))
     return records, None
@@ -178,7 +205,7 @@ def run_sweep(cfg, out_dir=None, workers=None, progress=None):
     tasks = [(est, n, rep)
              for n in cfg.sweep_n_values
              for rep in range(cfg.sweep_replicates)
-             for est in _estimators(cfg)]
+             for est in ("ngd",) + tuple(cfg.baselines)]
     pending = [(est, n, rep) for est, n, rep in tasks
                if not (cells / cell_name(est, n, rep)).exists()]
 

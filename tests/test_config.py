@@ -32,7 +32,6 @@ baselines = krr-rbf, nw
 grid.krr-rbf.bandwidth = 0.5, 1
 grid.nw.bandwidth = 0.1, 0.2, 0.4
 tune.folds = 4
-tune.seed = 3
 sweep.n_values = 64, 32, 128
 sweep.replicates = 2
 sweep.base_seed = 17
@@ -112,7 +111,7 @@ class TestDiagnostics:
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match=r":3: duplicate key.*line 1"):
-            parse_config("tune.seed = 1\n\ntune.seed = 2\n")
+            parse_config("tune.folds = 3\n\ntune.folds = 4\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match=r":1: expected 'key = value'"):

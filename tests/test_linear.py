@@ -8,6 +8,7 @@ import pytest
 from ngdbench.data import Dataset, generate_dataset
 from ngdbench.linear import (
     ESTIMATOR_KINDS,
+    KrrEstimator,
     NtkKernel,
     RandomFeatureKernel,
     RbfKernel,
@@ -353,3 +354,36 @@ class TestSerialization:
             path = tmp_path / f"{kind}.txt"
             save_estimator(path, est)
             np.testing.assert_array_equal(load_estimator(path)(xq), est(xq))
+
+    def test_file_bytes(self, tmp_path):
+        # exact text of one file per header layout: rbf, schedule, local
+        cfg = ScheduleConfig(d=1, R=2.0, gamma=1.5, alpha1=1.0, alpha2=4.0,
+                             s=3.0, c_mu=0.5)
+        X2 = np.array([[0.25, 0.5], [0.75, 1.0]])
+        X1 = np.array([[0.25], [0.75]])
+        cases = [
+            (KrrEstimator(kind="krr-rbf", kernel=RbfKernel(bandwidth=0.5),
+                          ridge=0.001, X=X2, dual_coef=np.array([1.5, -0.5]),
+                          params={"bandwidth": 0.5, "ridge": 0.001}),
+             "kind = krr-rbf\nridge = 0.001\nbandwidth = 0.5\nn = 2\n"
+             "inputs:\n0.25 0.5\n0.75 1\ndual_coef:\n1.5\n-0.5\n"),
+            (KrrEstimator(kind="krr-ntk",
+                          kernel=NtkKernel(config=cfg, width=3, seed=2),
+                          ridge=1e-4, X=X1, dual_coef=np.array([2.0, 0.1]),
+                          params={"width": 3, "ridge": 1e-4}),
+             "kind = krr-ntk\nridge = 0.0001\nwidth = 3\nkernel_seed = 2\n"
+             "d = 1\nR = 2\ngamma = 1.5\nalpha1 = 1\nalpha2 = 4\ns = 3\n"
+             "c_mu = 0.5\nn = 2\ninputs:\n0.25\n0.75\ndual_coef:\n2\n"
+             "0.10000000000000001\n"),
+            (fit_estimator("knn", dataset(X2, [0.5, -1.0]), {"k": 2}),
+             "kind = knn\nk = 2\nn = 2\ntrain:\n0.25 0.5 0.5\n"
+             "0.75 1 -1\n"),
+        ]
+        xq = np.array([[0.3, 0.6], [0.9, 0.1]])
+        for est, body in cases:
+            path = tmp_path / f"{est.kind}.txt"
+            save_estimator(path, est)
+            assert path.read_text() == "# ngdbench estimator\n" + body
+            back = load_estimator(path)
+            x = xq[:, :est.X.shape[1]] if hasattr(est, "X") else xq
+            np.testing.assert_array_equal(back(x), est(x))

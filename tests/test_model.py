@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from ngdbench.model import (
     ScheduleConfig,
+    TeacherSpec,
     bump_teacher,
     check_assumptions,
     eval_network,
@@ -344,6 +345,41 @@ class TestSerialization:
         assert cfg2 == cfg
         assert stack.shape == (1, 3, 3)
         np.testing.assert_array_equal(stack[0], W)
+
+    GOLDEN_CFG = dict(d=1, R=2.0, gamma=1.5, alpha1=1.0, alpha2=4.0, s=3.0,
+                      c_mu=0.5)
+    GOLDEN_HEADER = ("d = 1\nR = 2\ngamma = 1.5\nalpha1 = 1\nalpha2 = 4\n"
+                     "s = 3\nc_mu = 0.5\n")
+
+    def test_teacher_file_bytes(self, tmp_path):
+        cfg = default_config(**self.GOLDEN_CFG)
+        t = TeacherSpec(config=cfg, radius=0.5, seed=3,
+                        weights=np.array([[0.5, -0.25, 0.125],
+                                          [0.0, 1.0, -2.0]]))
+        path = tmp_path / "teacher.txt"
+        save_teacher(path, t)
+        want = ("# ngdbench teacher\n" + self.GOLDEN_HEADER
+                + "M = 2\nseed = 3\nradius = 0.5\nkind = gaussian\n"
+                "blocks:\n0.5 -0.25 0.125\n0 1 -2\n")
+        assert path.read_text() == want
+        back = load_teacher(path)
+        assert back.config == cfg and back.seed == 3 and back.radius == 0.5
+        np.testing.assert_array_equal(back.weights, t.weights)
+
+    def test_weights_file_bytes_with_extra(self, tmp_path):
+        cfg = default_config(**self.GOLDEN_CFG)
+        stack = np.array([[[0.5, -0.25, 0.125]], [[0.1, 0.2, 0.3]]])
+        path = tmp_path / "w.txt"
+        save_weights(path, cfg, stack,
+                     extra={"kind": "kept-iterates", "burn_in": 4, "eta": 0.25})
+        want = ("# ngdbench weights\n" + self.GOLDEN_HEADER
+                + "M = 1\nsnapshots = 2\nkind = kept-iterates\nburn_in = 4\n"
+                "eta = 0.25\nblocks:\n0.5 -0.25 0.125\n0.10000000000000001 "
+                "0.20000000000000001 0.29999999999999999\n")
+        assert path.read_text() == want
+        cfg2, back = load_weights(path)
+        assert cfg2 == cfg
+        np.testing.assert_array_equal(back, stack)
 
     def test_weights_round_trip_stack(self, tmp_path):
         cfg = default_config(d=2)

@@ -309,6 +309,23 @@ class TestChain:
         np.testing.assert_array_equal(a.risk_trace, b.risk_trace)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    def test_chain_is_repeated_step_bitwise(self, eta):
+        # the chain's update is step() fed the chain's own noise stream
+        cfg = small_config(d=2, alpha2=4.0)
+        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        ngd = small_ngd(eta=eta, width=3, k_max=50, burn_in=49, seed=7)
+        W0 = np.random.default_rng(5).normal(size=(3, 4))
+        res = run_chain(cfg, ngd, data, init=W0)
+        rng = np.random.default_rng(7)
+        noise_sd = math.sqrt(2.0 * eta / ngd.beta)
+        W = W0
+        for _ in range(ngd.k_max):
+            W = step(cfg, ngd, W, data, noise_sd * rng.standard_normal(W.shape))
+        np.testing.assert_array_equal(res.weights, W)
+        np.testing.assert_array_equal(res.kept[-1], W)
+
     def test_gradient_free_stationary_variance(self):
         cfg = small_config()
         ngd = NgdConfig(eta=0.1, beta=8.0, lam=0.5, k_max=30000, width=3,

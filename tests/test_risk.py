@@ -18,7 +18,6 @@ from ngdbench.risk import (
     load_records,
     nn_upper_exponent,
     rate_fit,
-    save_rate_points,
     save_records,
 )
 
@@ -175,17 +174,6 @@ class TestRecordsIo:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError):
             load_records(path)
-
-    def test_rate_points_file(self, tmp_path):
-        records = [record(n=n, risk=2.0 * n**-1.0) for n in (4, 8, 16)]
-        fit = rate_fit(records)
-        path = tmp_path / "rate.dat"
-        save_rate_points(path, fit)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# log_n log_median"
-        assert len(lines) == 4
-        col0 = [float(line.split()[0]) for line in lines[1:]]
-        np.testing.assert_allclose(col0, np.log([4.0, 8.0, 16.0]), rtol=1e-15)
 
 
 class TestExponentCalculators:
