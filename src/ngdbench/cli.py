@@ -16,7 +16,8 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .data import save_dataset
 from .linear import save_estimator
-from .model import check_assumptions, save_teacher, save_weights
+from .model import (active_width, check_assumptions, save_teacher,
+                    save_weights)
 from .ngd import ChainDivergence, run_chain, save_trace
 from .lowerbound import build_bump_approx, save_approx_csv
 from .risk import excess_risk_mc
@@ -88,6 +89,17 @@ def _cmd_check(cfg, args):
     rep = check_assumptions(cfg.schedule)
     print(cfg.to_text(), end="")
     print(rep)
+    sched, n = cfg.schedule, max(cfg.sweep_n_values)
+    M = student_width(cfg, n)
+    a = active_width(sched, M)
+    print(f"widest student (n = {n}): {M} blocks, {a} active "
+          f"(elided: gradient scale <= eps x block 1's)")
+    print("block  output scale  gradient scale")
+    for m in range(1, M + 1):
+        out = sched.amp(m) * sched.R * sched.width(m) ** sched.s
+        grad = sched.amp(m) * sched.width(m) ** (sched.s - 1.0)
+        print(f"{m:>5}  {out:>12.3e}  {grad:>14.3e}"
+              + ("  elided" if m > a else ""))
     return 0 if rep.ok else 1
 
 

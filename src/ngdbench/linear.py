@@ -311,8 +311,12 @@ def _combo_iter(grid):
         yield dict(zip(keys, combo))
 
 
-def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0,
-         kernel_width=None):
+def _kernel_width(data):
+    """Network width of the tangent and random-feature kernels at n points."""
+    return max(8, data.n // 4)
+
+
+def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     """Pick hyperparameters by k-fold cross validation (pooled squared error).
 
     Folds are a seeded permutation split, so the selection is a deterministic
@@ -340,9 +344,8 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0,
             if kind == "krr-rbf":
                 kern = make_kernel(kind, bandwidth=bw)
             else:
-                width = kernel_width or max(8, data.n // 4)
-                kern = make_kernel(kind, config=config, width=width,
-                                   seed=kernel_seed)
+                kern = make_kernel(kind, config=config,
+                                   width=_kernel_width(data), seed=kernel_seed)
             G = kern.gram(data.X, data.X)
             for tr, va in masks:
                 Ktr = G[np.ix_(tr, tr)]
@@ -384,15 +387,13 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0,
                       seed=seed)
 
 
-def fit_estimator(kind, data, params, config=None, kernel_seed=0,
-                  kernel_width=None):
+def fit_estimator(kind, data, params, config=None, kernel_seed=0):
     """Fit one baseline with explicit hyperparameters; returns a predictor."""
     if kind == "krr-rbf":
         return krr_fit(kind, data, params["ridge"], bandwidth=params["bandwidth"])
     if kind in ("krr-ntk", "krr-rf"):
-        width = kernel_width or max(8, data.n // 4)
         return krr_fit(kind, data, params["ridge"], config=config,
-                       width=width, seed=kernel_seed)
+                       width=_kernel_width(data), seed=kernel_seed)
     if kind == "knn":
         return KnnEstimator(kind=kind, k=int(params["k"]), data=data,
                             params=dict(params))

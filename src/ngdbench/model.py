@@ -34,6 +34,7 @@ __all__ = [
     "sigmoid_deriv",
     "soft_clip",
     "soft_clip_deriv",
+    "active_width",
     "eval_network",
     "h_norm",
     "hgamma_norm",
@@ -241,6 +242,22 @@ def with_ones(x, d):
         raise ValueError(f"expected points in R^{d}, got shape {x.shape}")
     X1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
     return X1, single
+
+
+def active_width(config, M):
+    """Number of leading blocks of an M-block network that are numerically
+    alive.
+
+    Block m is alive when its gradient scale amp(m) * width(m)^(s-1)
+    exceeds float64 eps times block 1's.  The scale falls strictly with m,
+    so the alive blocks are a prefix; the others move the output by at most
+    amp(m) * R * width(m)^s and are elided by the chain kernel and the
+    snapshot average.
+    """
+    m = np.arange(1, M + 1)
+    with np.errstate(under="ignore"):
+        scale = config.amp(m) * config.width(m) ** (config.s - 1.0)
+    return int(np.count_nonzero(scale > np.finfo(float).eps * scale[:1]))
 
 
 def eval_network(config, W, x):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .model import eval_network, h_norm, hgamma_norm, sigmoid, with_ones
+from .model import (active_width, eval_network, h_norm, hgamma_norm, sigmoid,
+                    soft_clip, with_ones)
 from .textio import FLOAT_FMT
 
 __all__ = [
@@ -129,33 +130,37 @@ def apply_shrink(config, eta, lam, W):
 
 
 def _grad_tables(config, width):
-    """Per-block constants of the gradient kernel."""
-    m = np.arange(1, width + 1)
+    """Per-block constants of the gradient kernel, for the active blocks of
+    a width-block network only (model.active_width); an active block's
+    width is positive, so dividing by it is safe."""
+    m = np.arange(1, active_width(config, width) + 1)
     amp = config.amp(m)
     b = config.width(m)
-    b_safe = np.where(b > 0.0, b, 1.0)  # b==0 blocks have zero activation anyway
     with np.errstate(under="ignore"):
         bs = b**config.s
         bs1 = b ** (config.s - 1.0)
-    return amp, b_safe, bs, bs1
+    return amp, b, bs, bs1
 
 
 def _loss_grad(config, tables, W, X1, y):
     """The gradient kernel behind loss_grad, step and run_chain; X1 holds
-    the inputs with the constant-1 column appended."""
-    amp, b_safe, bs, bs1 = tables
+    the inputs with the constant-1 column appended.  Rows of W past the
+    tables' active blocks get an exactly zero gradient."""
+    amp, b, bs, bs1 = tables
+    a = amp.shape[0]
+    Wa = W[:a]
     with np.errstate(over="ignore", under="ignore"):
-        z = X1 @ W[:, :-1].T
-        sig = sigmoid(z / b_safe)
-    t2 = np.tanh(W[:, -1] / config.R)
+        z = X1 @ Wa[:, :-1].T
+        sig = sigmoid(z / b)
+    t2 = np.tanh(Wa[:, -1] / config.R)
     act = bs * sig
     coef = amp * (config.R * t2)
     r = act @ coef - y
     two_n = 2.0 / y.shape[0]
     rsp = r[:, None] * (bs1 * (sig * (1.0 - sig)))
-    G = np.empty_like(W)
-    G[:, :-1] = (two_n * coef)[:, None] * (X1.T @ rsp).T
-    G[:, -1] = two_n * (r @ act) * amp * (1.0 - t2 * t2)
+    G = np.zeros_like(W)
+    G[:a, :-1] = (two_n * coef)[:, None] * (X1.T @ rsp).T
+    G[:a, -1] = two_n * (r @ act) * amp * (1.0 - t2 * t2)
     return G
 
 
@@ -167,6 +172,14 @@ def loss_grad(config, W, data):
     and the second-layer gradient is
         (2/n) sum_i r_i * amp(m) * soft_clip'(w2_m, R) * act_m(z_im),
     with residuals r_i = f_W(x_i) - y_i.
+
+    Blocks past a = model.active_width(config, M), whose gradient scale
+    amp(m) * width(m)^(s-1) is below float64 eps times block 1's, get an
+    exactly zero gradient and are left out of the residuals.  For inputs in
+    [0, 1]^d each dropped entry is at most
+    2 R max_i |r_i| amp(m) width(m)^(s-1), and each residual moves by at
+    most R sum_{m > a} amp(m) width(m)^s, both below eps relative to
+    block 1's scales.
     """
     W = np.asarray(W, dtype=float)
     X1, _ = with_ones(data.X, config.d)
@@ -232,19 +245,43 @@ def step_explicit(config, ngd, W, data=None, noise=None):
     return out
 
 
+# element cap of one (test points x snapshot columns) temporary of the
+# snapshot average: 2**18 doubles = 2 MB
+_AVERAGE_CHUNK = 1 << 18
+
+
 @dataclass
 class MeanPredictor:
-    """Average of the networks at the kept snapshots (evaluable)."""
+    """Average of the networks at the kept snapshots (evaluable).
+
+    Every (snapshot, active block) pair is one column, so a chunk of test
+    points costs one matmul: sigmoid(X1 @ W1^T / b) @ coef / S with
+    coef = amp * soft_clip(w2, R) * width^s.  Blocks past
+    a = model.active_width(config, M) are left out, which moves each
+    prediction by at most R * sum_{m > a} amp(m) * width(m)^s.  Returns a
+    float for a single point, an (n,) array for a batch.
+    """
 
     config: object
     stack: np.ndarray  # (S, M, d+2)
 
     def __call__(self, x):
-        out = None
-        for W in self.stack:
-            v = eval_network(self.config, W, x)
-            out = v if out is None else out + v
-        return out / len(self.stack)
+        cfg = self.config
+        S, M, _ = self.stack.shape
+        m = np.arange(1, active_width(cfg, M) + 1)
+        W = self.stack[:, :m.size].reshape(-1, self.stack.shape[2])
+        b = np.tile(cfg.width(m), S)
+        coef = np.tile(cfg.amp(m), S) * b**cfg.s * soft_clip(W[:, -1], cfg.R)
+        X1, single = with_ones(x, cfg.d)
+        rows = max(1, _AVERAGE_CHUNK // max(1, W.shape[0]))
+        out = np.empty(X1.shape[0])
+        for i in range(0, X1.shape[0], rows):
+            z = X1[i:i + rows] @ W[:, :-1].T
+            with np.errstate(over="ignore"):
+                z /= b
+            out[i:i + rows] = sigmoid(z, out=z) @ coef
+        out /= S
+        return float(out[0]) if single else out
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Command-line driver: subcommands, exit codes, file outputs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "schedule.d = 1" in out
         assert "assumptions: pass" in out
+
+    def test_block_scales_mark_elided_blocks(self, cfg_file, capsys):
+        committed = Path(__file__).resolve().parents[1] / "configs" / "comparison.cfg"
+        assert main(["check", str(committed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "widest student (n = 2048): 3 blocks, 1 active" in lines[-5]
+        blocks = lines[-3:]
+        assert [ln.split()[0] for ln in blocks] == ["1", "2", "3"]
+        assert [ln.endswith("elided") for ln in blocks] == [False, True, True]
+        assert float(blocks[1].split()[1]) == pytest.approx(3.309e-24, rel=1e-3)
+        assert main(["check", str(cfg_file)]) == 0
+        assert "elided\n" not in capsys.readouterr().out
 
     def test_failing_assumption_clause(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

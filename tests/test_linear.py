@@ -230,7 +230,7 @@ class TestLinearityInY:
 
             def predict(y):
                 est = fit_estimator(kind, dataset(X, y), params, config=cfg,
-                                    kernel_seed=1, kernel_width=4)
+                                    kernel_seed=1)
                 return est(xq)
 
             combo = predict(2.0 * y1 - 0.5 * y2)

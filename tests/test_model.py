@@ -1,14 +1,17 @@
 """Network definition, schedules, norms, and teacher sampling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from ngdbench.config import load_config
 from ngdbench.model import (
     ScheduleConfig,
     TeacherSpec,
+    active_width,
     bump_teacher,
     check_assumptions,
     eval_network,
@@ -185,6 +188,28 @@ class TestEvalNetwork:
         batch = eval_network(cfg, W, X)
         singles = [eval_network(cfg, W, xi) for xi in X]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
+
+
+class TestActiveWidth:
+    """Blocks whose gradient scale is above float64 eps relative to block 1."""
+
+    def test_committed_schedule_keeps_block_one_only(self):
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "configs" / "comparison.cfg").schedule
+        assert active_width(cfg, 2) == 1
+        assert active_width(cfg, 3) == 1
+
+    def test_default_schedule_keeps_every_block(self):
+        cfg = default_config(d=2)
+        for M in range(1, 8):  # the auto width rule gives 7 at n = 2048
+            assert active_width(cfg, M) == M
+
+    def test_threshold_is_eps_relative_to_block_one(self):
+        # gradient scale mu(m)^(alpha1 + alpha2 (s-1)) = m^-18 here, which
+        # crosses eps = 2.2e-16 between m = 7 (6.1e-16) and m = 8 (5.6e-17)
+        cfg = default_config(d=2)
+        assert active_width(cfg, 8) == 7
+        assert active_width(cfg, 20) == 7
 
 
 class TestNorms:

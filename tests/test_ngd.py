@@ -1,15 +1,20 @@
 """Noisy gradient descent: operator algebra, gradients, chain, diagnostics."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from ngdbench.config import load_config
 from ngdbench.data import Dataset, generate_dataset
-from ngdbench.model import ScheduleConfig, eval_network, h_norm, sample_teacher
+from ngdbench.model import (ScheduleConfig, active_width, bump_teacher,
+                            eval_network, h_norm, sample_teacher)
 from ngdbench.ngd import (
+    _AVERAGE_CHUNK,
     ChainDivergence,
+    MeanPredictor,
     NgdConfig,
     apply_shrink,
     loss_grad,
@@ -36,6 +41,17 @@ def small_ngd(**kw):
     base = dict(eta=0.1, beta=8.0, lam=0.5, k_max=100, width=2, seed=0)
     base.update(kw)
     return NgdConfig(**base)
+
+
+def committed_schedule():
+    """The schedule of the committed comparison sweep (blocks m >= 2 dead)."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "comparison.cfg"
+    return load_config(path).schedule
+
+
+def snapshot_mean_oracle(cfg, stack, x):
+    """Reference snapshot average: one full eval_network per snapshot."""
+    return np.mean([eval_network(cfg, W, x) for W in stack], axis=0)
 
 
 class TestAutoHyperparameters:
@@ -381,15 +397,52 @@ class TestChain:
         with pytest.raises(ChainDivergence):
             run_chain(cfg, ngd, init=big)
 
+    def test_dead_rows_follow_the_data_free_chain_bitwise(self):
+        # the kernel gives dead blocks an exactly zero gradient while the
+        # noise is still drawn for every block, so with or without data
+        # their rows are the same noise-and-shrink recursion
+        cfg = committed_schedule()
+        ngd = NgdConfig(eta=0.5, beta=32.0, lam=1.0 / 32.0, k_max=300,
+                        width=3, burn_in=0, thinning=1, seed=11)
+        a = active_width(cfg, ngd.width)
+        assert a == 1
+        teacher = bump_teacher(cfg, 6, radius=0.6)
+        data = generate_dataset(teacher, n=32, noise_bound=0.02, seed=4)
+        trained = run_chain(cfg, ngd, data)
+        free = run_chain(cfg, ngd)
+        np.testing.assert_array_equal(trained.kept[:, a:], free.kept[:, a:])
+        assert not np.array_equal(trained.kept[:, :a], free.kept[:, :a])
+
     def test_averaged_predictor_is_snapshot_mean(self):
         cfg = small_config(d=1)
         ngd = NgdConfig(eta=0.1, beta=8.0, lam=0.5, k_max=30, width=2,
                         burn_in=0, thinning=1, seed=3)
         res = run_chain(cfg, ngd)
         x = np.linspace(0, 1, 7)[:, None]
-        direct = np.mean([eval_network(cfg, W, x) for W in res.kept], axis=0)
-        np.testing.assert_allclose(res.averaged_predictor()(x), direct,
+        np.testing.assert_allclose(res.averaged_predictor()(x),
+                                   snapshot_mean_oracle(cfg, res.kept, x),
                                    rtol=1e-12)
+
+    def test_averaged_predictor_elides_dead_blocks_within_bound(self):
+        cfg = committed_schedule()
+        rng = np.random.default_rng(8)
+        S, M = 37, 3
+        stack = rng.normal(scale=0.7, size=(S, M, cfg.d + 2))
+        # same-sign terms keep the relative tolerance free of cancellation
+        stack[..., -1] = np.abs(stack[..., -1])
+        a = active_width(cfg, M)
+        m = np.arange(a + 1, M + 1)
+        tail = cfg.R * float(np.sum(cfg.amp(m) * cfg.width(m) ** cfg.s))
+        # two whole chunks and a partial one
+        rows = _AVERAGE_CHUNK // (S * a)
+        x = rng.random((2 * rows + 5, cfg.d))
+        pred = MeanPredictor(cfg, stack)
+        np.testing.assert_allclose(pred(x), snapshot_mean_oracle(cfg, stack, x),
+                                   rtol=1e-12, atol=tail)
+        one = pred(x[3])
+        assert isinstance(one, float)
+        assert one == pytest.approx(snapshot_mean_oracle(cfg, stack, x[3]),
+                                    rel=1e-12, abs=tail)
 
     def test_trace_csv(self, tmp_path):
         cfg = small_config(d=1)

@@ -1,11 +1,12 @@
 """Deterministic sweep runner: seeding, cells, resume, report."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ngdbench.config import ExperimentConfig, parse_config
+from ngdbench.config import ExperimentConfig, load_config, parse_config
 from ngdbench.model import ScheduleConfig
 from ngdbench.ngd import ChainDivergence, NgdConfig
 from ngdbench.risk import RiskRecord, load_records, save_records
@@ -139,6 +140,22 @@ class TestRunCell:
         records, failed = run_cell(cfg, teacher, "ngd", 8, 0)
         assert records == []
         assert "weights exploded" in failed
+
+
+class TestCommittedDrift:
+    """Recomputed committed cells reproduce results/comparison/results.csv."""
+
+    def test_ngd_n64_replicate0_matches_committed_row(self):
+        repo = Path(__file__).resolve().parents[1]
+        cfg = load_config(repo / "configs" / "comparison.cfg")
+        records, failed = run_cell(cfg, resolve_teacher(cfg), "ngd", 64, 0)
+        assert failed is None
+        (got,) = records
+        committed = load_records(repo / "results" / "comparison" / RESULTS_NAME)
+        (want,) = [r for r in committed
+                   if (r.estimator, r.n, r.seed) == ("ngd", 64, got.seed)]
+        assert got.excess_risk == pytest.approx(want.excess_risk, rel=1e-9)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9)
 
 
 class TestRunSweep:
