@@ -25,13 +25,8 @@ TEACHER_KINDS = ("gaussian", "bump")
 TIMING_MODES = ("wall", "none")
 SWEEP_ESTIMATORS = ("ngd",) + ESTIMATOR_KINDS
 
-_GRID_PARAMS = {
-    "krr-rbf": ("bandwidth", "ridge"),
-    "krr-ntk": ("ridge",),
-    "krr-rf": ("ridge",),
-    "knn": ("k",),
-    "nw": ("bandwidth",),
-}
+# tunable parameters of each estimator: the keys of its default grid
+_GRID_PARAMS = {kind: tuple(default_grid(kind)) for kind in ESTIMATOR_KINDS}
 
 
 class ConfigError(ValueError):
@@ -97,8 +92,8 @@ class ExperimentConfig:
             raise ConfigError("sweep.n_values repeats a sample size")
         if self.sweep_replicates < 1:
             raise ConfigError("sweep.replicates must be >= 1")
-        if self.risk_n_test < 1:
-            raise ConfigError("risk.n_test must be >= 1")
+        if self.risk_n_test < 2:
+            raise ConfigError("risk.n_test must be >= 2")
         if self.output_timing not in TIMING_MODES:
             raise ConfigError(f"output.timing must be one of {TIMING_MODES}")
         object.__setattr__(self, "sweep_n_values",

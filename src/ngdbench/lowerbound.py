@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gammainc
 
 from .model import sigmoid
 from .textio import FLOAT_FMT
@@ -52,19 +51,15 @@ def sigmoid_window(t):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=1)
-def window_fourier_at_one(tol=1e-10):
+def window_fourier_at_one():
     """Fourier coefficient (2 pi)^-1 integral of sigmoid_window(t) e^{-it} dt
-    at frequency 1, by adaptive cosine quadrature; cached after first call.
+    at frequency 1, in closed form.
 
-    The window is even so the transform is real.  Raises if the quadrature
-    error estimate exceeds tol.
+    sigmoid' transforms to pi w / sinh(pi w), and the window is a unit-width
+    moving average of sigmoid', so the window transforms to
+    sin(w) / (2 sinh(pi w)); it is real because the window is even.
     """
-    val, err = quad(sigmoid_window, 0, np.inf, weight="cos", wvar=1.0,
-                    epsabs=tol * 1e-2, limlst=200)
-    if err > tol:
-        raise RuntimeError(f"window transform quadrature error {err:.2e} > {tol}")
-    return val / math.pi  # (2/(2 pi)) * integral over [0, inf)
+    return math.sin(1.0) / (2.0 * math.sinh(math.pi))
 
 
 def gauss_bump(center, h, x):
@@ -79,19 +74,14 @@ def gauss_bump(center, h, x):
 
 
 def gaussian_ball_mass(d, radius):
-    """Standard-Gaussian mass of the centered ball of given radius in R^d,
-    via radial quadrature of the surface-area form."""
+    """Standard-Gaussian mass of the centered ball of given radius in R^d:
+    the chi-square CDF P(chi2_d <= radius^2), a regularized lower incomplete
+    gamma function."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if radius <= 0:
         return 0.0
-    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    dens = lambda r: surf * r ** (d - 1) * (2.0 * math.pi) ** (-d / 2.0) \
-        * math.exp(-r * r / 2.0)
-    val, err = quad(dens, 0.0, radius, epsabs=1e-13, epsrel=1e-13)
-    if err > 1e-10:
-        raise RuntimeError(f"ball-mass quadrature error {err:.2e}")
-    return val
+    return float(gammainc(d / 2.0, radius * radius / 2.0))
 
 
 @dataclass(frozen=True)
@@ -140,6 +130,17 @@ class BumpApproxConfig:
         """Offset truncation D_b."""
         return self.offset_factor * self.direction_radius
 
+    @property
+    def ball_mass(self):
+        """Standard-Gaussian mass N1 of the direction ball |a| <= D_w."""
+        return gaussian_ball_mass(self.d, self.direction_radius)
+
+    @property
+    def scale(self):
+        """Mass normalization 1/(2 D_b N1): combinations built for this
+        config approximate scale * bump."""
+        return 1.0 / (2.0 * self.offset_radius * self.ball_mass)
+
     def eval_grid(self):
         """Tensor grid over [0,1]^d, (grid^d, d)."""
         axis = np.linspace(0.0, 1.0, self.grid)
@@ -157,32 +158,24 @@ def _direction_nodes(cfg):
         xa, wa = np.polynomial.legendre.leggauss(cfg.quad_a)
         nodes = (xa * D)[:, None]
         jac = wa * D
-    elif cfg.d == 2:
-        xr, wr = np.polynomial.legendre.leggauss(cfg.quad_a)
-        r = (xr + 1.0) * D / 2.0
-        wr = wr * D / 2.0
-        nth = 2 * cfg.quad_a
-        th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
-        wth = np.full(nth, 2.0 * math.pi / nth)
-        R, T = np.meshgrid(r, th, indexing="ij")
-        WR, WT = np.meshgrid(wr, wth, indexing="ij")
-        nodes = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], 1)
-        jac = (WR * WT * R).ravel()
     else:
+        # spherical coordinates: Gauss-Legendre radii, midpoint azimuths and,
+        # for d = 3, Gauss-Legendre polar cosines (d = 2 is the equator)
         xr, wr = np.polynomial.legendre.leggauss(cfg.quad_a)
         r = (xr + 1.0) * D / 2.0
         wr = wr * D / 2.0
-        cph, wph = np.polynomial.legendre.leggauss(cfg.quad_a)  # cos(polar)
         nth = 2 * cfg.quad_a
         th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
         wth = np.full(nth, 2.0 * math.pi / nth)
+        cph, wph = (np.polynomial.legendre.leggauss(cfg.quad_a) if cfg.d == 3
+                    else (np.zeros(1), np.ones(1)))
         R, CP, T = np.meshgrid(r, cph, th, indexing="ij")
         WR, WP, WT = np.meshgrid(wr, wph, wth, indexing="ij")
         SP = np.sqrt(np.maximum(1.0 - CP * CP, 0.0))
         nodes = np.stack([(R * SP * np.cos(T)).ravel(),
                           (R * SP * np.sin(T)).ravel(),
-                          (R * CP).ravel()], 1)
-        jac = (WR * WP * WT * R * R).ravel()
+                          (R * CP).ravel()], 1)[:, :cfg.d]
+        jac = (WR * WP * WT * R ** (cfg.d - 1)).ravel()
     dens = (2.0 * math.pi) ** (-cfg.d / 2.0) * np.exp(-(nodes**2).sum(1) / 2.0)
     return nodes, jac * dens
 
@@ -196,19 +189,23 @@ class RidgeApprox:
     directions: np.ndarray  # (N, d) ridge directions a_k
     offsets: np.ndarray     # (N,)   offsets b_k
     coefs: np.ndarray       # (N,)   quadrature coefficients (scale included)
-    scale: float            # 1 / (2 D_b N1): target is scale * bump
-    ball_mass: float
-    window_ft: float
     reported_sup_error: float = math.nan
 
     @classmethod
     def empty(cls, cfg):
         """The zero combination (no atoms) with the same bookkeeping."""
-        n1 = gaussian_ball_mass(cfg.d, cfg.direction_radius)
         return cls(cfg=cfg, directions=np.zeros((0, cfg.d)),
-                   offsets=np.zeros(0), coefs=np.zeros(0),
-                   scale=1.0 / (2.0 * cfg.offset_radius * n1),
-                   ball_mass=n1, window_ft=window_fourier_at_one())
+                   offsets=np.zeros(0), coefs=np.zeros(0))
+
+    @property
+    def scale(self):
+        """cfg.scale = 1/(2 D_b N1): the combination approximates scale * bump."""
+        return self.cfg.scale
+
+    @property
+    def ball_mass(self):
+        """Direction-ball mass N1 = cfg.ball_mass."""
+        return self.cfg.ball_mass
 
     @property
     def n_atoms(self):
@@ -221,9 +218,9 @@ class RidgeApprox:
 
     @property
     def coef_budget(self):
-        """Atom coefficient budget 2C with C = D_b / (pi h |window_ft|)."""
+        """Atom coefficient budget 2C with C = D_b / (pi h |psi_hat(1)|)."""
         return 2.0 * self.cfg.offset_radius / (
-            math.pi * self.cfg.h * abs(self.window_ft))
+            math.pi * self.cfg.h * abs(window_fourier_at_one()))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -275,62 +272,32 @@ class RidgeApprox:
 
 
 def build_bump_approx(cfg):
-    """Assemble the quadrature combination and certify its atom constraints.
-
-    The reported sup error is measured on the config grid during the build
-    through the structured (directions x offsets) evaluation; sup_error()
-    recomputes it through the generic atom path.
-    """
-    psi1 = window_fourier_at_one()
-    n1 = gaussian_ball_mass(cfg.d, cfg.direction_radius)
+    """Assemble the quadrature combination, certify its atom constraints and
+    record its sup error on the config grid, as measured by sup_error()."""
     Db = cfg.offset_radius
-    scale = 1.0 / (2.0 * Db * n1)
-
     a_nodes, a_w = _direction_nodes(cfg)           # (Na, d), (Na,)
     xb, wb = np.polynomial.legendre.leggauss(cfg.quad_b)
     b_nodes = xb * Db
-    b_w = wb * Db * np.cos(b_nodes / cfg.h) / (2.0 * math.pi * cfg.h * psi1)
-
-    coefs = (a_w[:, None] * b_w[None, :]).ravel() * scale
-    Na, Nb = a_w.size, b_w.size
-    directions = np.repeat(a_nodes, Nb, axis=0)
-    offsets = np.tile(b_nodes, Na)
-
-    approx = RidgeApprox(cfg=cfg, directions=directions, offsets=offsets,
-                         coefs=coefs, scale=scale, ball_mass=n1,
-                         window_ft=psi1)
+    b_w = wb * Db * np.cos(b_nodes / cfg.h) / (
+        2.0 * math.pi * cfg.h * window_fourier_at_one())
+    approx = RidgeApprox(cfg=cfg,
+                         directions=np.repeat(a_nodes, b_w.size, axis=0),
+                         offsets=np.tile(b_nodes, a_w.size),
+                         coefs=(a_w[:, None] * b_w[None, :]).ravel() * cfg.scale)
     approx.check_atoms()
-
-    # builder-side error measurement on the structured quadrature layout
-    pts = cfg.eval_grid()
-    shifted = pts - np.asarray(cfg.center)[None, :]
-    proj = shifted @ a_nodes.T                     # (P, Na)
-    vals = np.zeros(pts.shape[0])
-    step = max(1, _EVAL_CHUNK_DOUBLES // (pts.shape[0] * Nb))
-    wmat = a_w[:, None] * b_w[None, :] * scale
-    for lo in range(0, Na, step):
-        hi = min(Na, lo + step)
-        t = proj[:, lo:hi, None] + b_nodes[None, None, :]
-        vals += np.einsum("pab,ab->p", sigmoid_window(t / cfg.h), wmat[lo:hi])
-    bump = gauss_bump(cfg.center, cfg.h, pts)
-    approx.reported_sup_error = float(np.abs(vals - scale * bump).max())
+    approx.reported_sup_error = sup_error(approx)
     return approx
 
 
 def sup_error(approx, cfg=None, grid_points=None):
-    """Max absolute deviation from scale * bump over the evaluation grid.
+    """Max absolute deviation from cfg.scale * bump over the evaluation grid.
 
     `approx` is any callable on point batches; cfg defaults to approx.cfg.
     """
     if cfg is None:
         cfg = approx.cfg
     pts = cfg.eval_grid() if grid_points is None else np.atleast_2d(grid_points)
-    if hasattr(approx, "scale"):
-        scale = approx.scale
-    else:
-        scale = 1.0 / (2.0 * cfg.offset_radius
-                       * gaussian_ball_mass(cfg.d, cfg.direction_radius))
-    target = scale * gauss_bump(cfg.center, cfg.h, pts)
+    target = cfg.scale * gauss_bump(cfg.center, cfg.h, pts)
     return float(np.abs(np.asarray(approx(pts)) - target).max())
 
 
@@ -356,7 +323,7 @@ def save_approx_csv(path, approx):
         fh.write(f"# tau = {FLOAT_FMT % approx.tau}\n")
         fh.write(f"# scale = {FLOAT_FMT % approx.scale}\n")
         fh.write(f"# ball_mass = {FLOAT_FMT % approx.ball_mass}\n")
-        fh.write(f"# window_ft = {FLOAT_FMT % approx.window_ft}\n")
+        fh.write(f"# window_ft = {FLOAT_FMT % window_fourier_at_one()}\n")
         fh.write(f"# atom_mass = {FLOAT_FMT % mass}\n")
         fh.write(f"# coef_budget = {FLOAT_FMT % approx.coef_budget}\n")
         fh.write(f"# sup_error = {FLOAT_FMT % approx.reported_sup_error}\n")

@@ -88,7 +88,7 @@ class AssumptionReport:
 
     ok: bool
     failures: tuple = ()
-    sigma_bound: float = math.nan  # sampled sup of scaled-sigmoid derivatives
+    sigma_bound: float = math.nan  # exact sup of scaled-sigmoid derivatives
 
     def __str__(self):
         base = ("assumptions: pass" if self.ok else
@@ -98,18 +98,16 @@ class AssumptionReport:
         return base
 
 
-def _sigma_derivative_bound(alpha2, s, c_mu, blocks=8, grid=20001):
-    """Sampled sup over u and the first `blocks` schedule indices of the
-    scaled activation's first three derivatives.
+def _sigma_derivative_bound(alpha2, s, c_mu, blocks=8):
+    """Sup over u and the first `blocks` schedule indices of the scaled
+    activation's first three derivatives.
 
-    The scaled activation is b^s sigmoid(u/b), so derivative j has magnitude
-    b^(s-j) |sigmoid^(j)(z)| with z = u/b; sampling z directly covers every u.
+    The scaled activation is b^s sigmoid(u/b), so derivative j has sup
+    b^(s-j) sup_z |sigmoid^(j)(z)|.  Those sups are exact: with p = sigmoid(z),
+    |p(1-p)| peaks at p = 1/2 (1/4), |p(1-p)(1-2p)| at p = 1/2 +- sqrt(3)/6
+    (sqrt(3)/18) and |p(1-p)(1-6p+6p^2)| at p = 1/2 (1/8).
     """
-    z = np.linspace(-12.0, 12.0, grid)
-    sig = sigmoid(z)
-    d1 = np.abs(sig * (1.0 - sig)).max()
-    d2 = np.abs(sig * (1.0 - sig) * (1.0 - 2.0 * sig)).max()
-    d3 = np.abs(sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig)).max()
+    d1, d2, d3 = 0.25, math.sqrt(3.0) / 18.0, 0.125
     bound = 0.0
     for m in range(1, blocks + 1):
         b = (c_mu * m ** -2.0) ** alpha2
@@ -120,7 +118,8 @@ def _sigma_derivative_bound(alpha2, s, c_mu, blocks=8, grid=20001):
 
 def check_assumptions(config=None, **params) -> AssumptionReport:
     """Check schedule admissibility; returns a report naming violated clauses
-    and carrying the sampled bound on the scaled activations' derivatives.
+    and carrying the exact bound on the scaled activations' first three
+    derivatives over the first 8 blocks.
 
     Accepts either a ScheduleConfig or the raw keyword parameters
     (d, R, gamma, alpha1, alpha2, s, c_mu), so inadmissible parameter sets

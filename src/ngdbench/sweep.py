@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import parse_config
+from .config import ConfigError, parse_config
 from .data import generate_dataset
 from .linear import ESTIMATOR_KINDS, fit_estimator, tune
 from .model import bump_teacher, sample_teacher
@@ -195,12 +195,20 @@ def run_sweep(cfg, out_dir=None, workers=None, progress=None):
     Writes out_dir/cells/<cell>.csv per cell, the canonical sorted
     results.csv, and a copy of the canonical config text.  Already-present
     cell files (including failed ones) are kept as-is, so a completed sweep
-    reruns with zero new computation and byte-identical results.
+    reruns with zero new computation and byte-identical results.  A resume
+    into a directory whose config.txt differs from cfg.to_text() raises
+    ConfigError and leaves the directory untouched.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     cells = out / "cells"
+    cfg_text = cfg.to_text()
+    config_path = out / "config.txt"
+    if config_path.exists() and config_path.read_text() != cfg_text:
+        raise ConfigError(f"{config_path} holds a different configuration;"
+                          " its cells were computed under it, so refusing"
+                          " to resume (use a fresh output directory)")
     cells.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(cfg.to_text())
+    config_path.write_text(cfg_text)
 
     tasks = [(est, n, rep)
              for n in cfg.sweep_n_values
@@ -211,7 +219,6 @@ def run_sweep(cfg, out_dir=None, workers=None, progress=None):
 
     nworkers = worker_count(workers)
     if pending and nworkers > 1:
-        cfg_text = cfg.to_text()
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             futures = {
                 pool.submit(_cell_worker, cfg_text, est, n, rep,

@@ -179,6 +179,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise.kind"):
             parse_config("noise.kind = gaussian\n")
 
+    def test_n_test_needs_two_points(self):
+        # the Monte Carlo standard error needs two test points
+        with pytest.raises(ConfigError, match="risk.n_test"):
+            parse_config("risk.n_test = 1\n")
+        assert parse_config("risk.n_test = 2\n").risk_n_test == 2
+
 
 class TestGridFor:
     """Tuning grids: defaults overridden per estimator parameter."""

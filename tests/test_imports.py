@@ -1,6 +1,10 @@
-"""Static hygiene: no package module imports a name it never uses."""
+"""Import hygiene: no package module imports a name it never uses, and the
+CLI does not load scipy's integration or optimization subpackages."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,16 @@ def test_checker_flags_unused_and_accepts_used():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    """Importing the CLI in a fresh interpreter loads neither scipy.integrate
+    nor scipy.optimize."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = ("import sys, ngdbench.cli; print(' '.join(m for m in"
+             " ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

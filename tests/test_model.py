@@ -290,10 +290,17 @@ class TestCheckAssumptions:
         assert not rep.ok
         assert any("c_mu <= 1" in f for f in rep.failures)
 
-    def test_derivative_bound_sampled(self):
+    def test_derivative_bound_first_derivative(self):
         rep = check_assumptions(config=default_config())
         # with b_1 = 1 the first derivative peaks at exactly 1/4
         assert math.isclose(rep.sigma_bound, 0.25, rel_tol=1e-6)
+
+    def test_derivative_bound_third_derivative(self):
+        # b_1 = 0.5^2 = 1/4 and s = 5 give the terms b^4 / 4, b^3 sqrt(3) / 18
+        # and b^2 / 8; the third-derivative sup 1/8 decides
+        rep = check_assumptions(d=1, gamma=1.0, alpha1=1.0, alpha2=2.0, s=5.0,
+                                c_mu=0.5)
+        assert rep.sigma_bound == 0.0078125
 
     def test_accepts_config_object(self):
         assert check_assumptions(default_config(d=4)).ok

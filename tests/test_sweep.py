@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngdbench.config import ExperimentConfig, load_config, parse_config
+from ngdbench.config import (ConfigError, ExperimentConfig, load_config,
+                             parse_config)
 from ngdbench.model import ScheduleConfig
 from ngdbench.ngd import ChainDivergence, NgdConfig
 from ngdbench.risk import RiskRecord, load_records, save_records
@@ -191,6 +192,34 @@ class TestRunSweep:
         after = {p.name: p.stat().st_mtime_ns
                  for p in (out / "cells").iterdir()}
         assert after == stamps
+
+    def test_resume_refuses_changed_config(self, tmp_path):
+        out = tmp_path / "run"
+        run_sweep(tiny_config(), out_dir=out)
+        config_text = (out / "config.txt").read_text()
+        results = (out / RESULTS_NAME).read_bytes()
+        stamps = {p.name: p.stat().st_mtime_ns
+                  for p in (out / "cells").iterdir()}
+        changed = tiny_config(**{"noise.bound": 0.2, "risk.n_test": 300})
+        with pytest.raises(ConfigError, match="config.txt"):
+            run_sweep(changed, out_dir=out)
+        assert (out / "config.txt").read_text() == config_text
+        assert (out / RESULTS_NAME).read_bytes() == results
+        assert {p.name: p.stat().st_mtime_ns
+                for p in (out / "cells").iterdir()} == stamps
+
+    def test_resume_without_config_file(self, tmp_path):
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        run_sweep(cfg, out_dir=out)
+        before = (out / RESULTS_NAME).read_bytes()
+        (out / "config.txt").unlink()
+        names = []
+        run_sweep(cfg, out_dir=out, progress=lambda name, failed:
+                  names.append(name))
+        assert names == []
+        assert (out / "config.txt").read_text() == cfg.to_text()
+        assert (out / RESULTS_NAME).read_bytes() == before
 
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = tiny_config()
