@@ -145,15 +145,25 @@ def kernel_eval(kind, x, z, config=None, **params):
     return make_kernel(kind, config=config, **params).gram(x, z)
 
 
+def _check_finite(*arrays):
+    """The ValueError scipy.linalg raises, checked once per gram so the
+    solves below can skip it."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 def _solve_regularized(K, ridge, y):
-    A = K + ridge * np.eye(K.shape[0])
+    """(K + ridge I)^{-1} y; K and y must already be checked finite."""
+    A = K.copy()
+    A.flat[::A.shape[0] + 1] += ridge
     try:
-        factor = cho_factor(A, lower=True)
-        coef = cho_solve(factor, y)
+        factor = cho_factor(A, lower=True, check_finite=False)
+        coef = cho_solve(factor, y, check_finite=False)
         # one step of iterative refinement: tiny ridges leave A with a large
         # condition number, and the refreshed residual solve buys back the
         # digits the factorization loses there
-        return coef + cho_solve(factor, y - A @ coef)
+        return coef + cho_solve(factor, y - A @ coef, check_finite=False)
     except LinAlgError:
         # semi-definite gram plus tiny ridge can lose positivity to roundoff
         return scipy.linalg.solve(A, y, assume_a="sym")
@@ -185,7 +195,9 @@ def krr_fit(kind, data, ridge, config=None, **params):
     if ridge <= 0:
         raise ValueError("ridge must be > 0")
     kernel = make_kernel(kind, config=config, **params)
-    coef = _solve_regularized(kernel.gram(data.X, data.X), ridge, data.y)
+    G = kernel.gram(data.X, data.X)
+    _check_finite(G, data.y)
+    coef = _solve_regularized(G, ridge, data.y)
     return KrrEstimator(kind=kind, kernel=kernel, ridge=float(ridge),
                         X=np.asarray(data.X, dtype=float), dual_coef=coef,
                         params=dict(params, ridge=float(ridge)))
@@ -340,6 +352,7 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
 
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
         bandwidths = sorted(set(c.get("bandwidth", None) for c in combos))
+        _check_finite(data.y)
         for bw in bandwidths:
             if kind == "krr-rbf":
                 kern = make_kernel(kind, bandwidth=bw)
@@ -347,6 +360,7 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
                 kern = make_kernel(kind, config=config,
                                    width=_kernel_width(data), seed=kernel_seed)
             G = kern.gram(data.X, data.X)
+            _check_finite(G)
             for tr, va in masks:
                 Ktr = G[np.ix_(tr, tr)]
                 Kva = G[np.ix_(va, tr)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .model import (active_width, eval_network, h_norm, hgamma_norm, sigmoid,
+from .model import (active_width, eval_network, h_norm, hgamma_norm,
                     soft_clip, with_ones)
 from .textio import FLOAT_FMT
 
@@ -129,39 +129,70 @@ def apply_shrink(config, eta, lam, W):
     return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
 
 
-def _grad_tables(config, width):
-    """Per-block constants of the gradient kernel, for the active blocks of
-    a width-block network only (model.active_width); an active block's
-    width is positive, so dividing by it is safe."""
-    m = np.arange(1, active_width(config, width) + 1)
-    amp = config.amp(m)
-    b = config.width(m)
-    with np.errstate(under="ignore"):
-        bs = b**config.s
-        bs1 = b ** (config.s - 1.0)
-    return amp, b, bs, bs1
+def _neg_logistic(v):
+    """In place: v <- 1 / (1 + exp(v)), the logistic of -v; returns v.
+
+    Agrees with model.sigmoid(-v) (scipy's expit) to 5e-16 relative
+    wherever that is a normal float, at a fraction of its cost; where
+    exp(v) overflows, both give exactly 0."""
+    with np.errstate(over="ignore"):
+        np.exp(v, out=v)
+    v += 1.0
+    return np.reciprocal(v, out=v)
 
 
-def _loss_grad(config, tables, W, X1, y):
-    """The gradient kernel behind loss_grad, step and run_chain; X1 holds
-    the inputs with the constant-1 column appended.  Rows of W past the
-    tables' active blocks get an exactly zero gradient."""
-    amp, b, bs, bs1 = tables
-    a = amp.shape[0]
-    Wa = W[:a]
-    with np.errstate(over="ignore", under="ignore"):
-        z = X1 @ Wa[:, :-1].T
-        sig = sigmoid(z / b)
-    t2 = np.tanh(Wa[:, -1] / config.R)
-    act = bs * sig
-    coef = amp * (config.R * t2)
-    r = act @ coef - y
-    two_n = 2.0 / y.shape[0]
-    rsp = r[:, None] * (bs1 * (sig * (1.0 - sig)))
-    G = np.zeros_like(W)
-    G[:a, :-1] = (two_n * coef)[:, None] * (X1.T @ rsp).T
-    G[:a, -1] = two_n * (r @ act) * amp * (1.0 - t2 * t2)
-    return G
+class _GradKernel:
+    """The gradient kernel behind loss_grad, step and run_chain, built once
+    per (config, M, data).
+
+    Only the a = model.active_width(config, M) leading blocks are computed;
+    rows of the gradient past them stay exactly 0.  The per-block constants
+    are folded once: -1/width into the first-layer weights,
+    amp * R * width^s into the output, (2/n) * amp * R * width^(s-1) and
+    (2/n) * amp * width^s into the two gradient layers.  Every temporary
+    is a preallocated buffer, so grad() allocates nothing of size n.
+    """
+
+    def __init__(self, config, M, X, y):
+        m = np.arange(1, active_width(config, M) + 1)
+        amp, b = config.amp(m), config.width(m)
+        with np.errstate(under="ignore"):
+            bs = b**config.s
+            bs1 = b ** (config.s - 1.0)
+        X1, _ = with_ones(X, config.d)
+        self.X1T = np.ascontiguousarray(X1.T)
+        self.y = y
+        self.R = config.R
+        two_n = 2.0 / y.shape[0]
+        a, (n, dp1) = m.size, X1.shape
+        self.a = a
+        self.neg_inv_b = (-1.0 / b)[:, None]
+        self.out_scale = amp * config.R * bs
+        self.w1_scale = two_n * amp * config.R * bs1
+        self.w2_scale = two_n * amp * bs
+        self.sig = np.empty((a, n))
+        self.dsig = np.empty((a, n))
+        self.r = np.empty(n)
+        self.V = np.empty((a, dp1))
+        self.VT = np.empty((dp1, a))
+        self.G = np.zeros((M, dp1 + 1))
+
+    def grad(self, W):
+        """Gradient at W, written into (and returned as) the kernel's own
+        (M, d+2) buffer, which the next call overwrites."""
+        a, G = self.a, self.G
+        np.multiply(W[:a, :-1], self.neg_inv_b, out=self.V)
+        sig = _neg_logistic(np.dot(self.V, self.X1T, out=self.sig))
+        t2 = np.tanh(W[:a, -1] / self.R)
+        r = np.dot(self.out_scale * t2, sig, out=self.r)
+        r -= self.y
+        np.multiply(sig @ r, self.w2_scale * (1.0 - t2 * t2), out=G[:a, -1])
+        dsig = np.subtract(1.0, sig, out=self.dsig)
+        dsig *= sig
+        dsig *= r
+        np.dot(self.X1T, dsig.T, out=self.VT)
+        np.multiply(self.VT.T, (self.w1_scale * t2)[:, None], out=G[:a, :-1])
+        return G
 
 
 def loss_grad(config, W, data):
@@ -180,10 +211,14 @@ def loss_grad(config, W, data):
     2 R max_i |r_i| amp(m) width(m)^(s-1), and each residual moves by at
     most R sum_{m > a} amp(m) width(m)^s, both below eps relative to
     block 1's scales.
+
+    The logistic is computed in place as 1 / (1 + exp(-u)), within
+    5e-16 relative of model.sigmoid.  This reference path builds the
+    chain's gradient kernel (constants and buffers for the data) on every
+    call; run_chain builds it once.
     """
     W = np.asarray(W, dtype=float)
-    X1, _ = with_ones(data.X, config.d)
-    return _loss_grad(config, _grad_tables(config, W.shape[0]), W, X1, data.y)
+    return _GradKernel(config, W.shape[0], data.X, data.y).grad(W)
 
 
 def loss_grad_bound(config, noise_bound):
@@ -249,6 +284,9 @@ def step_explicit(config, ngd, W, data=None, noise=None):
 # snapshot average: 2**18 doubles = 2 MB
 _AVERAGE_CHUNK = 1 << 18
 
+# chain steps per block of drawn noise: 144 KiB at M = 3, d = 10
+_NOISE_STEPS = 512
+
 
 @dataclass
 class MeanPredictor:
@@ -256,7 +294,9 @@ class MeanPredictor:
 
     Every (snapshot, active block) pair is one column, so a chunk of test
     points costs one matmul: sigmoid(X1 @ W1^T / b) @ coef / S with
-    coef = amp * soft_clip(w2, R) * width^s.  Blocks past
+    coef = amp * soft_clip(w2, R) * width^s, -1/b folded into W1 and the
+    logistic taken in place on one preallocated chunk buffer as
+    1 / (1 + exp(-u)) (within 5e-16 relative of model.sigmoid).  Blocks past
     a = model.active_width(config, M) are left out, which moves each
     prediction by at most R * sum_{m > a} amp(m) * width(m)^s.  Returns a
     float for a single point, an (n,) array for a batch.
@@ -272,14 +312,15 @@ class MeanPredictor:
         W = self.stack[:, :m.size].reshape(-1, self.stack.shape[2])
         b = np.tile(cfg.width(m), S)
         coef = np.tile(cfg.amp(m), S) * b**cfg.s * soft_clip(W[:, -1], cfg.R)
+        VT = np.ascontiguousarray((W[:, :-1] * (-1.0 / b)[:, None]).T)
         X1, single = with_ones(x, cfg.d)
         rows = max(1, _AVERAGE_CHUNK // max(1, W.shape[0]))
+        buf = np.empty((min(rows, X1.shape[0]), W.shape[0]))
         out = np.empty(X1.shape[0])
         for i in range(0, X1.shape[0], rows):
-            z = X1[i:i + rows] @ W[:, :-1].T
-            with np.errstate(over="ignore"):
-                z /= b
-            out[i:i + rows] = sigmoid(z, out=z) @ coef
+            Xi = X1[i:i + rows]
+            sig = _neg_logistic(np.dot(Xi, VT, out=buf[:Xi.shape[0]]))
+            np.dot(sig, coef, out=out[i:i + rows])
         out /= S
         return float(out[0]) if single else out
 
@@ -312,6 +353,13 @@ def run_chain(config, ngd, data=None, init=None):
     stationary Gaussian (per-coordinate variance mu(m) / (beta * lam)), or
     pass an explicit (width, d+2) array.  Divergence (non-finite weights or
     h_norm above 1e6) raises ChainDivergence.
+
+    Each step is step() without its allocations: the gradient comes from
+    one kernel built for the data (in-place logistic 1 / (1 + exp(-u)),
+    preallocated buffers), and the noise is drawn _NOISE_STEPS steps at a
+    time into one buffer and scaled once per block.  Generator fills
+    sequentially, so the noise stream, and the chain, are bitwise those of
+    k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
     """
     M, dp2 = ngd.width, config.d + 2
     rng = np.random.default_rng(ngd.seed)
@@ -327,16 +375,22 @@ def run_chain(config, ngd, data=None, init=None):
 
     s_fac = shrink_factors(config, ngd.eta, ngd.lam, M)[:, None]
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
-
-    if data is not None:
-        X1, _ = with_ones(data.X, config.d)
-        tables = _grad_tables(config, M)
+    noise = np.empty((min(_NOISE_STEPS, ngd.k_max), M, dp2))
+    kernel = None if data is None else _GradKernel(config, M, data.X, data.y)
 
     kept, kept_steps, risks, hn, h1n = [], [], [], [], []
     for k in range(1, ngd.k_max + 1):
-        if data is not None:
-            W = W - ngd.eta * _loss_grad(config, tables, W, X1, data.y)
-        W = s_fac * (W + noise_sd * rng.standard_normal((M, dp2)))
+        j = (k - 1) % _NOISE_STEPS
+        if j == 0:
+            block = noise[:ngd.k_max - k + 1]
+            rng.standard_normal(out=block)
+            block *= noise_sd
+        if kernel is not None:
+            G = kernel.grad(W)
+            G *= ngd.eta
+            W -= G
+        W += noise[j]
+        W *= s_fac
         if k > ngd.burn_in and (k - ngd.burn_in) % ngd.thinning == 0:
             _check_finite(W, f"at step {k}")
             nrm = h_norm(W)

@@ -148,6 +148,20 @@ class TestKrr:
         with pytest.raises(ValueError):
             krr_fit("krr-rbf", dataset(X, [0.0, 1.0]), 0.0, bandwidth=1.0)
 
+    @pytest.mark.parametrize("bad", ["X", "y"])
+    def test_nonfinite_input_raises_in_fit_and_tune(self, bad):
+        # the solves skip scipy's finiteness check, so each gram and y are
+        # checked once with the same error
+        rng = np.random.default_rng(3)
+        X, y = rng.random((12, 2)), rng.normal(size=12)
+        (X if bad == "X" else y)[4] = np.nan
+        data = dataset(X, y)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            krr_fit("krr-rbf", data, 0.1, bandwidth=1.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tune("krr-rbf", data, grid={"bandwidth": [1.0], "ridge": [0.1]},
+                 folds=3)
+
 
 class TestLocalAverages:
     """Nearest-neighbor and kernel-weighted means."""

@@ -1,6 +1,7 @@
 """Noisy gradient descent: operator algebra, gradients, chain, diagnostics."""
 
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -10,9 +11,11 @@ import pytest
 from ngdbench.config import load_config
 from ngdbench.data import Dataset, generate_dataset
 from ngdbench.model import (ScheduleConfig, active_width, bump_teacher,
-                            eval_network, h_norm, sample_teacher)
+                            eval_network, h_norm, sample_teacher, sigmoid)
 from ngdbench.ngd import (
     _AVERAGE_CHUNK,
+    _NOISE_STEPS,
+    _neg_logistic,
     ChainDivergence,
     MeanPredictor,
     NgdConfig,
@@ -325,22 +328,42 @@ class TestChain:
         np.testing.assert_array_equal(a.risk_trace, b.risk_trace)
         np.testing.assert_array_equal(a.weights, b.weights)
 
-    @pytest.mark.parametrize("eta", [0.5, 0.3])
-    def test_chain_is_repeated_step_bitwise(self, eta):
-        # the chain's update is step() fed the chain's own noise stream
+    @staticmethod
+    def assert_chain_is_repeated_step(eta, with_data=True, prior=False):
+        # the chain's update is step() fed the chain's own noise stream, which
+        # it draws _NOISE_STEPS steps at a time: k_max spans two whole noise
+        # blocks and a partial one
         cfg = small_config(d=2, alpha2=4.0)
         teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
-        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
-        ngd = small_ngd(eta=eta, width=3, k_max=50, burn_in=49, seed=7)
-        W0 = np.random.default_rng(5).normal(size=(3, 4))
-        res = run_chain(cfg, ngd, data, init=W0)
+        data = (generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+                if with_data else None)
+        k_max = 2 * _NOISE_STEPS + 37
+        ngd = small_ngd(eta=eta, width=3, k_max=k_max, burn_in=k_max - 1, seed=7)
         rng = np.random.default_rng(7)
+        if prior:
+            init = "prior"
+            sd = np.sqrt(prior_block_variance(cfg, ngd))
+            W = rng.standard_normal((3, 4)) * sd[:, None]
+        else:
+            init = W = np.random.default_rng(5).normal(size=(3, 4))
+        res = run_chain(cfg, ngd, data, init=init)
         noise_sd = math.sqrt(2.0 * eta / ngd.beta)
-        W = W0
         for _ in range(ngd.k_max):
             W = step(cfg, ngd, W, data, noise_sd * rng.standard_normal(W.shape))
         np.testing.assert_array_equal(res.weights, W)
         np.testing.assert_array_equal(res.kept[-1], W)
+
+    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    def test_chain_is_repeated_step_bitwise(self, eta):
+        self.assert_chain_is_repeated_step(eta)
+
+    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    def test_chain_without_data_is_repeated_step_bitwise(self, eta):
+        self.assert_chain_is_repeated_step(eta, with_data=False)
+
+    @pytest.mark.parametrize("eta", [0.5, 0.3])
+    def test_chain_from_prior_is_repeated_step_bitwise(self, eta):
+        self.assert_chain_is_repeated_step(eta, prior=True)
 
     def test_gradient_free_stationary_variance(self):
         cfg = small_config()
@@ -454,6 +477,36 @@ class TestChain:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,empirical_risk,h_norm,h1_norm"
         assert len(lines) == 1 + len(res.kept_steps)
+
+
+class TestLogistic:
+    """The in-place logistic of the chain kernel and the snapshot average."""
+
+    def test_matches_expit(self):
+        u = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                            [-1e300, 1e300, -np.inf, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _neg_logistic(-u)
+        # below the smallest normal float the outputs are subnormal and carry
+        # fewer significant bits, so there the comparison is absolute
+        np.testing.assert_allclose(got, sigmoid(u), rtol=1e-15,
+                                   atol=np.finfo(float).tiny)
+        assert got[-4:].tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_snapshot_average_with_saturated_columns_warns_nothing(self):
+        cfg = small_config(d=1, alpha2=4.0)
+        rng = np.random.default_rng(2)
+        stack = rng.normal(size=(5, 2, 3))
+        # preactivations of +-1e4 / width(1): exp overflows on one side
+        stack[1, 0, :2] = 1e4
+        stack[3, 0, :2] = -1e4
+        x = np.linspace(0.0, 1.0, 9)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = MeanPredictor(cfg, stack)(x)
+        np.testing.assert_allclose(got, snapshot_mean_oracle(cfg, stack, x),
+                                   rtol=1e-12)
 
 
 class TestMixing:
