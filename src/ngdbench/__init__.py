@@ -12,7 +12,7 @@ from .model import (
 )
 from .data import Dataset, generate_dataset, empirical_risk
 from .ngd import NgdConfig, run_chain, mixing_diagnostic
-from .linear import tune, fit_estimator, kernel_eval, knn_predict, nw_predict
+from .linear import tune, fit_estimator, knn_predict, nw_predict
 from .risk import (
     RiskRecord,
     excess_risk_mc,

@@ -34,7 +34,6 @@ __all__ = [
     "NtkKernel",
     "RandomFeatureKernel",
     "make_kernel",
-    "kernel_eval",
     "krr_fit",
     "knn_predict",
     "nw_predict",
@@ -138,11 +137,6 @@ def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
         cls = NtkKernel if kind == "krr-ntk" else RandomFeatureKernel
         return cls(config=config, width=int(width), seed=int(seed))
     raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def kernel_eval(kind, x, z, config=None, **params):
-    """Evaluate the named kernel on two point batches."""
-    return make_kernel(kind, config=config, **params).gram(x, z)
 
 
 def _check_finite(*arrays):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammainc
@@ -183,19 +184,17 @@ def _direction_nodes(cfg):
 @dataclass
 class RidgeApprox:
     """Finite combination f(x) = sum_k coef_k * window((a_k.(x-c) + b_k)/h),
-    approximating scale * gauss_bump."""
+    approximating scale * gauss_bump.
+
+    The atoms are fixed once built: on_grid caches the combination's values
+    on cfg.eval_grid() at first access.
+    """
 
     cfg: BumpApproxConfig
     directions: np.ndarray  # (N, d) ridge directions a_k
     offsets: np.ndarray     # (N,)   offsets b_k
     coefs: np.ndarray       # (N,)   quadrature coefficients (scale included)
     reported_sup_error: float = math.nan
-
-    @classmethod
-    def empty(cls, cfg):
-        """The zero combination (no atoms) with the same bookkeeping."""
-        return cls(cfg=cfg, directions=np.zeros((0, cfg.d)),
-                   offsets=np.zeros(0), coefs=np.zeros(0))
 
     @property
     def scale(self):
@@ -221,6 +220,17 @@ class RidgeApprox:
         """Atom coefficient budget 2C with C = D_b / (pi h |psi_hat(1)|)."""
         return 2.0 * self.cfg.offset_radius / (
             math.pi * self.cfg.h * abs(window_fourier_at_one()))
+
+    @cached_property
+    def on_grid(self):
+        """(points, scale * bump, combination, absolute error) on
+        cfg.eval_grid(), evaluated once: build_bump_approx takes the sup
+        error from it and save_approx_csv writes it."""
+        cfg = self.cfg
+        pts = cfg.eval_grid()
+        bump = cfg.scale * gauss_bump(cfg.center, cfg.h, pts)
+        vals = self(pts)
+        return pts, bump, vals, np.abs(vals - bump)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -273,7 +283,11 @@ class RidgeApprox:
 
 def build_bump_approx(cfg):
     """Assemble the quadrature combination, certify its atom constraints and
-    record its sup error on the config grid, as measured by sup_error()."""
+    record its sup error on the config grid.
+
+    The error is taken from approx.on_grid, the one evaluation of the
+    combination on the grid, with the arithmetic of sup_error(), so
+    reported_sup_error == sup_error(approx) exactly."""
     Db = cfg.offset_radius
     a_nodes, a_w = _direction_nodes(cfg)           # (Na, d), (Na,)
     xb, wb = np.polynomial.legendre.leggauss(cfg.quad_b)
@@ -285,7 +299,7 @@ def build_bump_approx(cfg):
                          offsets=np.tile(b_nodes, a_w.size),
                          coefs=(a_w[:, None] * b_w[None, :]).ravel() * cfg.scale)
     approx.check_atoms()
-    approx.reported_sup_error = sup_error(approx)
+    approx.reported_sup_error = float(approx.on_grid[3].max())
     return approx
 
 
@@ -303,12 +317,12 @@ def sup_error(approx, cfg=None, grid_points=None):
 
 def save_approx_csv(path, approx):
     """CSV of grid point, scaled bump, combination value, pointwise error,
-    preceded by a commented summary block."""
+    preceded by a commented summary block.
+
+    The rows are approx.on_grid, so after build_bump_approx nothing is
+    evaluated again; the summary's sup_error is approx.reported_sup_error."""
     cfg = approx.cfg
-    pts = cfg.eval_grid()
-    vals = approx(pts)
-    bump = approx.scale * gauss_bump(cfg.center, cfg.h, pts)
-    err = np.abs(vals - bump)
+    pts, bump, vals, err = approx.on_grid
     dir_norm, off_max, mass = approx.check_atoms()
     with open(path, "w") as fh:
         fh.write("# bump ridge approximation\n")

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta
 
+from .data import empirical_risk
 from .model import (active_width, eval_network, h_norm, hgamma_norm,
                     soft_clip, with_ones)
 from .textio import FLOAT_FMT
@@ -31,13 +32,10 @@ __all__ = [
     "ChainResult",
     "ChainDivergence",
     "MeanPredictor",
-    "ridge_grad",
     "shrink_factors",
     "apply_shrink",
     "loss_grad",
-    "loss_grad_bound",
     "step",
-    "step_explicit",
     "run_chain",
     "ou_block_variance",
     "prior_block_variance",
@@ -87,8 +85,8 @@ class NgdConfig:
             object.__setattr__(self, "thinning", max(1, self.k_max // 2000))
         if not 0 <= self.burn_in < self.k_max:
             raise ValueError("burn_in must lie in [0, k_max)")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
+        if not 1 <= self.thinning <= self.k_max - self.burn_in:
+            raise ValueError("thinning must lie in [1, k_max - burn_in]")
 
     @classmethod
     def auto(cls, config, n, noise_bound, eta=0.5, budget=50.0, seed=0):
@@ -108,13 +106,6 @@ class NgdConfig:
         k_max = max(1, math.ceil(budget / (lam * eta) - 1e-9))
         return cls(eta=eta, beta=beta, lam=lam, k_max=k_max, width=width,
                    seed=seed)
-
-
-def ridge_grad(config, lam, W):
-    """Gradient of the weighted ridge penalty: lam * mu(m)^{-1} * w_m per block."""
-    W = np.asarray(W, dtype=float)
-    m = np.arange(1, W.shape[0] + 1)
-    return (lam / config.mu(m))[:, None] * W
 
 
 def shrink_factors(config, eta, lam, width):
@@ -221,28 +212,6 @@ def loss_grad(config, W, data):
     return _GradKernel(config, W.shape[0], data.X, data.y).grad(W)
 
 
-def loss_grad_bound(config, noise_bound):
-    """Width-free bound on h_norm(loss_grad): holds for every W and dataset.
-
-    Residuals are bounded by 2*R*sum_m amp(m) + U, activations by 1, their
-    slopes by C = 1/4 after width scaling (s >= 3, width <= 1), giving
-
-        |grad|^2 <= 4 * rbar * (R^2 C^2 (d+1) + 1) * sum_m amp(m)^2
-
-    with rbar the squared residual bound.  Amplitude sums are evaluated in
-    closed form: sum amp = c_mu^alpha1 * zeta(2 alpha1).
-    """
-    if config.width(1) > 1.0:
-        raise ValueError("bound assumes width(1) = c_mu^alpha2 <= 1")
-    amp_sum = config.c_mu**config.alpha1 * zeta(2.0 * config.alpha1)
-    amp_sq_sum = config.c_mu ** (2.0 * config.alpha1) * zeta(4.0 * config.alpha1)
-    rbar = (2.0 * config.R * amp_sum + noise_bound) ** 2
-    c_slope = 0.25
-    return float(np.sqrt(
-        4.0 * rbar * (config.R**2 * c_slope**2 * (config.d + 1) + 1.0) * amp_sq_sum
-    ))
-
-
 def _check_finite(W, where):
     if not np.all(np.isfinite(W)):
         raise ChainDivergence(f"non-finite weights {where}")
@@ -260,22 +229,6 @@ def step(config, ngd, W, data=None, noise=None):
     if noise is not None:
         V = V + noise
     out = apply_shrink(config, ngd.eta, ngd.lam, V)
-    _check_finite(out, "after step")
-    return out
-
-
-def step_explicit(config, ngd, W, data=None, noise=None):
-    """The same update written as an explicit scheme.
-
-    Algebraically (I + eta*A)^{-1} v = v - eta * A (I + eta*A)^{-1} v, so the
-    ridge gradient is evaluated at the post-shrink point.  Agrees with step()
-    to floating-point roundoff; kept as an independent code path for tests.
-    """
-    W = np.asarray(W, dtype=float)
-    V = W if data is None else W - ngd.eta * loss_grad(config, W, data)
-    if noise is not None:
-        V = V + noise
-    out = V - ngd.eta * ridge_grad(config, ngd.lam, apply_shrink(config, ngd.eta, ngd.lam, V))
     _check_finite(out, "after step")
     return out
 
@@ -327,16 +280,36 @@ class MeanPredictor:
 
 @dataclass
 class ChainResult:
-    """Final weights, kept snapshots, and traces at the kept iterates."""
+    """Final weights, kept snapshots and norm traces of one chain.
+
+    The chain records the final iterate, the kept stack and, at each kept
+    iterate, h_norm (its divergence check) and hgamma_norm with g = 1: two
+    O(M d) reductions of the snapshot.  kept_steps and the empirical-risk
+    trace (on `data`, 0 without data), which costs a network evaluation over
+    the data per snapshot, are derived from `kept` on first access, so a
+    caller that reads only the snapshot average never pays for them.
+    """
 
     config: object
     ngd: NgdConfig
+    data: object            # the training Dataset, or None
     weights: np.ndarray
     kept: np.ndarray        # (S, M, d+2)
-    kept_steps: np.ndarray  # (S,)
-    risk_trace: np.ndarray
-    hnorm_trace: np.ndarray
-    h1norm_trace: np.ndarray
+    hnorm_trace: np.ndarray  # (S,)
+    h1norm_trace: np.ndarray  # (S,)
+
+    @property
+    def kept_steps(self):
+        """Chain step of each snapshot: burn_in + thinning * (1..S)."""
+        ngd = self.ngd
+        return ngd.burn_in + ngd.thinning * np.arange(1, len(self.kept) + 1)
+
+    @cached_property
+    def risk_trace(self):
+        if self.data is None:
+            return np.zeros(len(self.kept))
+        return np.array([empirical_risk(self.config, W, self.data)
+                         for W in self.kept])
 
     def averaged_predictor(self):
         return MeanPredictor(self.config, self.kept)
@@ -360,6 +333,12 @@ def run_chain(config, ngd, data=None, init=None):
     time into one buffer and scaled once per block.  Generator fills
     sequentially, so the noise stream, and the chain, are bitwise those of
     k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
+
+    At each of the S = (k_max - burn_in) // thinning kept steps the chain
+    checks the weights for divergence, copies them into a preallocated
+    (S, M, d+2) stack and records h_norm and hgamma_norm(., 1).  The network
+    is not evaluated there: the empirical-risk trace is a ChainResult
+    property, derived from the stack on request.
     """
     M, dp2 = ngd.width, config.d + 2
     rng = np.random.default_rng(ngd.seed)
@@ -377,8 +356,9 @@ def run_chain(config, ngd, data=None, init=None):
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
     noise = np.empty((min(_NOISE_STEPS, ngd.k_max), M, dp2))
     kernel = None if data is None else _GradKernel(config, M, data.X, data.y)
+    S = (ngd.k_max - ngd.burn_in) // ngd.thinning
+    kept, hn, h1n = np.empty((S, M, dp2)), np.empty(S), np.empty(S)
 
-    kept, kept_steps, risks, hn, h1n = [], [], [], [], []
     for k in range(1, ngd.k_max + 1):
         j = (k - 1) % _NOISE_STEPS
         if j == 0:
@@ -393,23 +373,16 @@ def run_chain(config, ngd, data=None, init=None):
         W *= s_fac
         if k > ngd.burn_in and (k - ngd.burn_in) % ngd.thinning == 0:
             _check_finite(W, f"at step {k}")
-            nrm = h_norm(W)
-            if nrm > DIVERGENCE_NORM:
-                raise ChainDivergence(f"h_norm {nrm:.3g} at step {k}")
-            kept.append(W.copy())
-            kept_steps.append(k)
-            risks.append(0.0 if data is None else
-                         float(np.mean((eval_network(config, W, data.X) - data.y) ** 2)))
-            hn.append(nrm)
-            h1n.append(hgamma_norm(config, W, 1.0))
+            i = (k - ngd.burn_in) // ngd.thinning - 1
+            hn[i] = h_norm(W)
+            if hn[i] > DIVERGENCE_NORM:
+                raise ChainDivergence(f"h_norm {hn[i]:.3g} at step {k}")
+            kept[i] = W
+            h1n[i] = hgamma_norm(config, W, 1.0)
     _check_finite(W, "at final step")
 
-    return ChainResult(
-        config=config, ngd=ngd, weights=W,
-        kept=np.asarray(kept), kept_steps=np.asarray(kept_steps, dtype=int),
-        risk_trace=np.asarray(risks), hnorm_trace=np.asarray(hn),
-        h1norm_trace=np.asarray(h1n),
-    )
+    return ChainResult(config=config, ngd=ngd, data=data, weights=W, kept=kept,
+                       hnorm_trace=hn, h1norm_trace=h1n)
 
 
 def ou_block_variance(config, ngd):
@@ -470,7 +443,11 @@ def mixing_diagnostic(traces, threshold=1.1):
 
 
 def save_trace(path, result):
-    """Write kept-iterate traces as CSV: k,empirical_risk,h_norm,h1_norm."""
+    """Write kept-iterate traces as CSV: k,empirical_risk,h_norm,h1_norm.
+
+    The columns are result.kept_steps, the empirical-risk trace, computed
+    here from the kept snapshots on first access, and the two norm traces
+    the chain recorded."""
     with open(path, "w") as fh:
         fh.write("k,empirical_risk,h_norm,h1_norm\n")
         for k, r, a, b in zip(result.kept_steps, result.risk_trace,

@@ -15,7 +15,6 @@ from ngdbench.linear import (
     TuneResult,
     default_grid,
     fit_estimator,
-    kernel_eval,
     knn_predict,
     krr_fit,
     load_estimator,
@@ -25,6 +24,7 @@ from ngdbench.linear import (
     tune,
 )
 from ngdbench.model import ScheduleConfig, eval_network, sample_teacher
+from oracles import kernel_eval
 
 
 def dataset(X, y):

@@ -18,6 +18,7 @@ from ngdbench.lowerbound import (
     window_fourier_at_one,
 )
 from ngdbench.model import sigmoid
+from oracles import empty_approx
 
 
 def quick_cfg(**kw):
@@ -178,7 +179,7 @@ class TestBuild:
                                    atol=1e-11 * ap.scale)
 
     def test_empty_combination(self):
-        ap = RidgeApprox.empty(quick_cfg())
+        ap = empty_approx(quick_cfg())
         assert ap.n_atoms == 0
         assert ap(np.array([[0.5]])) == 0.0
         ap.check_atoms()
@@ -186,7 +187,7 @@ class TestBuild:
         assert math.isclose(sup_error(ap), ap.scale, rel_tol=1e-12)
 
     def test_point_dimension_validated(self):
-        ap = RidgeApprox.empty(quick_cfg())
+        ap = empty_approx(quick_cfg())
         with pytest.raises(ValueError):
             ap(np.zeros((2, 3)))
 
@@ -243,3 +244,24 @@ class TestApproxCsv:
         assert math.isclose(float(first[3]),
                             abs(float(first[1]) - float(first[2])),
                             rel_tol=1e-12, abs_tol=1e-300)
+
+    def test_grid_is_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = RidgeApprox.__call__
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(RidgeApprox, "__call__", counted)
+        cfg = quick_cfg(quad_a=16, quad_b=32, grid=21)
+        ap = build_bump_approx(cfg)
+        path = tmp_path / "bump.csv"
+        save_approx_csv(path, ap)
+        assert calls == [(21, 1)]
+        monkeypatch.undo()
+        rows = [ln.split(",") for ln in path.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        np.testing.assert_array_equal([float(r[2]) for r in rows],
+                                      ap(cfg.eval_grid()))
+        assert ap.reported_sup_error == sup_error(ap)

@@ -8,10 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
+import ngdbench.ngd as ngd_module
 from ngdbench.config import load_config
-from ngdbench.data import Dataset, generate_dataset
+from ngdbench.data import Dataset, empirical_risk, generate_dataset
 from ngdbench.model import (ScheduleConfig, active_width, bump_teacher,
-                            eval_network, h_norm, sample_teacher, sigmoid)
+                            eval_network, h_norm, hgamma_norm, sample_teacher,
+                            sigmoid)
 from ngdbench.ngd import (
     _AVERAGE_CHUNK,
     _NOISE_STEPS,
@@ -21,17 +23,16 @@ from ngdbench.ngd import (
     NgdConfig,
     apply_shrink,
     loss_grad,
-    loss_grad_bound,
     mixing_diagnostic,
     ou_block_variance,
     prior_block_variance,
-    ridge_grad,
     run_chain,
     save_trace,
     shrink_factors,
     step,
-    step_explicit,
 )
+from ngdbench.textio import FLOAT_FMT
+from oracles import loss_grad_bound, ridge_grad, step_explicit
 
 
 def small_config(**kw):
@@ -91,6 +92,8 @@ class TestAutoHyperparameters:
             small_ngd(lam=0.0)
         with pytest.raises(ValueError):
             small_ngd(burn_in=100)  # not below k_max
+        with pytest.raises(ValueError):
+            small_ngd(burn_in=96, thinning=5)  # keeps no snapshot
 
 
 class TestRidgeOperator:
@@ -477,6 +480,55 @@ class TestChain:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,empirical_risk,h_norm,h1_norm"
         assert len(lines) == 1 + len(res.kept_steps)
+
+    def test_trace_csv_values(self, tmp_path):
+        # thinning 5 does not divide k_max - burn_in = 19: steps 9, 14, 19
+        # are kept and the last four steps are not
+        cfg = small_config(d=2, alpha2=4.0)
+        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        ngd = small_ngd(width=3, k_max=23, burn_in=4, thinning=5, seed=7)
+        res = run_chain(cfg, ngd, data)
+        np.testing.assert_array_equal(res.kept_steps, [9, 14, 19])
+        rng = np.random.default_rng(7)
+        noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
+        W, want = np.zeros((3, 4)), ["k,empirical_risk,h_norm,h1_norm"]
+        for k in range(1, ngd.k_max + 1):
+            W = step(cfg, ngd, W, data, noise_sd * rng.standard_normal(W.shape))
+            if k in (9, 14, 19):
+                vals = (empirical_risk(cfg, W, data), h_norm(W),
+                        hgamma_norm(cfg, W, 1.0))
+                want.append(",".join([str(k)] + [FLOAT_FMT % v for v in vals]))
+        path = tmp_path / "trace.csv"
+        save_trace(path, res)
+        assert path.read_text().splitlines() == want
+
+    def test_chain_never_evaluates_the_network(self, monkeypatch):
+        # the kept-step block checks and copies the weights and records the
+        # two norms; the risk trace is derived from the kept stack when read
+        cfg = small_config(d=2, alpha2=4.0)
+        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        ngd = small_ngd(width=3, k_max=60, burn_in=10, thinning=3, seed=7)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trace evaluated inside the chain")
+
+        with monkeypatch.context() as patch:
+            for name in ("eval_network", "empirical_risk"):
+                patch.setattr(ngd_module, name, forbidden)
+            res = run_chain(cfg, ngd, data)
+        assert res.kept.shape == (16, 3, 4)
+        risks = [float(np.mean((eval_network(cfg, W, data.X) - data.y) ** 2))
+                 for W in res.kept]
+        h1 = [math.sqrt(sum(float(np.sum(W[m] ** 2)) * cfg.mu(m + 1) ** -1.0
+                            for m in range(3))) for W in res.kept]
+        np.testing.assert_array_equal(res.risk_trace, risks)
+        np.testing.assert_array_equal(res.hnorm_trace,
+                                      [h_norm(W) for W in res.kept])
+        np.testing.assert_allclose(res.h1norm_trace, h1, rtol=1e-15)
+        free = run_chain(cfg, ngd)
+        np.testing.assert_array_equal(free.risk_trace, np.zeros(16))
 
 
 class TestLogistic:
