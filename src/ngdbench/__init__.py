@@ -3,7 +3,6 @@
 from .model import (
     ScheduleConfig,
     TeacherSpec,
-    check_assumptions,
     eval_network,
     h_norm,
     hgamma_norm,
@@ -17,7 +16,6 @@ from .risk import (
     RiskRecord,
     excess_risk_mc,
     rate_fit,
-    linear_lower_exponent,
     linear_lower_exponents,
     nn_upper_exponent,
     dominance_condition,

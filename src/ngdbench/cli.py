@@ -4,7 +4,6 @@ Subcommands: check, teacher, data, train, fit, sweep, report, lemma.
 All experiment settings live in the config file; the command line only
 selects what to do and where to put files.  Exit codes: 0 success,
 1 validation error (bad config, bad arguments), 2 runtime failure.
-The NGDBENCH_WORKERS environment variable sets the sweep worker count.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .data import save_dataset
+from .data import empirical_risk, save_dataset
 from .linear import save_estimator
-from .model import (active_width, check_assumptions, save_teacher,
-                    save_weights)
+from .model import active_width, save_teacher, save_weights
 from .ngd import ChainDivergence, run_chain, save_trace
 from .lowerbound import build_bump_approx, save_approx_csv
 from .risk import excess_risk_mc
@@ -72,8 +70,8 @@ def _build_parser():
 
     p = add("sweep", "run or resume the full excess-risk sweep")
     p.add_argument("--out", help="output directory (default: output.dir)")
-    p.add_argument("--workers", type=int,
-                   help="worker processes (default: NGDBENCH_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default: 1)")
 
     p = add("report", "fit rates from sweep records and write the report")
     p.add_argument("--records",
@@ -86,11 +84,10 @@ def _build_parser():
 
 
 def _cmd_check(cfg, args):
-    # load_config has already rejected an inadmissible schedule, so the
-    # report passes; it is printed for its derivative bound
-    print(cfg.to_text(), end="")
-    print(check_assumptions(cfg.schedule))
+    # load_config has already rejected an inadmissible schedule
     sched, n = cfg.schedule, max(cfg.sweep_n_values)
+    print(cfg.to_text(), end="")
+    print(f"assumptions: pass; sigma-derivative bound {sched.sigma_bound:.6g}")
     M = student_width(cfg, n)
     a = active_width(sched, M)
     print(f"widest student (n = {n}): {M} blocks, {a} active "
@@ -138,7 +135,8 @@ def _cmd_train(cfg, args):
     mc = excess_risk_mc(teacher, result.averaged_predictor(),
                         n_test=cfg.risk_n_test, seed=cell.test_seed)
     print(f"empirical risk at the last kept step "
-          f"({result.kept_steps[-1]}): {result.risk_trace[-1]:.6g}")
+          f"({result.kept_steps[-1]}): "
+          f"{empirical_risk(cfg.schedule, result.kept[-1], cell.data):.6g}")
     print(f"averaged-predictor excess risk: {mc.value:.6g} "
           f"(stderr {mc.stderr:.2g})")
     print(f"wrote {args.out}")

@@ -23,7 +23,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 TEACHER_KINDS = ("gaussian", "bump")
 TIMING_MODES = ("wall", "none")
-SWEEP_ESTIMATORS = ("ngd",) + ESTIMATOR_KINDS
 
 # tunable parameters of each estimator: the keys of its default grid
 _GRID_PARAMS = {kind: tuple(default_grid(kind)) for kind in ESTIMATOR_KINDS}

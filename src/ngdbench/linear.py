@@ -435,7 +435,7 @@ def save_estimator(path, est):
     write_text(path, "ngdbench estimator", header, sections)
 
 
-def load_estimator(path, config=None):
+def load_estimator(path):
     """Inverse of save_estimator; krr round trips exactly."""
     header, _, rows = read_text(path, ("inputs", "dual_coef", "train"))
     kind = header["kind"]
@@ -446,7 +446,7 @@ def load_estimator(path, config=None):
             kern = RbfKernel(bandwidth=float(header["bandwidth"]))
             params = {"bandwidth": kern.bandwidth}
         else:
-            kern = make_kernel(kind, config=config or schedule_from_header(header),
+            kern = make_kernel(kind, config=schedule_from_header(header),
                                width=int(header["width"]),
                                seed=int(header["kernel_seed"]))
             params = {"width": kern.width}

@@ -28,8 +28,6 @@ from .textio import read_text, write_text
 __all__ = [
     "ScheduleConfig",
     "TeacherSpec",
-    "AssumptionReport",
-    "check_assumptions",
     "sigmoid",
     "sigmoid_deriv",
     "soft_clip",
@@ -38,7 +36,6 @@ __all__ = [
     "eval_network",
     "h_norm",
     "hgamma_norm",
-    "pad_weights",
     "sample_teacher",
     "bump_teacher",
     "save_teacher",
@@ -68,76 +65,19 @@ def soft_clip_deriv(w, R):
     return 1.0 - t * t
 
 
+# admissibility clauses a ScheduleConfig must satisfy, checked on construction
 _ASSUMPTION_CLAUSES = (
-    ("d >= 1", lambda p: p["d"] >= 1),
-    ("R >= 1", lambda p: p["R"] >= 1.0),
-    ("gamma > 0", lambda p: p["gamma"] > 0.0),
-    ("alpha1 > 1/2", lambda p: p["alpha1"] > 0.5),
-    ("alpha2 > gamma/2", lambda p: p["alpha2"] > p["gamma"] / 2.0),
-    ("s >= 3", lambda p: p["s"] >= 3.0),
-    ("c_mu > 0", lambda p: p["c_mu"] > 0.0),
+    ("d >= 1", lambda c: c.d >= 1),
+    ("R >= 1", lambda c: c.R >= 1.0),
+    ("gamma > 0", lambda c: c.gamma > 0.0),
+    ("alpha1 > 1/2", lambda c: c.alpha1 > 0.5),
+    ("alpha2 > gamma/2", lambda c: c.alpha2 > c.gamma / 2.0),
+    ("s >= 3", lambda c: c.s >= 3.0),
+    ("c_mu > 0", lambda c: c.c_mu > 0.0),
     # widths must not exceed 1 or the scaled activations (sup b_m^s) leave
     # the unit ball; b_m = (c_mu m^-2)^alpha2 peaks at m = 1
-    ("b_m <= 1 (needs c_mu <= 1)", lambda p: p["c_mu"] <= 1.0),
+    ("b_m <= 1 (needs c_mu <= 1)", lambda c: c.c_mu <= 1.0),
 )
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Outcome of the schedule admissibility check."""
-
-    ok: bool
-    failures: tuple = ()
-    sigma_bound: float = math.nan  # exact sup of scaled-sigmoid derivatives
-
-    def __str__(self):
-        base = ("assumptions: pass" if self.ok else
-                "assumptions: FAIL (" + "; ".join(self.failures) + ")")
-        if math.isfinite(self.sigma_bound):
-            base += f"; sigma-derivative bound {self.sigma_bound:.6g}"
-        return base
-
-
-def _sigma_derivative_bound(alpha2, s, c_mu, blocks=8):
-    """Sup over u and the first `blocks` schedule indices of the scaled
-    activation's first three derivatives.
-
-    The scaled activation is b^s sigmoid(u/b), so derivative j has sup
-    b^(s-j) sup_z |sigmoid^(j)(z)|.  Those sups are exact: with p = sigmoid(z),
-    |p(1-p)| peaks at p = 1/2 (1/4), |p(1-p)(1-2p)| at p = 1/2 +- sqrt(3)/6
-    (sqrt(3)/18) and |p(1-p)(1-6p+6p^2)| at p = 1/2 (1/8).
-    """
-    d1, d2, d3 = 0.25, math.sqrt(3.0) / 18.0, 0.125
-    bound = 0.0
-    for m in range(1, blocks + 1):
-        b = (c_mu * m ** -2.0) ** alpha2
-        bound = max(bound, b ** (s - 1) * d1, b ** (s - 2) * d2,
-                    b ** (s - 3) * d3)
-    return float(bound)
-
-
-def check_assumptions(config=None, **params) -> AssumptionReport:
-    """Check schedule admissibility; returns a report naming violated clauses
-    and carrying the exact bound on the scaled activations' first three
-    derivatives over the first 8 blocks.
-
-    Accepts either a ScheduleConfig or the raw keyword parameters
-    (d, R, gamma, alpha1, alpha2, s, c_mu), so inadmissible parameter sets
-    can be checked without constructing a config.
-    """
-    p = {"R": 1.0, "c_mu": 1.0}
-    if config is not None:
-        p.update(asdict(config))
-    p.update(params)
-    missing = set(SCHEDULE_FIELDS) - set(p)
-    if missing:
-        raise TypeError(f"check_assumptions missing parameters: {sorted(missing)}")
-    failures = tuple(clause for clause, ok in _ASSUMPTION_CLAUSES if not ok(p))
-    sigma = math.nan
-    if p["c_mu"] > 0 and p["s"] >= 3.0:
-        sigma = _sigma_derivative_bound(p["alpha2"], p["s"], p["c_mu"])
-    return AssumptionReport(ok=not failures, failures=failures,
-                            sigma_bound=sigma)
 
 
 @dataclass(frozen=True)
@@ -162,7 +102,8 @@ class ScheduleConfig:
     c_mu : float
         Leading constant of mu(m) = c_mu * m^-2.
 
-    Construction rejects parameter sets violating any admissibility clause.
+    Construction rejects parameter sets violating any admissibility clause,
+    naming every clause that fails.
     """
 
     d: int
@@ -174,9 +115,28 @@ class ScheduleConfig:
     c_mu: float = 1.0
 
     def __post_init__(self):
-        report = check_assumptions(self)
-        if not report.ok:
-            raise ValueError("inadmissible schedule: " + "; ".join(report.failures))
+        failures = [clause for clause, ok in _ASSUMPTION_CLAUSES if not ok(self)]
+        if failures:
+            raise ValueError("inadmissible schedule: " + "; ".join(failures))
+
+    @property
+    def sigma_bound(self):
+        """Sup over u and the first 8 blocks of the scaled activation's first
+        three derivatives.
+
+        The scaled activation is b^s sigmoid(u/b), so derivative j has sup
+        b^(s-j) sup_z |sigmoid^(j)(z)|.  Those sups are exact: with
+        p = sigmoid(z), |p(1-p)| peaks at p = 1/2 (1/4), |p(1-p)(1-2p)| at
+        p = 1/2 +- sqrt(3)/6 (sqrt(3)/18) and |p(1-p)(1-6p+6p^2)| at p = 1/2
+        (1/8).
+        """
+        d1, d2, d3 = 0.25, math.sqrt(3.0) / 18.0, 0.125
+        bound = 0.0
+        for m in range(1, 9):
+            b = (self.c_mu * m ** -2.0) ** self.alpha2
+            bound = max(bound, b ** (self.s - 1) * d1, b ** (self.s - 2) * d2,
+                        b ** (self.s - 3) * d3)
+        return float(bound)
 
     # -- schedules (m is 1-based, scalar or array) --
 
@@ -219,16 +179,6 @@ def _as_weight_matrix(config, W):
     if W.ndim != 2 or W.shape[1] != config.d + 2:
         raise ValueError(f"weights must have shape (M, {config.d + 2}), got {W.shape}")
     return W
-
-
-def pad_weights(W, width):
-    """Zero-pad a weight matrix to a larger block count (same function)."""
-    W = np.asarray(W, dtype=float)
-    if width < W.shape[0]:
-        raise ValueError("pad_weights cannot shrink a weight matrix")
-    out = np.zeros((width, W.shape[1]))
-    out[: W.shape[0]] = W
-    return out
 
 
 def with_ones(x, d):

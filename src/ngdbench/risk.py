@@ -30,7 +30,6 @@ __all__ = [
     "beta_tilde",
     "beta_tilde_quoted",
     "LowerBoundExponents",
-    "linear_lower_exponent",
     "linear_lower_exponents",
     "nn_upper_exponent",
     "dominance_condition",
@@ -189,14 +188,6 @@ def beta_tilde_quoted(alpha1, alpha2, gamma, s):
 def _lower_exponent_from_beta(bt, d):
     # degenerate endpoint d=0 gives exactly 1; public API enforces d >= 1
     return (2.0 * bt + d) / (2.0 * bt + 2.0 * d)
-
-
-def linear_lower_exponent(alpha1, alpha2, gamma, s, d):
-    """Exponent (2 bt + d) / (2 bt + 2d) below which no linear estimator's
-    worst-case rate can fall, with bt = beta_tilde(...)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return _lower_exponent_from_beta(beta_tilde(alpha1, alpha2, gamma, s), d)
 
 
 @dataclass(frozen=True)

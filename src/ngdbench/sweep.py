@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError
 from .data import generate_dataset
 from .linear import ESTIMATOR_KINDS, fit_estimator, tune
 from .model import bump_teacher, sample_teacher
@@ -172,24 +171,29 @@ def run_cell(cfg, teacher, estimator, n, replicate):
     return records, None
 
 
-def _cell_worker(cfg_text, estimator, n, replicate, cell_path):
-    """Process-pool entry point: reconstruct the config, compute, persist."""
-    cfg = parse_config(cfg_text)
-    teacher = resolve_teacher(cfg)
+def _compute_cell(cfg, teacher, estimator, n, replicate, path):
+    """Compute one cell and persist it; returns (file name, failure or None).
+
+    The one cell path: the serial loop calls it directly and the worker
+    pool pickles its arguments (frozen dataclasses) into each task.
+    """
     records, failed = run_cell(cfg, teacher, estimator, n, replicate)
-    _write_cell(Path(cell_path), records, failed)
-    return cell_path, failed
+    _write_cell(path, records, failed)
+    return path.name, failed
 
 
-def worker_count(workers=None):
-    """Explicit argument, else the NGDBENCH_WORKERS variable, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("NGDBENCH_WORKERS", "").strip()
-    return max(1, int(env)) if env else 1
+def _computed(jobs, workers):
+    """Run _compute_cell on every job, serially or on a pool of workers;
+    yields its results in completion order."""
+    if workers <= 1:
+        yield from (_compute_cell(*job) for job in jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_compute_cell, *job) for job in jobs]
+        yield from (fut.result() for fut in as_completed(futures))
 
 
-def run_sweep(cfg, out_dir=None, workers=None, progress=None):
+def run_sweep(cfg, out_dir=None, workers=1, progress=None):
     """Run (or resume) the sweep; returns the full sorted record list.
 
     Writes out_dir/cells/<cell>.csv per cell, the canonical sorted
@@ -217,24 +221,13 @@ def run_sweep(cfg, out_dir=None, workers=None, progress=None):
     pending = [(est, n, rep) for est, n, rep in tasks
                if not (cells / cell_name(est, n, rep)).exists()]
 
-    nworkers = worker_count(workers)
-    if pending and nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            futures = {
-                pool.submit(_cell_worker, cfg_text, est, n, rep,
-                            str(cells / cell_name(est, n, rep))): (est, n, rep)
-                for est, n, rep in pending}
-            for fut in as_completed(futures):
-                path, failed = fut.result()
-                if progress is not None:
-                    progress(Path(path).name, failed)
-    else:
-        teacher = resolve_teacher(cfg) if pending else None
-        for est, n, rep in pending:
-            records, failed = run_cell(cfg, teacher, est, n, rep)
-            _write_cell(cells / cell_name(est, n, rep), records, failed)
+    if pending:
+        teacher = resolve_teacher(cfg)
+        jobs = [(cfg, teacher, est, n, rep, cells / cell_name(est, n, rep))
+                for est, n, rep in pending]
+        for name, failed in _computed(jobs, workers):
             if progress is not None:
-                progress(cell_name(est, n, rep), failed)
+                progress(name, failed)
 
     all_records = []
     failures = []

@@ -2,7 +2,8 @@
 
 Each restates a piece of the program another way (an explicit update
 scheme, a closed-form gradient bound, a one-call kernel gram, the zero
-combination), so the tests can check the program against it.
+combination, a zero-padded weight matrix), so the tests can check the
+program against it.
 """
 
 import numpy as np
@@ -68,3 +69,13 @@ def empty_approx(cfg):
     """The zero combination (no atoms) with the same bookkeeping."""
     return RidgeApprox(cfg=cfg, directions=np.zeros((0, cfg.d)),
                        offsets=np.zeros(0), coefs=np.zeros(0))
+
+
+def pad_weights(W, width):
+    """Zero-pad a weight matrix to a larger block count (same function)."""
+    W = np.asarray(W, dtype=float)
+    if width < W.shape[0]:
+        raise ValueError("pad_weights cannot shrink a weight matrix")
+    out = np.zeros((width, W.shape[1]))
+    out[: W.shape[0]] = W
+    return out

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ngdbench.ngd as ngd_module
 from ngdbench.cli import main
-from ngdbench.data import load_dataset
+from ngdbench.data import empirical_risk, load_dataset
 from ngdbench.linear import load_estimator
 from ngdbench.model import load_teacher, load_weights
 from ngdbench.risk import load_records
@@ -116,6 +117,28 @@ class TestArtifacts:
         _, stack = load_weights(wout)
         assert stack.ndim == 3  # kept iterates
         assert tout.read_text().startswith("k,empirical_risk")
+
+    def test_train_without_trace_derives_no_risk_trace(self, cfg_file, tmp_path,
+                                                       capsys, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return empirical_risk(*args)
+        # the chain's risk trace evaluates the network through this name
+        monkeypatch.setattr(ngd_module, "empirical_risk", counting)
+
+        def risk_line(argv):
+            assert main(["train", str(cfg_file), "--out",
+                         str(tmp_path / "kept.txt"), "--n", "8"] + argv) == 0
+            return next(ln for ln in capsys.readouterr().out.splitlines()
+                        if ln.startswith("empirical risk"))
+
+        plain = risk_line([])
+        assert calls == []
+        traced = risk_line(["--trace", str(tmp_path / "trace.csv")])
+        assert calls  # the trace file does derive it, one call per snapshot
+        assert traced == plain
 
     def test_fit_baseline(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "est.txt"

@@ -13,13 +13,11 @@ from ngdbench.model import (
     TeacherSpec,
     active_width,
     bump_teacher,
-    check_assumptions,
     eval_network,
     h_norm,
     hgamma_norm,
     load_teacher,
     load_weights,
-    pad_weights,
     sample_teacher,
     save_teacher,
     save_weights,
@@ -29,6 +27,7 @@ from ngdbench.model import (
     soft_clip_deriv,
     with_ones,
 )
+from oracles import pad_weights
 
 
 def default_config(**kw):
@@ -267,43 +266,51 @@ class TestNorms:
 
 
 class TestCheckAssumptions:
-    """Admissibility report with named clauses."""
+    """ScheduleConfig rejects inadmissible schedules, naming each failed
+    clause, and carries the exact activation-derivative bound."""
 
     def test_reference_setting_passes(self):
-        rep = check_assumptions(d=10, gamma=1.0, alpha1=1.0, alpha2=4.0, s=3.0)
-        assert rep.ok
-        assert rep.failures == ()
+        cfg = ScheduleConfig(d=10, gamma=1.0, alpha1=1.0, alpha2=4.0, s=3.0)
+        assert math.isfinite(cfg.sigma_bound)
 
     def test_s_clause(self):
-        rep = check_assumptions(d=1, gamma=1.0, alpha1=1.0, alpha2=4.0, s=2.0)
-        assert not rep.ok
-        assert any("s >= 3" in f for f in rep.failures)
+        with pytest.raises(ValueError, match=r"^inadmissible schedule: s >= 3$"):
+            default_config(s=2.0)
 
     def test_alpha2_boundary_clause(self):
-        rep = check_assumptions(d=1, gamma=2.0, alpha1=1.0, alpha2=1.0, s=3.0)
-        assert not rep.ok
-        assert any("alpha2 > gamma/2" in f for f in rep.failures)
+        with pytest.raises(ValueError, match=r": alpha2 > gamma/2$"):
+            default_config(gamma=2.0, alpha2=1.0)
 
     def test_width_constant_clause(self):
-        rep = check_assumptions(d=1, gamma=1.0, alpha1=1.0, alpha2=4.0, s=3.0,
-                                c_mu=2.0)
-        assert not rep.ok
-        assert any("c_mu <= 1" in f for f in rep.failures)
+        with pytest.raises(ValueError, match=r": b_m <= 1 \(needs c_mu <= 1\)$"):
+            default_config(c_mu=2.0)
+
+    @pytest.mark.parametrize("field, value, clause", [
+        ("d", 0, "d >= 1"),
+        ("R", 0.5, "R >= 1"),
+        ("gamma", 0.0, "gamma > 0"),
+        ("alpha1", 0.5, "alpha1 > 1/2"),
+        ("c_mu", 0.0, "c_mu > 0"),
+    ])
+    def test_remaining_clauses(self, field, value, clause):
+        with pytest.raises(ValueError) as err:
+            default_config(**{field: value})
+        assert str(err.value) == f"inadmissible schedule: {clause}"
+
+    def test_failing_clauses_named_together(self):
+        with pytest.raises(ValueError) as err:
+            default_config(alpha1=0.25, s=2.0)
+        assert str(err.value) == "inadmissible schedule: alpha1 > 1/2; s >= 3"
 
     def test_derivative_bound_first_derivative(self):
-        rep = check_assumptions(config=default_config())
         # with b_1 = 1 the first derivative peaks at exactly 1/4
-        assert math.isclose(rep.sigma_bound, 0.25, rel_tol=1e-6)
+        assert math.isclose(default_config().sigma_bound, 0.25, rel_tol=1e-6)
 
     def test_derivative_bound_third_derivative(self):
         # b_1 = 0.5^2 = 1/4 and s = 5 give the terms b^4 / 4, b^3 sqrt(3) / 18
         # and b^2 / 8; the third-derivative sup 1/8 decides
-        rep = check_assumptions(d=1, gamma=1.0, alpha1=1.0, alpha2=2.0, s=5.0,
-                                c_mu=0.5)
-        assert rep.sigma_bound == 0.0078125
-
-    def test_accepts_config_object(self):
-        assert check_assumptions(default_config(d=4)).ok
+        cfg = default_config(alpha2=2.0, s=5.0, c_mu=0.5)
+        assert cfg.sigma_bound == 0.0078125
 
 
 class TestTeachers:

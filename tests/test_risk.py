@@ -13,7 +13,6 @@ from ngdbench.risk import (
     beta_tilde_quoted,
     dominance_condition,
     excess_risk_mc,
-    linear_lower_exponent,
     linear_lower_exponents,
     load_records,
     nn_upper_exponent,
@@ -212,14 +211,14 @@ class TestExponentCalculators:
         assert math.isclose(got.exponent, 21.0 / 22.0, rel_tol=1e-14)
 
     def test_lower_exponent_decreasing_in_d(self):
-        vals = [linear_lower_exponent(3.0, 12.0, 3.0, 3.0, d=d)
+        vals = [linear_lower_exponents(3.0, 12.0, 3.0, 3.0, d=d).exponent
                 for d in (1, 2, 5, 10, 50)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 0.5 for v in vals)
 
     def test_lower_exponent_validation(self):
         with pytest.raises(ValueError):
-            linear_lower_exponent(3.0, 12.0, 3.0, 3.0, d=0)
+            linear_lower_exponents(3.0, 12.0, 3.0, 3.0, d=0)
 
     def test_upper_exponent_reference_value(self):
         assert nn_upper_exponent(3.0, 12.0, 3.0, q=0.0) == 0.75

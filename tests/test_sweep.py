@@ -23,7 +23,6 @@ from ngdbench.sweep import (
     run_sweep,
     save_report,
     student_width,
-    worker_count,
 )
 
 TINY_TEXT = """\
@@ -241,6 +240,25 @@ class TestRunSweep:
         assert (pooled / RESULTS_NAME).read_bytes() == \
             (serial / RESULTS_NAME).read_bytes()
 
+    def test_worker_pool_reports_each_pending_cell_once(self, tmp_path):
+        cfg = tiny_config()
+        serial, pooled = [], []
+        run_sweep(cfg, out_dir=tmp_path / "serial", workers=1,
+                  progress=lambda name, failed: serial.append(name))
+        run_sweep(cfg, out_dir=tmp_path / "pooled", workers=2,
+                  progress=lambda name, failed: pooled.append(name))
+        assert len(serial) == 12  # 3 n values x 2 replicates x (ngd, knn)
+        assert sorted(pooled) == sorted(serial)
+        assert len(set(pooled)) == len(pooled)
+        # a pooled resume reports only the cells it computes
+        victims = [cell_name("ngd", 8, 1), cell_name("knn", 32, 0)]
+        for name in victims:
+            (tmp_path / "pooled" / "cells" / name).unlink()
+        resumed = []
+        run_sweep(cfg, out_dir=tmp_path / "pooled", workers=2,
+                  progress=lambda name, failed: resumed.append(name))
+        assert sorted(resumed) == sorted(victims)
+
     def test_partial_resume_fills_missing_cells(self, tmp_path):
         cfg = tiny_config()
         full = tmp_path / "full"
@@ -279,13 +297,6 @@ class TestRunSweep:
         records = run_sweep(cfg, out_dir=out)
         assert {r.estimator for r in records} == {"knn", "ngd"}
         assert not (out / "failed.txt").exists()
-
-    def test_worker_count_sources(self, monkeypatch):
-        assert worker_count(3) == 3
-        monkeypatch.setenv("NGDBENCH_WORKERS", "5")
-        assert worker_count() == 5
-        monkeypatch.delenv("NGDBENCH_WORKERS")
-        assert worker_count() == 1
 
 
 class TestCellFiles:
