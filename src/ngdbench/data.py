@@ -30,8 +30,10 @@ class Dataset:
     seed: int | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        # own copies: freezing the caller's arrays in place would make them
+        # read-only, and a later write to them would change the dataset
+        X = np.array(self.X, dtype=float)
+        y = np.array(self.y, dtype=float)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError(f"inconsistent shapes X {X.shape}, y {y.shape}")
         if self.noise_kind not in NOISE_KINDS:

@@ -265,7 +265,8 @@ class TeacherSpec:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        W = _as_weight_matrix(self.config, self.weights)
+        # own copy, so the caller's array stays writeable and apart
+        W = _as_weight_matrix(self.config, self.weights).copy()
         W.setflags(write=False)
         object.__setattr__(self, "weights", W)
         if not 0.0 < self.radius <= 1.0:

@@ -57,8 +57,10 @@ class NgdConfig:
 
     beta is the inverse temperature (must exceed eta), lam the ridge weight,
     width the number of optimized blocks M.  burn_in defaults to k_max // 2
-    and thinning to max(1, k_max // 2000), so about two thousand snapshots
-    are kept regardless of chain length.
+    and thinning to max(1, k_max // 2000), so about one thousand snapshots
+    are kept regardless of chain length: (k_max - burn_in) // thinning lies
+    in [1000, 2000] for k_max >= 2000 and in [1000, 1500] from
+    k_max = 4000 on (1066 at k_max = 6400, 1003 at 102400).
     """
 
     eta: float
@@ -120,6 +122,14 @@ def apply_shrink(config, eta, lam, W):
     return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
 
 
+def _neg_logistic_core(v):
+    """_neg_logistic without its overflow guard: the caller holds
+    np.errstate(over="ignore")."""
+    np.exp(v, v)
+    v += 1.0
+    return np.reciprocal(v, v)
+
+
 def _neg_logistic(v):
     """In place: v <- 1 / (1 + exp(v)), the logistic of -v; returns v.
 
@@ -127,9 +137,7 @@ def _neg_logistic(v):
     wherever that is a normal float, at a fraction of its cost; where
     exp(v) overflows, both give exactly 0."""
     with np.errstate(over="ignore"):
-        np.exp(v, out=v)
-    v += 1.0
-    return np.reciprocal(v, out=v)
+        return _neg_logistic_core(v)
 
 
 class _GradKernel:
@@ -141,7 +149,8 @@ class _GradKernel:
     are folded once: -1/width into the first-layer weights,
     amp * R * width^s into the output, (2/n) * amp * R * width^(s-1) and
     (2/n) * amp * width^s into the two gradient layers.  Every temporary
-    is a preallocated buffer, so grad() allocates nothing of size n.
+    is a preallocated buffer, so a gradient allocates nothing of size n.
+    bind(W) returns the gradient as a closure over those buffers.
     """
 
     def __init__(self, config, M, X, y):
@@ -168,22 +177,40 @@ class _GradKernel:
         self.VT = np.empty((dp1, a))
         self.G = np.zeros((M, dp1 + 1))
 
-    def grad(self, W):
-        """Gradient at W, written into (and returned as) the kernel's own
-        (M, d+2) buffer, which the next call overwrites."""
-        a, G = self.a, self.G
-        np.multiply(W[:a, :-1], self.neg_inv_b, out=self.V)
-        sig = _neg_logistic(np.dot(self.V, self.X1T, out=self.sig))
-        t2 = np.tanh(W[:a, -1] / self.R)
-        r = np.dot(self.out_scale * t2, sig, out=self.r)
-        r -= self.y
-        np.multiply(sig @ r, self.w2_scale * (1.0 - t2 * t2), out=G[:a, -1])
-        dsig = np.subtract(1.0, sig, out=self.dsig)
-        dsig *= sig
-        dsig *= r
-        np.dot(self.X1T, dsig.T, out=self.VT)
-        np.multiply(self.VT.T, (self.w1_scale * t2)[:, None], out=G[:a, :-1])
-        return G
+    def bind(self, W):
+        """Gradient at the current contents of W, as a zero-argument closure.
+
+        W is the (M, d+2) weight buffer the caller updates in place; the
+        closure holds views of it and of the kernel's buffers, so each call
+        reads W as it is then and writes the gradient into (and returns) the
+        kernel's own (M, d+2) buffer, which the next call overwrites.  The
+        logistic runs unguarded: the caller holds
+        np.errstate(over="ignore") around every call.
+        """
+        a, R, y, G = self.a, self.R, self.y, self.G
+        W1, w2, G1, g2 = W[:a, :-1], W[:a, -1], G[:a, :-1], G[:a, -1]
+        V, X1T, sig, dsig, r, VT = (self.V, self.X1T, self.sig, self.dsig,
+                                    self.r, self.VT)
+        dsigT, VTT = dsig.T, VT.T
+        neg_inv_b, out_scale = self.neg_inv_b, self.out_scale
+        w1_scale, w2_scale = self.w1_scale, self.w2_scale
+        dot, multiply, subtract, tanh = np.dot, np.multiply, np.subtract, np.tanh
+
+        def grad():
+            multiply(W1, neg_inv_b, V)
+            _neg_logistic_core(dot(V, X1T, sig))
+            t2 = tanh(w2 / R)
+            dot(out_scale * t2, sig, r)
+            subtract(r, y, r)
+            multiply(sig @ r, w2_scale * (1.0 - t2 * t2), g2)
+            subtract(1.0, sig, dsig)
+            multiply(dsig, sig, dsig)
+            multiply(dsig, r, dsig)
+            dot(X1T, dsigT, VT)
+            multiply(VTT, (w1_scale * t2)[:, None], G1)
+            return G
+
+        return grad
 
 
 def loss_grad(config, W, data):
@@ -205,11 +232,14 @@ def loss_grad(config, W, data):
 
     The logistic is computed in place as 1 / (1 + exp(-u)), within
     5e-16 relative of model.sigmoid.  This reference path builds the
-    chain's gradient kernel (constants and buffers for the data) on every
-    call; run_chain builds it once.
+    chain's gradient kernel (constants and buffers for the data), binds it
+    to W and calls it once, holding np.errstate(over="ignore") around that
+    call; run_chain builds and binds the kernel once per chain.
     """
     W = np.asarray(W, dtype=float)
-    return _GradKernel(config, W.shape[0], data.X, data.y).grad(W)
+    grad = _GradKernel(config, W.shape[0], data.X, data.y).bind(W)
+    with np.errstate(over="ignore"):
+        return grad()
 
 
 def _check_finite(W, where):
@@ -327,12 +357,15 @@ def run_chain(config, ngd, data=None, init=None):
     pass an explicit (width, d+2) array.  Divergence (non-finite weights or
     h_norm above 1e6) raises ChainDivergence.
 
-    Each step is step() without its allocations: the gradient comes from
-    one kernel built for the data (in-place logistic 1 / (1 + exp(-u)),
-    preallocated buffers), and the noise is drawn _NOISE_STEPS steps at a
-    time into one buffer and scaled once per block.  Generator fills
-    sequentially, so the noise stream, and the chain, are bitwise those of
-    k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
+    Each step is step() without its allocations or per-step set-up: the
+    gradient kernel (in-place logistic 1 / (1 + exp(-u)), preallocated
+    buffers) is built for the data and bound to the chain's weight buffer
+    once, the chain holds np.errstate(over="ignore") once around the whole
+    loop for the kernel's logistic, and the noise is drawn _NOISE_STEPS
+    steps at a time into one buffer, scaled once per block and consumed row
+    by row.  Generator fills sequentially, so the noise stream, and the
+    chain, are bitwise those of k_max step() calls each fed
+    noise_sd * rng.standard_normal((M, d+2)).
 
     At each of the S = (k_max - burn_in) // thinning kept steps the chain
     checks the weights for divergence, copies them into a preallocated
@@ -355,30 +388,34 @@ def run_chain(config, ngd, data=None, init=None):
     s_fac = shrink_factors(config, ngd.eta, ngd.lam, M)[:, None]
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
     noise = np.empty((min(_NOISE_STEPS, ngd.k_max), M, dp2))
-    kernel = None if data is None else _GradKernel(config, M, data.X, data.y)
-    S = (ngd.k_max - ngd.burn_in) // ngd.thinning
+    grad = (None if data is None
+            else _GradKernel(config, M, data.X, data.y).bind(W))
+    eta, burn_in, thinning = ngd.eta, ngd.burn_in, ngd.thinning
+    S = (ngd.k_max - burn_in) // thinning
     kept, hn, h1n = np.empty((S, M, dp2)), np.empty(S), np.empty(S)
 
-    for k in range(1, ngd.k_max + 1):
-        j = (k - 1) % _NOISE_STEPS
-        if j == 0:
-            block = noise[:ngd.k_max - k + 1]
+    k = 0
+    with np.errstate(over="ignore"):
+        for start in range(0, ngd.k_max, _NOISE_STEPS):
+            block = noise[:ngd.k_max - start]
             rng.standard_normal(out=block)
             block *= noise_sd
-        if kernel is not None:
-            G = kernel.grad(W)
-            G *= ngd.eta
-            W -= G
-        W += noise[j]
-        W *= s_fac
-        if k > ngd.burn_in and (k - ngd.burn_in) % ngd.thinning == 0:
-            _check_finite(W, f"at step {k}")
-            i = (k - ngd.burn_in) // ngd.thinning - 1
-            hn[i] = h_norm(W)
-            if hn[i] > DIVERGENCE_NORM:
-                raise ChainDivergence(f"h_norm {hn[i]:.3g} at step {k}")
-            kept[i] = W
-            h1n[i] = hgamma_norm(config, W, 1.0)
+            for xi in block:
+                k += 1
+                if grad is not None:
+                    G = grad()
+                    G *= eta
+                    W -= G
+                W += xi
+                W *= s_fac
+                if k > burn_in and (k - burn_in) % thinning == 0:
+                    _check_finite(W, f"at step {k}")
+                    i = (k - burn_in) // thinning - 1
+                    hn[i] = h_norm(W)
+                    if hn[i] > DIVERGENCE_NORM:
+                        raise ChainDivergence(f"h_norm {hn[i]:.3g} at step {k}")
+                    kept[i] = W
+                    h1n[i] = hgamma_norm(config, W, 1.0)
     _check_finite(W, "at final step")
 
     return ChainResult(config=config, ngd=ngd, data=data, weights=W, kept=kept,

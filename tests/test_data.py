@@ -12,7 +12,7 @@ from ngdbench.data import (
     load_dataset,
     save_dataset,
 )
-from ngdbench.model import ScheduleConfig, sample_teacher
+from ngdbench.model import ScheduleConfig, TeacherSpec, sample_teacher
 
 
 def make_teacher(d=2, seed=0):
@@ -115,6 +115,28 @@ class TestEmpiricalRisk:
         for _ in range(10):
             W = rng.normal(size=(5, 4))
             assert empirical_risk(t.config, W, data) >= 0.0
+
+
+class TestArrayOwnership:
+    """Frozen records copy their arrays instead of freezing the caller's."""
+
+    def test_caller_arrays_stay_writeable(self):
+        t = make_teacher(d=2)
+        X = np.random.default_rng(0).random((5, 2))
+        y = np.linspace(0.0, 1.0, 5)
+        W = np.array(t.weights)
+        data = Dataset(X=X, y=y, noise_bound=0.0)
+        teacher = TeacherSpec(config=t.config, weights=W, radius=t.radius)
+        assert X.flags.writeable and y.flags.writeable and W.flags.writeable
+        assert not (data.X.flags.writeable or data.y.flags.writeable
+                    or teacher.weights.flags.writeable)
+        X_was, y_was, W_was = X.copy(), y.copy(), W.copy()
+        X[:] = 7.0
+        y[:] = 7.0
+        W[:] = 7.0
+        np.testing.assert_array_equal(data.X, X_was)
+        np.testing.assert_array_equal(data.y, y_was)
+        np.testing.assert_array_equal(teacher.weights, W_was)
 
 
 class TestSerialization:

@@ -368,6 +368,60 @@ class TestChain:
     def test_chain_from_prior_is_repeated_step_bitwise(self, eta):
         self.assert_chain_is_repeated_step(eta, prior=True)
 
+    def test_chain_sets_its_error_state_once(self, monkeypatch):
+        # per-step set-up such as an overflow guard entered on every step
+        # would make the count grow with k_max; one kept snapshot each
+        cfg = small_config(d=2, alpha2=4.0)
+        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        entries = []
+
+        class CountingErrstate(np.errstate):
+            def __enter__(self):
+                entries.append(1)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", CountingErrstate)
+        counts = []
+        for k_max in (600, 1200):
+            entries.clear()
+            run_chain(cfg, small_ngd(width=3, k_max=k_max, burn_in=k_max - 1),
+                      data)
+            counts.append(len(entries))
+        assert counts[0] >= 1
+        assert counts[0] == counts[1]
+
+    def test_saturated_chain_is_repeated_step_bitwise(self):
+        # active first-layer weights of +-1e4 put preactivations past exp's
+        # overflow point on one side; neither the chain nor step() may warn
+        # or leave the floating-point error state changed
+        cfg = small_config(d=2, alpha2=4.0)
+        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        ngd = small_ngd(eta=0.5, width=3, k_max=300, burn_in=299, seed=7)
+        a = active_width(cfg, 3)
+        init = np.random.default_rng(5).normal(size=(3, 4))
+        init[:a, :-1] = 1e4 * np.sign(init[:a, :-1])
+        X1 = np.concatenate([data.X, np.ones((data.n, 1))], axis=1)
+        u = X1 @ (init[:a, :-1] / cfg.width(np.arange(1, a + 1))[:, None]).T
+        assert np.any(-u > np.log(np.finfo(float).max))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = loss_grad(cfg, init, data)
+            assert np.geterr() == before
+            res = run_chain(cfg, ngd, data, init=init)
+            assert np.geterr() == before
+            rng = np.random.default_rng(7)
+            noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
+            W = init
+            for _ in range(ngd.k_max):
+                W = step(cfg, ngd, W, data,
+                         noise_sd * rng.standard_normal(W.shape))
+        assert np.all(np.isfinite(G))
+        np.testing.assert_array_equal(res.weights, W)
+        np.testing.assert_array_equal(res.kept[-1], W)
+
     def test_gradient_free_stationary_variance(self):
         cfg = small_config()
         ngd = NgdConfig(eta=0.1, beta=8.0, lam=0.5, k_max=30000, width=3,
