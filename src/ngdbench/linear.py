@@ -11,7 +11,8 @@ layer.  Hyperparameters are tuned by deterministic k-fold cross validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -46,15 +47,25 @@ __all__ = [
 
 ESTIMATOR_KINDS = ("krr-rbf", "krr-ntk", "krr-rf", "knn", "nw")
 
-# prediction-time gram blocks are chunked to roughly this many doubles
-_CHUNK_DOUBLES = 4_000_000
+# rows of a prediction block are sized so that one block of distances, gram
+# entries or features holds about this many doubles (1 MiB): the block and the
+# temporaries built from it stay in cache, as ngd's snapshot-average chunks do
+_CHUNK_DOUBLES = 1 << 17
 
 
 def _sq_dists(X, Z):
-    """Pairwise squared euclidean distances, clamped at 0."""
+    """Pairwise squared euclidean distances, clamped at 0.
+
+    Computes (|x|^2 + |z|^2) - 2 x.z in place from two temporaries.  When X
+    and Z are one float array the cross product is a symmetric rank-k update,
+    so the result is exactly symmetric.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    sq = (X * X).sum(1)[:, None] + (Z * Z).sum(1)[None, :] - 2.0 * (X @ Z.T)
+    cross = X @ Z.T
+    cross *= 2.0
+    sq = (X * X).sum(1)[:, None] + (Z * Z).sum(1)[None, :]
+    sq -= cross
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -65,8 +76,22 @@ class RbfKernel:
 
     bandwidth: float
 
+    def from_sq_dists(self, sq, out=None):
+        """Gram entries from squared distances; out=sq works in place."""
+        out = np.divide(sq, -2.0 * self.bandwidth**2, out=out)
+        return np.exp(out, out=out)
+
     def gram(self, X, Z):
-        return np.exp(_sq_dists(X, Z) / (-2.0 * self.bandwidth**2))
+        sq = _sq_dists(X, Z)
+        return self.from_sq_dists(sq, out=sq)
+
+
+def _feature_gram(features, X, Z):
+    """features(X) features(Z)^T.  For Z is X one feature matrix is formed and
+    its product with itself is a symmetric rank-k update, so the gram is
+    exactly symmetric."""
+    FX = features(X)
+    return FX @ (FX if Z is X else features(Z)).T
 
 
 def _frozen_init(config, width, seed):
@@ -103,7 +128,7 @@ class NtkKernel:
         return np.concatenate([first, second], axis=2).reshape(X1.shape[0], -1)
 
     def gram(self, X, Z):
-        return self.features(X) @ self.features(Z).T
+        return _feature_gram(self.features, X, Z)
 
 
 @dataclass(frozen=True)
@@ -122,7 +147,7 @@ class RandomFeatureKernel:
         return cfg.amp(m) * cfg.activation(m, X1 @ W0[:, :-1].T)
 
     def gram(self, X, Z):
-        return self.features(X) @ self.features(Z).T
+        return _feature_gram(self.features, X, Z)
 
 
 def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
@@ -148,24 +173,47 @@ def _check_finite(*arrays):
 
 
 def _solve_regularized(K, ridge, y):
-    """(K + ridge I)^{-1} y; K and y must already be checked finite."""
+    """(K + ridge I)^{-1} y; K and y must already be checked finite.
+
+    K must be exactly symmetric, as every gram here is (`_sq_dists`,
+    `_feature_gram`, and principal submatrices of those).  The shifted copy A
+    is handed to the Cholesky factorization as its transpose, a Fortran-
+    ordered view that LAPACK reads without the transposing copy a C-ordered
+    array costs; its lower triangle is A's upper one, equal to A's lower
+    triangle by that symmetry.  When the factorization fails (a semi-definite
+    gram plus a tiny ridge can lose positivity to roundoff) the solve falls
+    back to scipy's symmetric-indefinite solver.
+    """
     A = K.copy()
     A.flat[::A.shape[0] + 1] += ridge
     try:
-        factor = cho_factor(A, lower=True, check_finite=False)
+        factor = cho_factor(A.T, lower=True, check_finite=False)
         coef = cho_solve(factor, y, check_finite=False)
         # one step of iterative refinement: tiny ridges leave A with a large
         # condition number, and the refreshed residual solve buys back the
         # digits the factorization loses there
         return coef + cho_solve(factor, y - A @ coef, check_finite=False)
     except LinAlgError:
-        # semi-definite gram plus tiny ridge can lose positivity to roundoff
         return scipy.linalg.solve(A, y, assume_a="sym")
+
+
+def _kernel_params(kernel):
+    """Hyperparameters that rebuild the kernel, as an estimator reports them."""
+    if isinstance(kernel, RbfKernel):
+        return {"bandwidth": kernel.bandwidth}
+    return {"width": kernel.width, "seed": kernel.seed}
 
 
 @dataclass
 class KrrEstimator:
-    """Kernel ridge fit: predict(x) = gram(x, X_train) @ dual_coef."""
+    """Kernel ridge fit with dual coefficients c on the training inputs X.
+
+    The RBF kernel predicts in the dual, gram(x, X) @ c.  A feature kernel
+    predicts in the primal, features(x) @ w with w = features(X)^T c formed
+    once here: the same function, without recomputing the training features
+    and an n-column gram for every block.  Both walk x in blocks of about
+    `_CHUNK_DOUBLES` entries.
+    """
 
     kind: str
     kernel: object
@@ -173,14 +221,25 @@ class KrrEstimator:
     X: np.ndarray
     dual_coef: np.ndarray
     params: dict
+    # block map and the coefficients it is multiplied by
+    _basis: object = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.kernel, RbfKernel):
+            self._basis = partial(self.kernel.gram, Z=self.X)
+            self._coef = self.dual_coef
+        else:
+            self._basis = self.kernel.features
+            self._coef = self._basis(self.X).T @ self.dual_coef
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        rows_per_chunk = max(1, _CHUNK_DOUBLES // max(1, self.X.shape[0]))
+        rows_per_chunk = max(1, _CHUNK_DOUBLES // max(1, self._coef.shape[0]))
         out = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], rows_per_chunk):
             sl = slice(lo, lo + rows_per_chunk)
-            out[sl] = self.kernel.gram(x[sl], self.X) @ self.dual_coef
+            out[sl] = self._basis(x[sl]) @ self._coef
         return out
 
 
@@ -194,7 +253,7 @@ def krr_fit(kind, data, ridge, config=None, **params):
     coef = _solve_regularized(G, ridge, data.y)
     return KrrEstimator(kind=kind, kernel=kernel, ridge=float(ridge),
                         X=np.asarray(data.X, dtype=float), dual_coef=coef,
-                        params=dict(params, ridge=float(ridge)))
+                        params=dict(_kernel_params(kernel), ridge=float(ridge)))
 
 
 def _k_smallest_sets(D, k):
@@ -241,10 +300,11 @@ def nw_predict(data, bandwidth, x):
     rows_per_chunk = max(1, _CHUNK_DOUBLES // data.n)
     out = np.empty(x.shape[0])
     tiny = np.finfo(float).tiny
+    kern = RbfKernel(bandwidth=bandwidth)
     for lo in range(0, x.shape[0], rows_per_chunk):
         sl = slice(lo, lo + rows_per_chunk)
         sq = _sq_dists(x[sl], data.X)
-        w = np.exp(sq / (-2.0 * bandwidth**2))
+        w = kern.from_sq_dists(sq)
         denom = w.sum(axis=1)
         ok = denom > tiny
         vals = np.zeros(sq.shape[0])
@@ -328,6 +388,13 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     Folds are a seeded permutation split, so the selection is a deterministic
     function of (data, grid, folds, seed).  Score ties go to the smallest
     parameter combination in sorted key order.
+
+    k-NN scores every k of the grid from one neighbour list per validation
+    point: its k_max nearest training points, chosen with `knn_predict`'s
+    rule (distance ties go to the lowest index) and ordered by (distance,
+    index), so the first k of the list are the k neighbours `knn_predict`
+    would average.  krr-rbf computes the fold-free squared distances once
+    and derives each bandwidth's gram from them.
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -347,13 +414,17 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
         bandwidths = sorted(set(c.get("bandwidth", None) for c in combos))
         _check_finite(data.y)
+        if kind == "krr-rbf":
+            # one distance matrix; each bandwidth's gram is derived from it
+            # into one reused buffer
+            D = _sq_dists(data.X, data.X)
+            G = np.empty_like(D)
         for bw in bandwidths:
             if kind == "krr-rbf":
-                kern = make_kernel(kind, bandwidth=bw)
+                make_kernel(kind, bandwidth=bw).from_sq_dists(D, out=G)
             else:
-                kern = make_kernel(kind, config=config,
-                                   width=_kernel_width(data), seed=kernel_seed)
-            G = kern.gram(data.X, data.X)
+                G = make_kernel(kind, config=config, width=_kernel_width(data),
+                                seed=kernel_seed).gram(data.X, data.X)
             _check_finite(G)
             for tr, va in masks:
                 Ktr = G[np.ix_(tr, tr)]
@@ -370,7 +441,13 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
             if kmax > tr.size:
                 raise ValueError("k grid exceeds training fold size")
             D = _sq_dists(data.X[va], data.X[tr])
-            order = np.argsort(D, axis=1, kind="stable")[:, :kmax]
+            # the kmax nearest by the prediction tie rule, then ordered by
+            # (distance, index): the head of a stable argsort of each row
+            near = _k_smallest_sets(D, kmax)
+            near.sort(axis=1)
+            by_dist = np.argsort(np.take_along_axis(D, near, axis=1), axis=1,
+                                 kind="stable")
+            order = np.take_along_axis(near, by_dist, axis=1)
             csum = np.cumsum(data.y[tr][order], axis=1)
             for i, combo in enumerate(combos):
                 k = combo["k"]
@@ -444,15 +521,14 @@ def load_estimator(path):
         coef = np.asarray(rows["dual_coef"], dtype=float).ravel()
         if kind == "krr-rbf":
             kern = RbfKernel(bandwidth=float(header["bandwidth"]))
-            params = {"bandwidth": kern.bandwidth}
         else:
             kern = make_kernel(kind, config=schedule_from_header(header),
                                width=int(header["width"]),
                                seed=int(header["kernel_seed"]))
-            params = {"width": kern.width}
         ridge = float(header["ridge"])
         return KrrEstimator(kind=kind, kernel=kern, ridge=ridge, X=X,
-                            dual_coef=coef, params=dict(params, ridge=ridge))
+                            dual_coef=coef,
+                            params=dict(_kernel_params(kern), ridge=ridge))
     arr = np.asarray(rows["train"], dtype=float)
     ds = Dataset(X=arr[:, :-1], y=arr[:, -1], noise_bound=0.0,
                  noise_kind="none", seed=None)

@@ -2,14 +2,17 @@
 
 Each restates a piece of the program another way (an explicit update
 scheme, a closed-form gradient bound, a one-call kernel gram, the zero
-combination, a zero-padded weight matrix), so the tests can check the
-program against it.
+combination, a zero-padded weight matrix, cross validation by full sorts and
+per-bandwidth grams), so the tests can check the program against it.
 """
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import zeta
 
-from ngdbench.linear import make_kernel
+from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
+                             _sq_dists, make_kernel)
 from ngdbench.lowerbound import RidgeApprox
 from ngdbench.ngd import _check_finite, apply_shrink, loss_grad
 
@@ -79,3 +82,43 @@ def pad_weights(W, width):
     out = np.zeros((width, W.shape[1]))
     out[: W.shape[0]] = W
     return out
+
+
+def _solve_c_order(K, ridge, y):
+    """(K + ridge I)^{-1} y with the shifted gram factored in C order."""
+    A = K.copy()
+    A.flat[::A.shape[0] + 1] += ridge
+    try:
+        factor = cho_factor(A, lower=True, check_finite=False)
+        coef = cho_solve(factor, y, check_finite=False)
+        return coef + cho_solve(factor, y - A @ coef, check_finite=False)
+    except LinAlgError:
+        return scipy.linalg.solve(A, y, assume_a="sym")
+
+
+def cv_table(kind, data, grid, folds, seed):
+    """The (params, score) table of linear.tune for knn or krr-rbf, by passes
+    that do more work: a full stable argsort of every validation row for knn,
+    and for krr-rbf a fresh RbfKernel.gram for every combination, np.ix_ fold
+    blocks and a C-ordered Cholesky factorization."""
+    combos = list(_combo_iter(grid))
+    sq_err = [0.0] * len(combos)
+    for va in _fold_indices(data.n, folds, seed):
+        tr = np.setdiff1d(np.arange(data.n), va)
+        if kind == "knn":
+            D = _sq_dists(data.X[va], data.X[tr])
+            order = np.argsort(D, axis=1, kind="stable")
+            csum = np.cumsum(data.y[tr][order], axis=1)
+        for i, combo in enumerate(combos):
+            if kind == "knn":
+                pred = csum[:, combo["k"] - 1] / combo["k"]
+            elif kind == "krr-rbf":
+                G = RbfKernel(bandwidth=combo["bandwidth"]).gram(data.X, data.X)
+                coef = _solve_c_order(G[np.ix_(tr, tr)], combo["ridge"],
+                                      data.y[tr])
+                pred = G[np.ix_(va, tr)] @ coef
+            else:
+                raise ValueError(f"no reference table for {kind!r}")
+            resid = pred - data.y[va]
+            sq_err[i] += float(resid @ resid)
+    return tuple((combo, err / data.n) for combo, err in zip(combos, sq_err))

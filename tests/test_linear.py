@@ -1,10 +1,12 @@
 """Baseline estimators: kernels, ridge solves, local averaging, tuning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ngdbench import linear
 from ngdbench.data import Dataset, generate_dataset
 from ngdbench.linear import (
     ESTIMATOR_KINDS,
@@ -24,7 +26,7 @@ from ngdbench.linear import (
     tune,
 )
 from ngdbench.model import ScheduleConfig, eval_network, sample_teacher
-from oracles import kernel_eval
+from oracles import cv_table, kernel_eval
 
 
 def dataset(X, y):
@@ -35,6 +37,27 @@ def dataset(X, y):
 def schedule(d=2, alpha2=1.0):
     return ScheduleConfig(d=d, R=1.0, gamma=1.0, alpha1=1.0, alpha2=alpha2,
                           s=3.0)
+
+
+def lattice_dataset(n, d, seed):
+    """n draws from the 4^d sites of a dyadic lattice: every site repeats,
+    and squared distances are exact, so many rows tie at the k-th distance."""
+    rng = np.random.default_rng(seed)
+    return dataset(rng.integers(0, 4, size=(n, d)) / 4.0, rng.normal(size=n))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a pass-through that records each call's
+    positional arguments; returns the list of recorded calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 class TestKernels:
@@ -332,6 +355,134 @@ class TestTuning:
             default_grid("spline")
 
 
+class TestSinglePass:
+    """Each dense pass of tuning and prediction runs once, and gives what the
+    longer passes gave."""
+
+    def test_knn_tune_selects_once_per_fold(self, monkeypatch):
+        data = lattice_dataset(60, 2, seed=1)
+        calls = counting(monkeypatch, linear, "_k_smallest_sets")
+        tune("knn", data, folds=4, seed=0)
+        assert len(calls) == 4
+
+    def test_rbf_tune_computes_distances_once(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        data = dataset(rng.random((40, 3)), rng.normal(size=40))
+        assert len(default_grid("krr-rbf")["bandwidth"]) == 4
+        calls = counting(monkeypatch, linear, "_sq_dists")
+        tune("krr-rbf", data, folds=5, seed=0)
+        assert len(calls) == 1
+
+    def test_cholesky_sees_fortran_arrays_only(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        data = dataset(rng.random((30, 2)), rng.normal(size=30))
+        calls = counting(monkeypatch, linear, "cho_factor")
+        tune("krr-rbf", data, folds=3, seed=0)
+        krr_fit("krr-rbf", data, 1e-3, bandwidth=0.5)
+        tune("krr-ntk", data, folds=3, seed=0, config=schedule(d=2))
+        assert len(calls) == 16 * 3 + 1 + 5 * 3
+        assert all(a[0].flags.f_contiguous and not a[0].flags.c_contiguous
+                   for a in calls)
+
+    def test_primal_prediction_forms_training_features_once(self, monkeypatch):
+        cfg = schedule(d=2)
+        rng = np.random.default_rng(4)
+        fit = krr_fit("krr-ntk", dataset(rng.random((24, 2)),
+                                         rng.normal(size=24)),
+                      1e-4, config=cfg, width=6, seed=1)
+        calls = counting(monkeypatch, NtkKernel, "features")
+        est = KrrEstimator(kind=fit.kind, kernel=fit.kernel, ridge=fit.ridge,
+                           X=fit.X, dual_coef=fit.dual_coef, params=fit.params)
+        features = 6 * (2 + 2)
+        monkeypatch.setattr(linear, "_CHUNK_DOUBLES", 10 * features)
+        est(rng.random((35, 2)))  # blocks of 10 rows: 3 full, one of 5
+        on_train = [c for c in calls if c[1] is fit.X]
+        assert len(on_train) == 1
+        assert len(calls) == 1 + 4
+
+    def test_prediction_memory_is_bounded(self):
+        # bound, stated before measuring: 8 MiB.  A block of about 1 MiB and
+        # the few temporaries built from it fit several times over; one
+        # 20000 x 1024 block (160 MB) or one 4e6-double block (32 MB) does not
+        bound = 8 * 2**20
+        rng = np.random.default_rng(5)
+        data = dataset(rng.random((1024, 10)), rng.normal(size=1024))
+        est = krr_fit("krr-rbf", data, 1e-3, bandwidth=1.0)
+        x = rng.random((20000, 10))
+        for predict in (lambda: knn_predict(data, 16, x), lambda: est(x)):
+            tracemalloc.start()
+            try:
+                predict()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+
+    @pytest.mark.parametrize("kind", ["knn", "krr-rbf"])
+    def test_cv_table_matches_reference_bitwise(self, kind):
+        teacher = sample_teacher(schedule(d=3), 3, radius=0.9, seed=0)
+        data = generate_dataset(teacher, n=128, noise_bound=0.1, seed=6)
+        ties = lattice_dataset(128, 2, seed=7)
+        D = np.sort(linear._sq_dists(ties.X, ties.X), axis=1)
+        for k in default_grid("knn", ties)["k"]:
+            assert np.any(D[:, k - 1] == D[:, k])  # ties at the k-th distance
+        for d in (data, ties):
+            grid = default_grid(kind, d)
+            res = tune(kind, d, grid=grid, folds=5, seed=8)
+            assert res.table == cv_table(kind, d, grid, folds=5, seed=8)
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        n = 200
+        data = dataset(rng.random((n, 3)), rng.normal(size=n))
+        est = krr_fit("krr-rbf", data, 1e-5, bandwidth=0.7)
+        x = rng.random((301, 3))
+
+        def predictions():
+            return (knn_predict(data, 5, x), nw_predict(data, 0.3, x), est(x))
+
+        monkeypatch.setattr(linear, "_CHUNK_DOUBLES", 10**9)
+        one = predictions()
+        # 40 rows per block: 7 full blocks and one of 21 rows
+        monkeypatch.setattr(linear, "_CHUNK_DOUBLES", 40 * n)
+        knn, nw, krr = predictions()
+        np.testing.assert_array_equal(knn, one[0])
+        np.testing.assert_array_equal(nw, one[1])
+        np.testing.assert_allclose(krr, one[2], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kind", ["krr-rbf", "krr-ntk", "krr-rf"])
+    def test_training_gram_exactly_symmetric(self, kind):
+        # the Cholesky factorization reads the triangle opposite the one a
+        # C-ordered gram was written in
+        X = np.random.default_rng(10).random((150, 4))
+        params = ({"bandwidth": 0.8} if kind == "krr-rbf"
+                  else {"width": 12, "seed": 1})
+        G = kernel_eval(kind, X, X, config=schedule(d=4), **params)
+        np.testing.assert_array_equal(G, G.T)
+
+    def test_primal_prediction_is_the_exact_product(self):
+        # tolerance, stated before measuring: the dense-solve oracle's 1e-10
+        # absolute, over ridges >= 1e-6.  The reference is the product both
+        # prediction forms round, features(x) features(X)^T c, evaluated in
+        # exact rational arithmetic from the same doubles
+        from fractions import Fraction
+        cfg = schedule(d=3)
+        rng = np.random.default_rng(11)
+        data = dataset(rng.random((64, 3)), rng.normal(size=64))
+        xq = rng.random((40, 3))
+        for kind in ("krr-ntk", "krr-rf"):
+            for ridge in (1e-6, 1e-4, 1e-2):
+                est = krr_fit(kind, data, ridge, config=cfg, width=16, seed=5)
+                FX = est.kernel.features(est.X).tolist()
+                c = [Fraction(v) for v in est.dual_coef.tolist()]
+                w = [sum(Fraction(row[j]) * ci for row, ci in zip(FX, c))
+                     for j in range(len(FX[0]))]
+                exact = [float(sum(Fraction(f) * wj for f, wj in zip(row, w)))
+                         for row in est.kernel.features(xq).tolist()]
+                np.testing.assert_allclose(est(xq), exact, rtol=0, atol=1e-10,
+                                           err_msg=f"{kind} {ridge:g}")
+
+
 class TestSerialization:
     """Text round trips for fitted predictors."""
 
@@ -345,6 +496,7 @@ class TestSerialization:
         back = load_estimator(path)
         xq = rng.random((4, 2))
         np.testing.assert_array_equal(back(xq), est(xq))
+        assert back.params == est.params
 
     def test_krr_ntk_roundtrip(self, tmp_path):
         cfg = schedule(d=1)
@@ -357,6 +509,31 @@ class TestSerialization:
         back = load_estimator(path)
         xq = rng.random((3, 1))
         np.testing.assert_array_equal(back(xq), est(xq))
+        assert back.params == est.params == {"width": 3, "seed": 2,
+                                             "ridge": 1e-4}
+
+    def test_params_roundtrip_every_kind(self, tmp_path):
+        # a reloaded estimator reports the hyperparameters it was fitted
+        # with, kernel seed included, and predicts the same bits
+        cfg = schedule(d=2)
+        rng = np.random.default_rng(4)
+        data = dataset(rng.random((40, 2)), rng.normal(size=40))
+        xq = rng.random((9, 2))
+        cases = {"krr-rbf": {"bandwidth": 0.7, "ridge": 1e-3},
+                 "krr-ntk": {"ridge": 1e-4}, "krr-rf": {"ridge": 1e-4},
+                 "knn": {"k": 3}, "nw": {"bandwidth": 0.3}}
+        for kind in ESTIMATOR_KINDS:
+            est = fit_estimator(kind, data, cases[kind], config=cfg,
+                                kernel_seed=3)
+            path = tmp_path / f"{kind}.txt"
+            save_estimator(path, est)
+            back = load_estimator(path)
+            assert back.params == est.params, kind
+            np.testing.assert_array_equal(back(xq), est(xq), err_msg=kind)
+        assert est.params == {"bandwidth": 0.3}
+        assert fit_estimator("krr-ntk", data, {"ridge": 1e-4}, config=cfg,
+                             kernel_seed=3).params == {"width": 10, "seed": 3,
+                                                       "ridge": 1e-4}
 
     def test_local_roundtrips(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -367,7 +544,9 @@ class TestSerialization:
             est = fit_estimator(kind, dataset(X, y), params)
             path = tmp_path / f"{kind}.txt"
             save_estimator(path, est)
-            np.testing.assert_array_equal(load_estimator(path)(xq), est(xq))
+            back = load_estimator(path)
+            np.testing.assert_array_equal(back(xq), est(xq))
+            assert back.params == est.params == params
 
     def test_file_bytes(self, tmp_path):
         # exact text of one file per header layout: rbf, schedule, local
