@@ -11,8 +11,8 @@ layer.  Hyperparameters are tuned by deterministic k-fold cross validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -94,13 +94,27 @@ def _feature_gram(features, X, Z):
     return FX @ (FX if Z is X else features(Z)).T
 
 
-def _frozen_init(config, width, seed):
-    # reference initialization drawn by the same law teachers use
-    return sample_teacher(config, width, radius=1.0, seed=seed).weights
-
-
 @dataclass(frozen=True)
-class NtkKernel:
+class _FrozenLayerKernel:
+    """Feature kernel of a scheduled network's first layer, frozen at the
+    reference initialization of the given seed."""
+
+    config: ScheduleConfig
+    width: int
+    seed: int = 0
+
+    @cached_property
+    def frozen_weights(self):
+        """The frozen first layer, drawn once per kernel by the same law
+        teachers use."""
+        return sample_teacher(self.config, self.width, radius=1.0,
+                              seed=self.seed).weights
+
+    def gram(self, X, Z):
+        return _feature_gram(self.features, X, Z)
+
+
+class NtkKernel(_FrozenLayerKernel):
     """Empirical tangent kernel of a scheduled network at a frozen init.
 
     k(x, z) = <grad_W f_{W0}(x), grad_W f_{W0}(z)> over all weight
@@ -108,13 +122,9 @@ class NtkKernel:
     map, so the gram is positive semidefinite by construction.
     """
 
-    config: ScheduleConfig
-    width: int
-    seed: int = 0
-
     def features(self, X):
         cfg = self.config
-        W0 = _frozen_init(cfg, self.width, self.seed)
+        W0 = self.frozen_weights
         X1, _ = with_ones(X, cfg.d)
         m = np.arange(1, self.width + 1)
         z = X1 @ W0[:, :-1].T
@@ -127,27 +137,16 @@ class NtkKernel:
         second = (c2 * act)[:, :, None]                   # (n, M, 1)
         return np.concatenate([first, second], axis=2).reshape(X1.shape[0], -1)
 
-    def gram(self, X, Z):
-        return _feature_gram(self.features, X, Z)
 
-
-@dataclass(frozen=True)
-class RandomFeatureKernel:
+class RandomFeatureKernel(_FrozenLayerKernel):
     """Inner product of amp(m) * act_m at a frozen random first layer."""
-
-    config: ScheduleConfig
-    width: int
-    seed: int = 0
 
     def features(self, X):
         cfg = self.config
-        W0 = _frozen_init(cfg, self.width, self.seed)
         X1, _ = with_ones(X, cfg.d)
         m = np.arange(1, self.width + 1)
-        return cfg.amp(m) * cfg.activation(m, X1 @ W0[:, :-1].T)
-
-    def gram(self, X, Z):
-        return _feature_gram(self.features, X, Z)
+        return cfg.amp(m) * cfg.activation(
+            m, X1 @ self.frozen_weights[:, :-1].T)
 
 
 def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
@@ -210,7 +209,8 @@ class KrrEstimator:
 
     The RBF kernel predicts in the dual, gram(x, X) @ c.  A feature kernel
     predicts in the primal, features(x) @ w with w = features(X)^T c formed
-    once here: the same function, without recomputing the training features
+    once here (from `train_features`, features(X), when the caller already
+    has it): the same function, without recomputing the training features
     and an n-column gram for every block.  Both walk x in blocks of about
     `_CHUNK_DOUBLES` entries.
     """
@@ -221,17 +221,20 @@ class KrrEstimator:
     X: np.ndarray
     dual_coef: np.ndarray
     params: dict
+    train_features: InitVar[np.ndarray | None] = None
     # block map and the coefficients it is multiplied by
     _basis: object = field(init=False, repr=False, compare=False)
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, train_features):
         if isinstance(self.kernel, RbfKernel):
             self._basis = partial(self.kernel.gram, Z=self.X)
             self._coef = self.dual_coef
         else:
             self._basis = self.kernel.features
-            self._coef = self._basis(self.X).T @ self.dual_coef
+            if train_features is None:
+                train_features = self._basis(self.X)
+            self._coef = train_features.T @ self.dual_coef
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -248,12 +251,20 @@ def krr_fit(kind, data, ridge, config=None, **params):
     if ridge <= 0:
         raise ValueError("ridge must be > 0")
     kernel = make_kernel(kind, config=config, **params)
-    G = kernel.gram(data.X, data.X)
+    X = np.asarray(data.X, dtype=float)
+    if isinstance(kernel, RbfKernel):
+        F, G = None, kernel.gram(X, X)
+    else:
+        # one feature matrix for the gram (as _feature_gram forms it) and
+        # the estimator's primal weights
+        F = kernel.features(X)
+        G = F @ F.T
     _check_finite(G, data.y)
     coef = _solve_regularized(G, ridge, data.y)
     return KrrEstimator(kind=kind, kernel=kernel, ridge=float(ridge),
-                        X=np.asarray(data.X, dtype=float), dual_coef=coef,
-                        params=dict(_kernel_params(kernel), ridge=float(ridge)))
+                        X=X, dual_coef=coef,
+                        params=dict(_kernel_params(kernel), ridge=float(ridge)),
+                        train_features=F)
 
 
 def _k_smallest_sets(D, k):

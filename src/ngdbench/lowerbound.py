@@ -3,7 +3,7 @@
 A Gaussian bump exp(-|x-c|^2/(2 h^2)) equals an integral over ridge
 directions a and offsets b of the window
 
-    psi(t) = (sigmoid(t+1) - sigmoid(t-1)) / 2
+    psi(t) = (sigmoid(t+1) - sigmoid(t-1)) / 2 = sinh(1) / (2 (cosh t + cosh 1))
 
 evaluated at (a.(x-c) + b)/h, weighted by cos(b/h) / (2 pi h psi_hat(1))
 and the standard Gaussian density of a.  Truncating to |b| <= D_b and
@@ -14,6 +14,13 @@ Each psi node splits into two bounded-offset sigmoid atoms, so the builder
 also certifies the atom-level constraints (unit directions, offsets within
 [-2, 2], coefficient mass within budget) that make the combination a valid
 member of the scheduled network class at the appropriate width.
+
+The combination is evaluated in an equivalent, smaller form: psi is even,
+so the atoms (a, b) and (-a, -b) are one function of x and are merged, and
+psi is computed in its one-cosh closed form.  The quadrature nodes are
+symmetric (every direction's negation is a direction, bitwise), so the
+merge halves the atom count.  The certified atom list stays the full
+quadrature.
 
 Dimensions 1 to 3 are supported; atom counts grow geometrically with d.
 """
@@ -42,7 +49,14 @@ __all__ = [
     "save_approx_csv",
 ]
 
-_EVAL_CHUNK_DOUBLES = 4_000_000
+# atoms of an evaluation block are sized so that the block's window values
+# hold about this many doubles (2 MiB), one buffer reused for every block: it
+# stays in cache, as ngd's snapshot-average chunks do
+_EVAL_CHUNK_DOUBLES = 1 << 18
+
+# psi(t) = _HALF_SINH1 / (cosh t + _COSH1)
+_COSH1 = math.cosh(1.0)
+_HALF_SINH1 = math.sinh(1.0) / 2.0
 
 
 def sigmoid_window(t):
@@ -153,7 +167,8 @@ class BumpApproxConfig:
 
 def _direction_nodes(cfg):
     """Quadrature nodes and weights for the truncated Gaussian a-integral,
-    weights already multiplied by the standard normal density."""
+    weights already multiplied by the standard normal density.  Every node's
+    negation is a node with a bitwise-equal weight."""
     D = cfg.direction_radius
     if cfg.d == 1:
         xa, wa = np.polynomial.legendre.leggauss(cfg.quad_a)
@@ -161,20 +176,27 @@ def _direction_nodes(cfg):
         jac = wa * D
     else:
         # spherical coordinates: Gauss-Legendre radii, midpoint azimuths and,
-        # for d = 3, Gauss-Legendre polar cosines (d = 2 is the equator)
+        # for d = 3, Gauss-Legendre polar cosines (d = 2 is the equator).
+        # The second half of the azimuths is the first turned by pi, built
+        # as the exact negation of its cosines and sines, so that with the
+        # symmetric Gauss-Legendre cosines every node's negation is a node
         xr, wr = np.polynomial.legendre.leggauss(cfg.quad_a)
         r = (xr + 1.0) * D / 2.0
         wr = wr * D / 2.0
         nth = 2 * cfg.quad_a
-        th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
+        th = (np.arange(cfg.quad_a) + 0.5) * 2.0 * math.pi / nth
+        cos_t, sin_t = np.cos(th), np.sin(th)
         wth = np.full(nth, 2.0 * math.pi / nth)
         cph, wph = (np.polynomial.legendre.leggauss(cfg.quad_a) if cfg.d == 3
                     else (np.zeros(1), np.ones(1)))
-        R, CP, T = np.meshgrid(r, cph, th, indexing="ij")
+        R, CP, CT = np.meshgrid(r, cph, np.concatenate([cos_t, -cos_t]),
+                                indexing="ij")
+        ST = np.meshgrid(r, cph, np.concatenate([sin_t, -sin_t]),
+                         indexing="ij")[2]
         WR, WP, WT = np.meshgrid(wr, wph, wth, indexing="ij")
         SP = np.sqrt(np.maximum(1.0 - CP * CP, 0.0))
-        nodes = np.stack([(R * SP * np.cos(T)).ravel(),
-                          (R * SP * np.sin(T)).ravel(),
+        nodes = np.stack([(R * SP * CT).ravel(),
+                          (R * SP * ST).ravel(),
                           (R * CP).ravel()], 1)[:, :cfg.d]
         jac = (WR * WP * WT * R ** (cfg.d - 1)).ravel()
     dens = (2.0 * math.pi) ** (-cfg.d / 2.0) * np.exp(-(nodes**2).sum(1) / 2.0)
@@ -187,7 +209,9 @@ class RidgeApprox:
     approximating scale * gauss_bump.
 
     The atoms are fixed once built: on_grid caches the combination's values
-    on cfg.eval_grid() at first access.
+    on cfg.eval_grid() at first access, and _eval_form caches the merged
+    atoms the evaluator sums.  The atom list (n_atoms, sigma_atoms,
+    check_atoms) is the full quadrature either way.
     """
 
     cfg: BumpApproxConfig
@@ -232,21 +256,54 @@ class RidgeApprox:
         vals = self(pts)
         return pts, bump, vals, np.abs(vals - bump)
 
+    @cached_property
+    def _eval_form(self):
+        """The combination as __call__ sums it, with fewer atoms.
+
+        The window is even, so atoms (a, b) and (-a, -b) are one function of
+        x: each atom is flipped so that the first nonzero entry of (a, b) is
+        positive, and exact duplicates are merged, their coefficients
+        summed.  Returns the merged directions / h, offsets / h and
+        coefficients * sinh(1)/2, the window's constant factor."""
+        ab = np.column_stack([self.directions, self.offsets])
+        lead = ab[np.arange(ab.shape[0]), (ab != 0.0).argmax(axis=1)]
+        ab[lead < 0.0] *= -1.0
+        # sort the rows lexicographically; equal rows are then neighbours
+        order = np.lexsort(ab.T[::-1])
+        ab = ab[order]
+        first = np.ones(ab.shape[0], dtype=bool)
+        first[1:] = (ab[1:] != ab[:-1]).any(axis=1)
+        coefs = np.bincount(np.cumsum(first) - 1, weights=self.coefs[order])
+        merged = ab[first] / self.cfg.h
+        return merged[:, :-1], merged[:, -1], coefs * _HALF_SINH1
+
     def __call__(self, x):
+        """The combination at x, (d,) or (n, d).  The window is evaluated
+        in place as 1 / (cosh u + cosh 1) on one buffer per call, in blocks
+        of about _EVAL_CHUNK_DOUBLES values; where cosh overflows the
+        window is exactly 0."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
         if pts.shape[1] != self.cfg.d:
             raise ValueError(f"points must lie in R^{self.cfg.d}")
-        c = np.asarray(self.cfg.center)
-        out = np.zeros(pts.shape[0])
-        if self.n_atoms:
-            chunk = max(1, _EVAL_CHUNK_DOUBLES // pts.shape[0])
-            shifted = pts - c[None, :]
-            for lo in range(0, self.n_atoms, chunk):
-                sl = slice(lo, lo + chunk)
-                t = shifted @ self.directions[sl].T + self.offsets[None, sl]
-                out += sigmoid_window(t / self.cfg.h) @ self.coefs[sl]
+        n = pts.shape[0]
+        out = np.zeros(n)
+        if self.n_atoms and n:
+            dirs, offs, coefs = self._eval_form
+            shifted = pts - np.asarray(self.cfg.center)[None, :]
+            chunk = max(1, _EVAL_CHUNK_DOUBLES // n)
+            buf = np.empty(n * min(chunk, coefs.size))
+            with np.errstate(over="ignore"):
+                for lo in range(0, coefs.size, chunk):
+                    sl = slice(lo, lo + chunk)
+                    u = buf[:n * coefs[sl].size].reshape(n, -1)
+                    np.dot(shifted, dirs[sl].T, out=u)
+                    u += offs[sl]
+                    np.cosh(u, out=u)
+                    u += _COSH1
+                    np.reciprocal(u, out=u)
+                    out += u @ coefs[sl]
         return float(out[0]) if single else out
 
     def sigma_atoms(self):

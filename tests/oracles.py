@@ -3,7 +3,8 @@
 Each restates a piece of the program another way (an explicit update
 scheme, a closed-form gradient bound, a one-call kernel gram, the zero
 combination, a zero-padded weight matrix, cross validation by full sorts and
-per-bandwidth grams), so the tests can check the program against it.
+per-bandwidth grams, a ridge combination summed atom by atom through the
+two-sigmoid window), so the tests can check the program against it.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.special import zeta
 
 from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
                              _sq_dists, make_kernel)
-from ngdbench.lowerbound import RidgeApprox
+from ngdbench.lowerbound import RidgeApprox, sigmoid_window
 from ngdbench.ngd import _check_finite, apply_shrink, loss_grad
 
 
@@ -72,6 +73,21 @@ def empty_approx(cfg):
     """The zero combination (no atoms) with the same bookkeeping."""
     return RidgeApprox(cfg=cfg, directions=np.zeros((0, cfg.d)),
                        offsets=np.zeros(0), coefs=np.zeros(0))
+
+
+def ridge_eval_sigmoid(approx, x):
+    """approx(x) for (n, d) points, summed over every atom of the full
+    quadrature list through sigmoid_window, in blocks of 4e6 doubles: no
+    merged atoms and no closed-form window."""
+    pts = np.asarray(x, dtype=float)
+    shifted = pts - np.asarray(approx.cfg.center)[None, :]
+    out = np.zeros(pts.shape[0])
+    chunk = max(1, 4_000_000 // pts.shape[0])
+    for lo in range(0, approx.n_atoms, chunk):
+        sl = slice(lo, lo + chunk)
+        t = shifted @ approx.directions[sl].T + approx.offsets[None, sl]
+        out += sigmoid_window(t / approx.cfg.h) @ approx.coefs[sl]
+    return out
 
 
 def pad_weights(W, width):

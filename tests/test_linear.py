@@ -400,6 +400,26 @@ class TestSinglePass:
         assert len(on_train) == 1
         assert len(calls) == 1 + 4
 
+    @pytest.mark.parametrize("kind", ["krr-ntk", "krr-rf"])
+    def test_frozen_layer_drawn_once(self, monkeypatch, kind):
+        cfg = schedule(d=2)
+        rng = np.random.default_rng(10)
+        data = dataset(rng.random((24, 2)), rng.normal(size=24))
+        calls = counting(monkeypatch, linear, "sample_teacher")
+        est = krr_fit(kind, data, 1e-4, config=cfg, width=6, seed=1)
+        monkeypatch.setattr(linear, "_CHUNK_DOUBLES", 10 * est._coef.size)
+        est(rng.random((35, 2)))  # blocks of 10 rows: 3 full, one of 5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["krr-ntk", "krr-rf"])
+    def test_fit_forms_training_features_once(self, monkeypatch, kind):
+        rng = np.random.default_rng(11)
+        data = dataset(rng.random((24, 2)), rng.normal(size=24))
+        cls = NtkKernel if kind == "krr-ntk" else RandomFeatureKernel
+        calls = counting(monkeypatch, cls, "features")
+        krr_fit(kind, data, 1e-4, config=schedule(d=2), width=6, seed=1)
+        assert len(calls) == 1 and calls[0][1] is data.X
+
     def test_prediction_memory_is_bounded(self):
         # bound, stated before measuring: 8 MiB.  A block of about 1 MiB and
         # the few temporaries built from it fit several times over; one

@@ -1,14 +1,20 @@
 """Ridge-combination approximation of Gaussian bumps."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
+from ngdbench import lowerbound, model
+from ngdbench.config import load_config
 from ngdbench.lowerbound import (
     BumpApproxConfig,
     RidgeApprox,
+    _direction_nodes,
     build_bump_approx,
     gauss_bump,
     gaussian_ball_mass,
@@ -18,7 +24,7 @@ from ngdbench.lowerbound import (
     window_fourier_at_one,
 )
 from ngdbench.model import sigmoid
-from oracles import empty_approx
+from oracles import empty_approx, ridge_eval_sigmoid
 
 
 def quick_cfg(**kw):
@@ -220,6 +226,129 @@ class TestBuild:
         assert sup_error(exact, cfg=cfg) == 0.0
         zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])
         assert math.isclose(sup_error(zero, cfg=cfg), scale, rel_tol=1e-12)
+
+
+# small builds in each dimension, even quadrature sizes (no self-antipodal
+# direction or offset node)
+SMALL_CFGS = {
+    1: quick_cfg(),
+    2: BumpApproxConfig(d=2, h=0.5, center=(0.4, 0.6), direction_radius=3.0,
+                        quad_a=16, quad_b=48, grid=17),
+    3: BumpApproxConfig(d=3, h=0.6, center=(0.5, 0.4, 0.6),
+                        direction_radius=2.5, quad_a=6, quad_b=24, grid=5),
+}
+
+
+def hand_built(directions, offsets, coefs, h=1.0):
+    d = len(directions[0])
+    cfg = BumpApproxConfig(d=d, h=h, center=(0.0,) * d)
+    return RidgeApprox(cfg=cfg, directions=np.array(directions, dtype=float),
+                       offsets=np.array(offsets, dtype=float),
+                       coefs=np.array(coefs, dtype=float))
+
+
+class TestEvaluator:
+    """The evaluator: one-cosh window, merged antipodal atoms, bounded
+    blocks."""
+
+    def test_closed_form_window(self):
+        # bound, stated before measuring: 4.4e-16 absolute (two ulps of the
+        # window's peak).  One atom with unit direction, zero offset and
+        # h = 1 evaluates sinh(1) / (2 (cosh t + cosh 1)) at t itself
+        ap = hand_built([[1.0]], [0.0], [1.0])
+        t = np.linspace(-60.0, 60.0, 120001)
+        np.testing.assert_allclose(ap(t[:, None]), sigmoid_window(t), rtol=0,
+                                   atol=4.4e-16)
+
+    def test_window_overflow_gives_zero(self):
+        ap = hand_built([[1.0]], [0.0], [1.0])
+        with np.errstate(all="raise"):
+            vals = ap(np.array([[800.0], [-1e300]]))
+        assert vals.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_atom_by_atom_sum(self, d):
+        # bound, stated before measuring: 1e-14 * scale
+        ap = build_bump_approx(SMALL_CFGS[d])
+        pts = np.concatenate([ap.cfg.eval_grid(),
+                              np.random.default_rng(d).random((50, d))])
+        np.testing.assert_allclose(ap(pts), ridge_eval_sigmoid(ap, pts),
+                                   rtol=0, atol=1e-14 * ap.scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_direction_nodes_are_antipodal(self, d):
+        for quad_a in (5, 6):
+            cfg = BumpApproxConfig(d=d, h=0.5, center=(0.5,) * d,
+                                   direction_radius=3.0, quad_a=quad_a)
+            nodes, weights = _direction_nodes(cfg)
+            weight_at = {tuple(a): w for a, w in zip(nodes.tolist(),
+                                                     weights.tolist())}
+            assert len(weight_at) == len(nodes)
+            for a, w in zip((-nodes).tolist(), weights.tolist()):
+                assert weight_at[tuple(a)] == w
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_build_merges_to_half(self, d):
+        ap = build_bump_approx(SMALL_CFGS[d])
+        dirs, offs, coefs = ap._eval_form
+        assert coefs.size == ap.n_atoms // 2 and ap.n_atoms % 2 == 0
+        assert dirs.shape == (ap.n_atoms // 2, d) and offs.shape == coefs.shape
+
+    def test_unpaired_atoms_all_kept(self):
+        ap = hand_built([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [2.0, 1.0]],
+                        [0.5, 0.3, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4])
+        assert ap._eval_form[2].size == 4
+
+    def test_antipodal_pair_merges_into_sum(self):
+        pair = hand_built([[0.0, 1.5], [0.0, -1.5]], [-0.25, 0.25],
+                          [0.25, 0.5])
+        one = hand_built([[0.0, 1.5]], [-0.25], [0.75])
+        dirs, offs, coefs = pair._eval_form
+        assert dirs.tolist() == [[0.0, 1.5]] and offs.tolist() == [-0.25]
+        assert coefs.tolist() == [0.75 * math.sinh(1.0) / 2.0]
+        x = np.random.default_rng(0).random((7, 2))
+        np.testing.assert_array_equal(pair(x), one(x))
+        assert pair.n_atoms == 2
+
+    def test_no_sigmoid_during_evaluation(self, monkeypatch):
+        ap = build_bump_approx(SMALL_CFGS[2])
+        fresh = RidgeApprox(cfg=ap.cfg, directions=ap.directions,
+                            offsets=ap.offsets, coefs=ap.coefs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sigmoid called during evaluation")
+
+        monkeypatch.setattr(lowerbound, "sigmoid", forbidden)
+        monkeypatch.setattr(model, "sigmoid", forbidden)
+        monkeypatch.setattr(model, "expit", forbidden)
+        monkeypatch.setattr(scipy.special, "expit", forbidden)
+        vals = fresh(ap.cfg.eval_grid())
+        np.testing.assert_array_equal(vals, ap.on_grid[2])
+
+    def test_committed_grid_memory_is_bounded(self):
+        # bound, stated before measuring: 8 MiB.  One 2 MiB block buffer, the
+        # merged atoms and the merge's temporaries fit; one 4e6-double block
+        # (32 MB) does not
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "comparison.cfg").lemma
+        ap = build_bump_approx(cfg)
+        fresh = RidgeApprox(cfg=cfg, directions=ap.directions,
+                            offsets=ap.offsets, coefs=ap.coefs)
+        pts = cfg.eval_grid()
+        tracemalloc.start()
+        try:
+            vals = fresh(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        np.testing.assert_array_equal(vals, ap.on_grid[2])
+
+    def test_empty_batch(self):
+        for ap in (build_bump_approx(SMALL_CFGS[2]),
+                   empty_approx(SMALL_CFGS[2])):
+            out = ap(np.zeros((0, 2)))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 class TestApproxCsv:
