@@ -30,7 +30,6 @@ baselines = knn
 sweep.n_values = 32, 64, 128, 256
 sweep.replicates = 2
 risk.n_test = 4000
-output.timing = none
 """
 
 
@@ -47,7 +46,8 @@ def main():
         print(f"  {line}")
 
     # Rerunning resumes: every cell file already exists, nothing recomputes,
-    # and the merged results are byte-identical (timing is disabled above).
+    # and the merged results are byte-identical (every cell is a pure
+    # function of the config).
     before = results.read_bytes()
     run_sweep(cfg, out_dir=out)
     print(f"resume reproduced results byte-identically: "

@@ -22,7 +22,6 @@ from .textio import format_text, parse_text
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 TEACHER_KINDS = ("gaussian", "bump")
-TIMING_MODES = ("wall", "none")
 
 # tunable parameters of each estimator: the keys of its default grid
 _GRID_PARAMS = {kind: tuple(default_grid(kind)) for kind in ESTIMATOR_KINDS}
@@ -51,10 +50,8 @@ class ExperimentConfig:
     sweep_n_values: tuple = (64, 128, 256)
     sweep_replicates: int = 3
     sweep_base_seed: int = 0
-    sweep_include_last: bool = False
     risk_n_test: int = 100_000
     output_dir: str = "results"
-    output_timing: str = "wall"
     lemma: BumpApproxConfig = field(
         default_factory=lambda: BumpApproxConfig(d=1, h=0.25, center=(0.5,)))
 
@@ -93,8 +90,6 @@ class ExperimentConfig:
             raise ConfigError("sweep.replicates must be >= 1")
         if self.risk_n_test < 2:
             raise ConfigError("risk.n_test must be >= 2")
-        if self.output_timing not in TIMING_MODES:
-            raise ConfigError(f"output.timing must be one of {TIMING_MODES}")
         object.__setattr__(self, "sweep_n_values",
                            tuple(sorted(self.sweep_n_values)))
 
@@ -120,15 +115,6 @@ class ExperimentConfig:
                 header.update((f"grid.{kind}.{param}", values)
                               for kind, param, values in sorted(self.grids))
         return format_text("experiment configuration", header)
-
-
-def _parse_bool(text):
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError("expected true or false")
 
 
 def _parse_int_list(text):
@@ -169,10 +155,8 @@ _KEYS = {
     "sweep.n_values": _parse_int_list,
     "sweep.replicates": int,
     "sweep.base_seed": int,
-    "sweep.include_last": _parse_bool,
     "risk.n_test": int,
     "output.dir": str,
-    "output.timing": str,
     "lemma.d": int,
     "lemma.h": float,
     "lemma.center": _parse_float_list,

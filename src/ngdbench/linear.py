@@ -47,19 +47,13 @@ __all__ = [
 
 ESTIMATOR_KINDS = ("krr-rbf", "krr-ntk", "krr-rf", "knn", "nw")
 
-# rows of a prediction block are sized so that one block of distances, gram
-# entries or features holds about this many doubles (1 MiB): the block and the
-# temporaries built from it stay in cache, as ngd's snapshot-average chunks do
+# doubles in one prediction block (1 MiB), so the block stays in cache
 _CHUNK_DOUBLES = 1 << 17
 
 
 def _sq_dists(X, Z):
-    """Pairwise squared euclidean distances, clamped at 0.
-
-    Computes (|x|^2 + |z|^2) - 2 x.z in place from two temporaries.  When X
-    and Z are one float array the cross product is a symmetric rank-k update,
-    so the result is exactly symmetric.
-    """
+    """Pairwise squared euclidean distances, clamped at 0.  When X and Z are
+    one float array the result is exactly symmetric (a rank-k update)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     cross = X @ Z.T
@@ -87,9 +81,7 @@ class RbfKernel:
 
 
 def _feature_gram(features, X, Z):
-    """features(X) features(Z)^T.  For Z is X one feature matrix is formed and
-    its product with itself is a symmetric rank-k update, so the gram is
-    exactly symmetric."""
+    """features(X) features(Z)^T, exactly symmetric when Z is X."""
     FX = features(X)
     return FX @ (FX if Z is X else features(Z)).T
 
@@ -174,14 +166,11 @@ def _check_finite(*arrays):
 def _solve_regularized(K, ridge, y):
     """(K + ridge I)^{-1} y; K and y must already be checked finite.
 
-    K must be exactly symmetric, as every gram here is (`_sq_dists`,
-    `_feature_gram`, and principal submatrices of those).  The shifted copy A
-    is handed to the Cholesky factorization as its transpose, a Fortran-
-    ordered view that LAPACK reads without the transposing copy a C-ordered
-    array costs; its lower triangle is A's upper one, equal to A's lower
-    triangle by that symmetry.  When the factorization fails (a semi-definite
-    gram plus a tiny ridge can lose positivity to roundoff) the solve falls
-    back to scipy's symmetric-indefinite solver.
+    K must be exactly symmetric, as every gram here is: Cholesky reads the
+    upper triangle, through a Fortran-ordered view that saves a copy.  When
+    the factorization fails (a semi-definite gram plus a tiny ridge can lose
+    positivity to roundoff) the solve falls back to scipy's
+    symmetric-indefinite solver.
     """
     A = K.copy()
     A.flat[::A.shape[0] + 1] += ridge
@@ -207,12 +196,9 @@ def _kernel_params(kernel):
 class KrrEstimator:
     """Kernel ridge fit with dual coefficients c on the training inputs X.
 
-    The RBF kernel predicts in the dual, gram(x, X) @ c.  A feature kernel
-    predicts in the primal, features(x) @ w with w = features(X)^T c formed
-    once here (from `train_features`, features(X), when the caller already
-    has it): the same function, without recomputing the training features
-    and an n-column gram for every block.  Both walk x in blocks of about
-    `_CHUNK_DOUBLES` entries.
+    The RBF kernel predicts in the dual, gram(x, X) @ c; a feature kernel in
+    the primal, features(x) @ features(X)^T c, the same function.
+    `train_features` passes features(X) when the caller already has it.
     """
 
     kind: str
@@ -255,8 +241,7 @@ def krr_fit(kind, data, ridge, config=None, **params):
     if isinstance(kernel, RbfKernel):
         F, G = None, kernel.gram(X, X)
     else:
-        # one feature matrix for the gram (as _feature_gram forms it) and
-        # the estimator's primal weights
+        # one feature matrix for the gram and the primal weights
         F = kernel.features(X)
         G = F @ F.T
     _check_finite(G, data.y)
@@ -400,12 +385,9 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     function of (data, grid, folds, seed).  Score ties go to the smallest
     parameter combination in sorted key order.
 
-    k-NN scores every k of the grid from one neighbour list per validation
-    point: its k_max nearest training points, chosen with `knn_predict`'s
-    rule (distance ties go to the lowest index) and ordered by (distance,
-    index), so the first k of the list are the k neighbours `knn_predict`
-    would average.  krr-rbf computes the fold-free squared distances once
-    and derives each bandwidth's gram from them.
+    k-NN scores every k from one list per validation point, ordered by
+    (distance, index), whose first k are the neighbours `knn_predict`
+    would average.
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -426,8 +408,6 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
         bandwidths = sorted(set(c.get("bandwidth", None) for c in combos))
         _check_finite(data.y)
         if kind == "krr-rbf":
-            # one distance matrix; each bandwidth's gram is derived from it
-            # into one reused buffer
             D = _sq_dists(data.X, data.X)
             G = np.empty_like(D)
         for bw in bandwidths:

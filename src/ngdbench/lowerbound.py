@@ -34,11 +34,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammainc
 
-from .model import sigmoid
 from .textio import FLOAT_FMT
 
 __all__ = [
-    "sigmoid_window",
     "window_fourier_at_one",
     "gauss_bump",
     "gaussian_ball_mass",
@@ -49,9 +47,7 @@ __all__ = [
     "save_approx_csv",
 ]
 
-# atoms of an evaluation block are sized so that the block's window values
-# hold about this many doubles (2 MiB), one buffer reused for every block: it
-# stays in cache, as ngd's snapshot-average chunks do
+# window values in one evaluation block (2 MiB), so the block stays in cache
 _EVAL_CHUNK_DOUBLES = 1 << 18
 
 # psi(t) = _HALF_SINH1 / (cosh t + _COSH1)
@@ -59,16 +55,9 @@ _COSH1 = math.cosh(1.0)
 _HALF_SINH1 = math.sinh(1.0) / 2.0
 
 
-def sigmoid_window(t):
-    """Even smooth window (sigmoid(t+1) - sigmoid(t-1)) / 2, peak ~0.231."""
-    arr = np.asarray(t, dtype=float)
-    out = np.asarray(0.5 * (sigmoid(arr + 1.0) - sigmoid(arr - 1.0)))
-    return float(out) if out.ndim == 0 else out
-
-
 def window_fourier_at_one():
-    """Fourier coefficient (2 pi)^-1 integral of sigmoid_window(t) e^{-it} dt
-    at frequency 1, in closed form.
+    """Fourier coefficient (2 pi)^-1 integral of psi(t) e^{-it} dt at
+    frequency 1, in closed form.
 
     sigmoid' transforms to pi w / sinh(pi w), and the window is a unit-width
     moving average of sigmoid', so the window transforms to
@@ -177,9 +166,8 @@ def _direction_nodes(cfg):
     else:
         # spherical coordinates: Gauss-Legendre radii, midpoint azimuths and,
         # for d = 3, Gauss-Legendre polar cosines (d = 2 is the equator).
-        # The second half of the azimuths is the first turned by pi, built
-        # as the exact negation of its cosines and sines, so that with the
-        # symmetric Gauss-Legendre cosines every node's negation is a node
+        # The second half of the azimuths negates the first's cosines and
+        # sines exactly, so every node's negation is a node
         xr, wr = np.polynomial.legendre.leggauss(cfg.quad_a)
         r = (xr + 1.0) * D / 2.0
         wr = wr * D / 2.0
@@ -208,10 +196,9 @@ class RidgeApprox:
     """Finite combination f(x) = sum_k coef_k * window((a_k.(x-c) + b_k)/h),
     approximating scale * gauss_bump.
 
-    The atoms are fixed once built: on_grid caches the combination's values
-    on cfg.eval_grid() at first access, and _eval_form caches the merged
-    atoms the evaluator sums.  The atom list (n_atoms, sigma_atoms,
-    check_atoms) is the full quadrature either way.
+    The atoms are fixed once built: on_grid, _eval_form and the atom bounds
+    are cached at first access.  The atom list (n_atoms, sigma_atoms,
+    check_atoms) is the full quadrature.
     """
 
     cfg: BumpApproxConfig
@@ -261,10 +248,9 @@ class RidgeApprox:
         """The combination as __call__ sums it, with fewer atoms.
 
         The window is even, so atoms (a, b) and (-a, -b) are one function of
-        x: each atom is flipped so that the first nonzero entry of (a, b) is
-        positive, and exact duplicates are merged, their coefficients
-        summed.  Returns the merged directions / h, offsets / h and
-        coefficients * sinh(1)/2, the window's constant factor."""
+        x: each is flipped so the first nonzero entry of (a, b) is positive,
+        and exact duplicates are merged.  Returns directions / h, offsets / h
+        and the coefficients times the window's constant factor."""
         ab = np.column_stack([self.directions, self.offsets])
         lead = ab[np.arange(ab.shape[0]), (ab != 0.0).argmax(axis=1)]
         ab[lead < 0.0] *= -1.0
@@ -278,9 +264,7 @@ class RidgeApprox:
         return merged[:, :-1], merged[:, -1], coefs * _HALF_SINH1
 
     def __call__(self, x):
-        """The combination at x, (d,) or (n, d).  The window is evaluated
-        in place as 1 / (cosh u + cosh 1) on one buffer per call, in blocks
-        of about _EVAL_CHUNK_DOUBLES values; where cosh overflows the
+        """The combination at x, (d,) or (n, d).  Where cosh overflows the
         window is exactly 0."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -323,12 +307,18 @@ class RidgeApprox:
         out_offs = np.concatenate([base + shift, base - shift])
         return coef, out_dirs, out_offs
 
-    def check_atoms(self, tol=1e-9):
-        """Assert the sigma-atom constraints; returns the checked values."""
+    @cached_property
+    def _atom_bounds(self):
+        """(max direction norm, max |offset|, coefficient mass) of the
+        sigma atoms."""
         coef, dirs, offs = self.sigma_atoms()
         dir_norm = float(np.sqrt((dirs**2).sum(1)).max()) if len(dirs) else 0.0
         off_max = float(np.abs(offs).max()) if len(offs) else 0.0
-        mass = float(np.abs(coef).sum())
+        return dir_norm, off_max, float(np.abs(coef).sum())
+
+    def check_atoms(self, tol=1e-9):
+        """Assert the sigma-atom constraints; returns the checked values."""
+        dir_norm, off_max, mass = self._atom_bounds
         if dir_norm > 1.0 + tol:
             raise AssertionError(f"atom direction norm {dir_norm} > 1")
         if off_max > 2.0 + tol:
@@ -374,13 +364,11 @@ def sup_error(approx, cfg=None, grid_points=None):
 
 def save_approx_csv(path, approx):
     """CSV of grid point, scaled bump, combination value, pointwise error,
-    preceded by a commented summary block.
-
-    The rows are approx.on_grid, so after build_bump_approx nothing is
-    evaluated again; the summary's sup_error is approx.reported_sup_error."""
+    preceded by a commented summary block.  After build_bump_approx nothing
+    is evaluated or certified again."""
     cfg = approx.cfg
     pts, bump, vals, err = approx.on_grid
-    dir_norm, off_max, mass = approx.check_atoms()
+    mass = approx.check_atoms()[2]
     with open(path, "w") as fh:
         fh.write("# bump ridge approximation\n")
         fh.write(f"# d = {cfg.d}\n")

@@ -59,8 +59,7 @@ class NgdConfig:
     width the number of optimized blocks M.  burn_in defaults to k_max // 2
     and thinning to max(1, k_max // 2000), so about one thousand snapshots
     are kept regardless of chain length: (k_max - burn_in) // thinning lies
-    in [1000, 2000] for k_max >= 2000 and in [1000, 1500] from
-    k_max = 4000 on (1066 at k_max = 6400, 1003 at 102400).
+    in [1000, 2000] for k_max >= 2000 and in [1000, 1500] from k_max = 4000.
     """
 
     eta: float
@@ -122,35 +121,22 @@ def apply_shrink(config, eta, lam, W):
     return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
 
 
-def _neg_logistic_core(v):
-    """_neg_logistic without its overflow guard: the caller holds
-    np.errstate(over="ignore")."""
+def _neg_logistic(v):
+    """In place: v <- 1 / (1 + exp(v)), the logistic of -v; returns v.
+
+    Agrees with model.sigmoid(-v) to 5e-16 relative wherever that is a
+    normal float; where exp(v) overflows, both give exactly 0.  The caller
+    holds np.errstate(over="ignore")."""
     np.exp(v, v)
     v += 1.0
     return np.reciprocal(v, v)
 
 
-def _neg_logistic(v):
-    """In place: v <- 1 / (1 + exp(v)), the logistic of -v; returns v.
-
-    Agrees with model.sigmoid(-v) (scipy's expit) to 5e-16 relative
-    wherever that is a normal float, at a fraction of its cost; where
-    exp(v) overflows, both give exactly 0."""
-    with np.errstate(over="ignore"):
-        return _neg_logistic_core(v)
-
-
 class _GradKernel:
     """The gradient kernel behind loss_grad, step and run_chain, built once
-    per (config, M, data).
-
-    Only the a = model.active_width(config, M) leading blocks are computed;
-    rows of the gradient past them stay exactly 0.  The per-block constants
-    are folded once: -1/width into the first-layer weights,
-    amp * R * width^s into the output, (2/n) * amp * R * width^(s-1) and
-    (2/n) * amp * width^s into the two gradient layers.  Every temporary
-    is a preallocated buffer, so a gradient allocates nothing of size n.
-    bind(W) returns the gradient as a closure over those buffers.
+    per (config, M, data): per-block constants folded and every temporary
+    preallocated.  Only the a = model.active_width(config, M) leading blocks
+    are computed; rows of the gradient past them stay exactly 0.
     """
 
     def __init__(self, config, M, X, y):
@@ -180,12 +166,10 @@ class _GradKernel:
     def bind(self, W):
         """Gradient at the current contents of W, as a zero-argument closure.
 
-        W is the (M, d+2) weight buffer the caller updates in place; the
-        closure holds views of it and of the kernel's buffers, so each call
-        reads W as it is then and writes the gradient into (and returns) the
-        kernel's own (M, d+2) buffer, which the next call overwrites.  The
-        logistic runs unguarded: the caller holds
-        np.errstate(over="ignore") around every call.
+        W is the weight buffer the caller updates in place.  Each call
+        returns the kernel's own gradient buffer, which the next call
+        overwrites.  The caller holds np.errstate(over="ignore") around
+        every call.
         """
         a, R, y, G = self.a, self.R, self.y, self.G
         W1, w2, G1, g2 = W[:a, :-1], W[:a, -1], G[:a, :-1], G[:a, -1]
@@ -198,7 +182,7 @@ class _GradKernel:
 
         def grad():
             multiply(W1, neg_inv_b, V)
-            _neg_logistic_core(dot(V, X1T, sig))
+            _neg_logistic(dot(V, X1T, sig))
             t2 = tanh(w2 / R)
             dot(out_scale * t2, sig, r)
             subtract(r, y, r)
@@ -230,11 +214,7 @@ def loss_grad(config, W, data):
     most R sum_{m > a} amp(m) width(m)^s, both below eps relative to
     block 1's scales.
 
-    The logistic is computed in place as 1 / (1 + exp(-u)), within
-    5e-16 relative of model.sigmoid.  This reference path builds the
-    chain's gradient kernel (constants and buffers for the data), binds it
-    to W and calls it once, holding np.errstate(over="ignore") around that
-    call; run_chain builds and binds the kernel once per chain.
+    The logistic is _neg_logistic, within 5e-16 relative of model.sigmoid.
     """
     W = np.asarray(W, dtype=float)
     grad = _GradKernel(config, W.shape[0], data.X, data.y).bind(W)
@@ -276,13 +256,10 @@ class MeanPredictor:
     """Average of the networks at the kept snapshots (evaluable).
 
     Every (snapshot, active block) pair is one column, so a chunk of test
-    points costs one matmul: sigmoid(X1 @ W1^T / b) @ coef / S with
-    coef = amp * soft_clip(w2, R) * width^s, -1/b folded into W1 and the
-    logistic taken in place on one preallocated chunk buffer as
-    1 / (1 + exp(-u)) (within 5e-16 relative of model.sigmoid).  Blocks past
-    a = model.active_width(config, M) are left out, which moves each
-    prediction by at most R * sum_{m > a} amp(m) * width(m)^s.  Returns a
-    float for a single point, an (n,) array for a batch.
+    points costs one matmul.  Blocks past a = model.active_width(config, M)
+    are left out, which moves each prediction by at most
+    R * sum_{m > a} amp(m) * width(m)^s.  Returns a float for a single
+    point, an (n,) array for a batch.
     """
 
     config: object
@@ -300,10 +277,11 @@ class MeanPredictor:
         rows = max(1, _AVERAGE_CHUNK // max(1, W.shape[0]))
         buf = np.empty((min(rows, X1.shape[0]), W.shape[0]))
         out = np.empty(X1.shape[0])
-        for i in range(0, X1.shape[0], rows):
-            Xi = X1[i:i + rows]
-            sig = _neg_logistic(np.dot(Xi, VT, out=buf[:Xi.shape[0]]))
-            np.dot(sig, coef, out=out[i:i + rows])
+        with np.errstate(over="ignore"):
+            for i in range(0, X1.shape[0], rows):
+                Xi = X1[i:i + rows]
+                sig = _neg_logistic(np.dot(Xi, VT, out=buf[:Xi.shape[0]]))
+                np.dot(sig, coef, out=out[i:i + rows])
         out /= S
         return float(out[0]) if single else out
 
@@ -312,12 +290,9 @@ class MeanPredictor:
 class ChainResult:
     """Final weights, kept snapshots and norm traces of one chain.
 
-    The chain records the final iterate, the kept stack and, at each kept
-    iterate, h_norm (its divergence check) and hgamma_norm with g = 1: two
-    O(M d) reductions of the snapshot.  kept_steps and the empirical-risk
-    trace (on `data`, 0 without data), which costs a network evaluation over
-    the data per snapshot, are derived from `kept` on first access, so a
-    caller that reads only the snapshot average never pays for them.
+    The chain records, at each kept iterate, h_norm (its divergence check)
+    and hgamma_norm with g = 1.  kept_steps and the empirical-risk trace (on
+    `data`, 0 without data) are derived from `kept` on first access.
     """
 
     config: object
@@ -357,21 +332,11 @@ def run_chain(config, ngd, data=None, init=None):
     pass an explicit (width, d+2) array.  Divergence (non-finite weights or
     h_norm above 1e6) raises ChainDivergence.
 
-    Each step is step() without its allocations or per-step set-up: the
-    gradient kernel (in-place logistic 1 / (1 + exp(-u)), preallocated
-    buffers) is built for the data and bound to the chain's weight buffer
-    once, the chain holds np.errstate(over="ignore") once around the whole
-    loop for the kernel's logistic, and the noise is drawn _NOISE_STEPS
-    steps at a time into one buffer, scaled once per block and consumed row
-    by row.  Generator fills sequentially, so the noise stream, and the
+    Each step is step() without its allocations: the gradient kernel is
+    bound once per chain and the noise is drawn _NOISE_STEPS steps at a
+    time.  Generator fills sequentially, so the noise stream, and the
     chain, are bitwise those of k_max step() calls each fed
     noise_sd * rng.standard_normal((M, d+2)).
-
-    At each of the S = (k_max - burn_in) // thinning kept steps the chain
-    checks the weights for divergence, copies them into a preallocated
-    (S, M, d+2) stack and records h_norm and hgamma_norm(., 1).  The network
-    is not evaluated there: the empirical-risk trace is a ChainResult
-    property, derived from the stack on request.
     """
     M, dp2 = ngd.width, config.d + 2
     rng = np.random.default_rng(ngd.seed)
@@ -480,11 +445,7 @@ def mixing_diagnostic(traces, threshold=1.1):
 
 
 def save_trace(path, result):
-    """Write kept-iterate traces as CSV: k,empirical_risk,h_norm,h1_norm.
-
-    The columns are result.kept_steps, the empirical-risk trace, computed
-    here from the kept snapshots on first access, and the two norm traces
-    the chain recorded."""
+    """Write kept-iterate traces as CSV: k,empirical_risk,h_norm,h1_norm."""
     with open(path, "w") as fh:
         fh.write("k,empirical_risk,h_norm,h1_norm\n")
         for k, r, a, b in zip(result.kept_steps, result.risk_trace,

@@ -75,14 +75,13 @@ class RiskRecord:
     seed: int
     excess_risk: float
     stderr: float
-    wall_ms: int
 
     def csv_row(self):
         return (f"{self.estimator},{self.n},{self.seed},"
-                f"{FLOAT_FMT % self.excess_risk},{FLOAT_FMT % self.stderr},"
-                f"{self.wall_ms}")
+                f"{FLOAT_FMT % self.excess_risk},{FLOAT_FMT % self.stderr},0")
 
 
+# the last column is a reserved 0, kept for readers of the 6-column files
 CSV_HEADER = "estimator,n,seed,excess_risk,stderr,wall_ms"
 
 
@@ -108,10 +107,9 @@ def load_records(path):
             line = line.strip()
             if not line:
                 continue
-            est, n, seed, risk, err, wall = line.split(",")
+            est, n, seed, risk, err, _ = line.split(",")
             records.append(RiskRecord(estimator=est, n=int(n), seed=int(seed),
-                                      excess_risk=float(risk), stderr=float(err),
-                                      wall_ms=int(wall)))
+                                      excess_risk=float(risk), stderr=float(err)))
     return records
 
 

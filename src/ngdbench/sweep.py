@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError
-from .data import generate_dataset
+from .data import Dataset, generate_dataset
 from .linear import ESTIMATOR_KINDS, fit_estimator, tune
 from .model import bump_teacher, sample_teacher
 from .ngd import ChainDivergence, NgdConfig, run_chain
@@ -56,13 +55,12 @@ def derive_seed(base_seed, n, replicate, tag):
 class CellInputs:
     """What one (n, replicate) cell draws from the config.
 
-    data is the training set, whose seed field is the cell's data seed (None
-    when no teacher was given); ngd holds the sampler's auto hyperparameters
-    and chain seed; baseline_seeds maps every estimator kind to its
-    (cv, kernel) seeds.
+    data is the training set, whose seed field is the cell's data seed; ngd
+    holds the sampler's auto hyperparameters and chain seed; baseline_seeds
+    maps every estimator kind to its (cv, kernel) seeds.
     """
 
-    data: object
+    data: Dataset
     test_seed: int
     ngd: NgdConfig
     baseline_seeds: dict
@@ -77,9 +75,8 @@ def cell_inputs(cfg, teacher, n, replicate):
     def seed(tag):
         return derive_seed(cfg.sweep_base_seed, n, replicate, tag)
 
-    data = None if teacher is None else generate_dataset(
-        teacher, n, noise_bound=cfg.noise_bound, noise_kind=cfg.noise_kind,
-        seed=seed("data"))
+    data = generate_dataset(teacher, n, noise_bound=cfg.noise_bound,
+                            noise_kind=cfg.noise_kind, seed=seed("data"))
     ngd = NgdConfig.auto(cfg.schedule, n, cfg.noise_bound, eta=cfg.ngd_eta,
                          budget=cfg.ngd_budget, seed=seed("ngd"))
     baseline_seeds = {kind: (seed(f"cv-{kind}"), seed(f"kernel-{kind}"))
@@ -90,7 +87,9 @@ def cell_inputs(cfg, teacher, n, replicate):
 
 def student_width(cfg, n):
     """Network width the auto rule assigns at sample size n."""
-    return cell_inputs(cfg, None, n, 0).ngd.width
+    # the width ignores eta; passing it keeps the cell's beta > eta check
+    return NgdConfig.auto(cfg.schedule, n, cfg.noise_bound,
+                          eta=cfg.ngd_eta).width
 
 
 def fit_baseline(cfg, cell, kind):
@@ -142,33 +141,23 @@ def run_cell(cfg, teacher, estimator, n, replicate):
     """Compute one sweep cell; returns (records, failure message or None).
 
     NGD cells train the sampler with the auto hyperparameter rules and
-    score the kept-iterate average (tag "ngd"); the final iterate is scored
-    too when sweep.include_last is set (tag "ngd-last").  Baseline cells
-    cross-validate on the training set, refit, and score.  A diverged chain
-    becomes a failed cell rather than an exception.
+    score the kept-iterate average.  Baseline cells cross-validate on the
+    training set, refit, and score.  A diverged chain becomes a failed cell
+    rather than an exception.
     """
     cell = cell_inputs(cfg, teacher, n, replicate)
-    timing = cfg.output_timing == "wall"
-    start = time.perf_counter()
     try:
         if estimator == "ngd":
-            result = run_chain(cfg.schedule, cell.ngd, cell.data)
-            predictors = [("ngd", result.averaged_predictor())]
-            if cfg.sweep_include_last:
-                predictors.append(("ngd-last", result.last_predictor()))
+            predictor = run_chain(cfg.schedule, cell.ngd,
+                                  cell.data).averaged_predictor()
         else:
-            predictors = [(estimator, fit_baseline(cfg, cell, estimator)[1])]
+            predictor = fit_baseline(cfg, cell, estimator)[1]
     except ChainDivergence as exc:
         return [], f"{estimator} n={n} replicate={replicate}: {exc}"
-    wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
-    records = []
-    for tag, predictor in predictors:
-        mc = excess_risk_mc(teacher, predictor,
-                            n_test=cfg.risk_n_test, seed=cell.test_seed)
-        records.append(RiskRecord(estimator=tag, n=n, seed=cell.data.seed,
-                                  excess_risk=mc.value, stderr=mc.stderr,
-                                  wall_ms=wall_ms))
-    return records, None
+    mc = excess_risk_mc(teacher, predictor,
+                        n_test=cfg.risk_n_test, seed=cell.test_seed)
+    return [RiskRecord(estimator=estimator, n=n, seed=cell.data.seed,
+                       excess_risk=mc.value, stderr=mc.stderr)], None
 
 
 def _compute_cell(cfg, teacher, estimator, n, replicate, path):
@@ -310,8 +299,7 @@ def report(records, cfg):
             verdict = "no sampler records: no dominance verdict"
         else:
             worse = [name for name, fit in fits
-                     if name not in ("ngd", "ngd-last")
-                     and ngd_fit.exponent <= fit.exponent]
+                     if name != "ngd" and ngd_fit.exponent <= fit.exponent]
             if worse:
                 verdict = ("sampler does NOT dominate: slower or equal decay"
                            f" vs {', '.join(sorted(worse))}")

@@ -18,8 +18,6 @@ FLOAT_FMT = "%.17g"
 
 def format_value(value):
     """One header value: floats at full precision, sequences comma-joined."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return FLOAT_FMT % value
     if isinstance(value, (tuple, list)):

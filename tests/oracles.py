@@ -3,8 +3,8 @@
 Each restates a piece of the program another way (an explicit update
 scheme, a closed-form gradient bound, a one-call kernel gram, the zero
 combination, a zero-padded weight matrix, cross validation by full sorts and
-per-bandwidth grams, a ridge combination summed atom by atom through the
-two-sigmoid window), so the tests can check the program against it.
+per-bandwidth grams, the two-sigmoid window and a ridge combination summed
+atom by atom through it), so the tests can check the program against it.
 """
 
 import numpy as np
@@ -14,7 +14,8 @@ from scipy.special import zeta
 
 from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
                              _sq_dists, make_kernel)
-from ngdbench.lowerbound import RidgeApprox, sigmoid_window
+from ngdbench.lowerbound import RidgeApprox
+from ngdbench.model import sigmoid
 from ngdbench.ngd import _check_finite, apply_shrink, loss_grad
 
 
@@ -67,6 +68,14 @@ def loss_grad_bound(config, noise_bound):
 def kernel_eval(kind, x, z, config=None, **params):
     """Evaluate the named kernel on two point batches."""
     return make_kernel(kind, config=config, **params).gram(x, z)
+
+
+def sigmoid_window(t):
+    """Even smooth window (sigmoid(t+1) - sigmoid(t-1)) / 2, peak ~0.231:
+    the lemma's psi by its definition."""
+    arr = np.asarray(t, dtype=float)
+    out = np.asarray(0.5 * (sigmoid(arr + 1.0) - sigmoid(arr - 1.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def empty_approx(cfg):

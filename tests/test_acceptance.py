@@ -54,7 +54,6 @@ baselines = knn, nw
 sweep.n_values = 8, 16, 32
 sweep.replicates = 2
 risk.n_test = 400
-output.timing = none
 """
 
 
@@ -230,13 +229,12 @@ class TestAcceptance:
         n_values = (32, 64, 128, 256, 512)
         records = [RiskRecord(estimator="ngd", n=n, seed=rep,
                               excess_risk=3.2 * float(n) ** -0.75,
-                              stderr=0.0, wall_ms=0)
+                              stderr=0.0)
                    for n in n_values for rep in range(3)]
         fit = rate_fit(records)
         assert abs(fit.exponent - 0.75) <= 1e-12
         scaled = [RiskRecord(estimator=r.estimator, n=r.n, seed=r.seed,
-                             excess_risk=4.0 * r.excess_risk, stderr=0.0,
-                             wall_ms=0)
+                             excess_risk=4.0 * r.excess_risk, stderr=0.0)
                   for r in records]
         fit2 = rate_fit(scaled)
         assert fit2.slope == fit.slope

@@ -25,7 +25,6 @@ tune.folds = 4
 sweep.n_values = 8, 16, 32
 sweep.replicates = 1
 risk.n_test = 200
-output.timing = none
 lemma.h = 0.25
 lemma.direction_radius = 4
 lemma.quad_a = 16
@@ -189,7 +188,7 @@ class TestSweepAndReport:
         out = tmp_path / "short"
         out.mkdir()
         records = [RiskRecord(estimator="ngd", n=n, seed=0, excess_risk=0.1,
-                              stderr=0.0, wall_ms=0) for n in (8, 16)]
+                              stderr=0.0) for n in (8, 16)]
         save_records(out / "results.csv", records)
         assert main(["report", str(cfg_file), "--out", str(out)]) == 1
         assert "'ngd'" in capsys.readouterr().err

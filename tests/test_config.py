@@ -35,10 +35,8 @@ tune.folds = 4
 sweep.n_values = 64, 32, 128
 sweep.replicates = 2
 sweep.base_seed = 17
-sweep.include_last = true
 risk.n_test = 5000
 output.dir = out
-output.timing = none
 lemma.d = 2
 lemma.h = 0.5
 lemma.center = 0.4, 0.6
@@ -68,8 +66,6 @@ class TestParsing:
         assert cfg.grids == (("krr-rbf", "bandwidth", (0.5, 1.0)),
                              ("nw", "bandwidth", (0.1, 0.2, 0.4)))
         assert cfg.sweep_n_values == (32, 64, 128)  # sorted canonically
-        assert cfg.sweep_include_last is True
-        assert cfg.output_timing == "none"
         assert cfg.lemma == BumpApproxConfig(d=2, h=0.5, center=(0.4, 0.6),
                                              direction_radius=3.0, quad_a=16,
                                              quad_b=32, grid=9,
@@ -121,10 +117,6 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r":1: bad value for 'tune.folds'"):
             parse_config("tune.folds = soon\n")
 
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="true or false"):
-            parse_config("sweep.include_last = maybe\n")
-
     def test_grid_key_must_match_estimator_param(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("grid.knn.bandwidth = 0.5\n")
@@ -171,9 +163,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="repeats"):
             parse_config("sweep.n_values = 64, 64\n")
 
-    def test_timing_mode(self):
-        with pytest.raises(ConfigError, match="output.timing"):
-            parse_config("output.timing = cpu\n")
+    def test_removed_keys_unknown(self):
+        for line in ("output.timing = none", "sweep.include_last = false"):
+            with pytest.raises(ConfigError, match=r"<config>:1: unknown key"):
+                parse_config(line + "\n")
 
     def test_noise_kind(self):
         with pytest.raises(ConfigError, match="noise.kind"):

@@ -19,12 +19,11 @@ from ngdbench.lowerbound import (
     gauss_bump,
     gaussian_ball_mass,
     save_approx_csv,
-    sigmoid_window,
     sup_error,
     window_fourier_at_one,
 )
 from ngdbench.model import sigmoid
-from oracles import empty_approx, ridge_eval_sigmoid
+from oracles import empty_approx, ridge_eval_sigmoid, sigmoid_window
 
 
 def quick_cfg(**kw):
@@ -318,7 +317,7 @@ class TestEvaluator:
         def forbidden(*args, **kwargs):
             raise AssertionError("sigmoid called during evaluation")
 
-        monkeypatch.setattr(lowerbound, "sigmoid", forbidden)
+        assert not hasattr(lowerbound, "sigmoid")
         monkeypatch.setattr(model, "sigmoid", forbidden)
         monkeypatch.setattr(model, "expit", forbidden)
         monkeypatch.setattr(scipy.special, "expit", forbidden)
@@ -394,3 +393,22 @@ class TestApproxCsv:
         np.testing.assert_array_equal([float(r[2]) for r in rows],
                                       ap(cfg.eval_grid()))
         assert ap.reported_sup_error == sup_error(ap)
+
+    def test_atoms_are_certified_once(self, tmp_path, monkeypatch):
+        calls = []
+        split = RidgeApprox.sigma_atoms
+
+        def counted(self):
+            calls.append(self.n_atoms)
+            return split(self)
+
+        monkeypatch.setattr(RidgeApprox, "sigma_atoms", counted)
+        cfg = quick_cfg(quad_a=16, quad_b=32, grid=21)
+        ap = build_bump_approx(cfg)
+        assert calls == [16 * 32]
+        save_approx_csv(tmp_path / "bump.csv", ap)
+        assert calls == [16 * 32]
+        coef = split(ap)[0]
+        mass = [ln for ln in (tmp_path / "bump.csv").read_text().splitlines()
+                if ln.startswith("# atom_mass = ")]
+        assert mass == [f"# atom_mass = {float(np.abs(coef).sum()):.17g}"]

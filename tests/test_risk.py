@@ -1,6 +1,7 @@
 """Excess-risk Monte Carlo, rate fitting, and exponent calculators."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from ngdbench.risk import (
     load_records,
     nn_upper_exponent,
     rate_fit,
+    records_csv,
     save_records,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_teacher(d=2, seed=0):
@@ -28,7 +32,7 @@ def small_teacher(d=2, seed=0):
 
 def record(est="ngd", n=64, seed=0, risk=1.0):
     return RiskRecord(estimator=est, n=n, seed=seed, excess_risk=risk,
-                      stderr=0.0, wall_ms=0)
+                      stderr=0.0)
 
 
 class TestMonteCarloRisk:
@@ -154,8 +158,7 @@ class TestRecordsIo:
         rng = np.random.default_rng(5)
         records = [RiskRecord(estimator=est, n=n, seed=s,
                               excess_risk=float(rng.random()),
-                              stderr=float(rng.random() * 1e-3),
-                              wall_ms=int(rng.integers(1000)))
+                              stderr=float(rng.random() * 1e-3))
                    for est in ("ngd", "knn") for n in (8, 16) for s in (0, 1)]
         path = tmp_path / "records.csv"
         save_records(path, records[::-1])  # scrambled input order
@@ -167,6 +170,15 @@ class TestRecordsIo:
         save_records(path, [record()])
         first = path.read_text().splitlines()[0]
         assert first == "estimator,n,seed,excess_risk,stderr,wall_ms"
+
+    def test_reserved_last_column_is_zero(self):
+        assert record(risk=0.5).csv_row().split(",")[-1] == "0"
+
+    def test_committed_results_roundtrip(self):
+        path = REPO / "results" / "comparison" / "results.csv"
+        records = load_records(path)
+        assert len(records) == 180
+        assert records_csv(records) == path.read_text()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -37,7 +37,6 @@ tune.folds = 4
 sweep.n_values = 8, 16, 32
 sweep.replicates = 2
 risk.n_test = 400
-output.timing = none
 """
 
 
@@ -102,19 +101,6 @@ class TestRunCell:
         assert rec.n == 8
         assert rec.seed == derive_seed(0, 8, 0, "data")
         assert rec.excess_risk >= 0.0
-        assert rec.wall_ms == 0  # timing mode none
-
-    def test_include_last_adds_second_record(self):
-        cfg = tiny_config(**{"sweep.include_last": "true"})
-        teacher = resolve_teacher(cfg)
-        records, _ = run_cell(cfg, teacher, "ngd", 8, 0)
-        assert [r.estimator for r in records] == ["ngd", "ngd-last"]
-
-    def test_wall_timing_mode(self):
-        cfg = tiny_config(**{"output.timing": "wall"})
-        teacher = resolve_teacher(cfg)
-        records, _ = run_cell(cfg, teacher, "knn", 8, 0)
-        assert records[0].wall_ms >= 0
 
     def test_baseline_cell_deterministic(self):
         cfg = tiny_config()
@@ -316,7 +302,7 @@ class TestCellFiles:
     def test_record_cell_roundtrip(self, tmp_path):
         from ngdbench.sweep import _write_cell
         rec = RiskRecord(estimator="ngd", n=8, seed=5, excess_risk=0.25,
-                         stderr=0.01, wall_ms=12)
+                         stderr=0.01)
         path = tmp_path / "cell.csv"
         _write_cell(path, records=[rec])
         records, failed = load_cell(path)
@@ -332,7 +318,7 @@ def power_law_records(rho_by_est, n_values=(64, 128, 256, 512), reps=3):
                 records.append(RiskRecord(
                     estimator=est, n=n, seed=rep,
                     excess_risk=(1.0 + 0.05 * rep) * float(n) ** -rho,
-                    stderr=0.0, wall_ms=0))
+                    stderr=0.0))
     return records
 
 
@@ -370,13 +356,6 @@ class TestReport:
         rep = report(power_law_records({"nw": 0.4, "knn": 0.6}),
                      self.comparison_config())
         assert rep.verdict == "no sampler records: no dominance verdict"
-
-    def test_ngd_last_not_a_baseline(self):
-        rep = report(power_law_records({"ngd": 0.5, "ngd-last": 0.9,
-                                        "knn": 0.4}),
-                     self.comparison_config())
-        assert rep.verdict == \
-            "sampler dominates every baseline (faster decay)"
 
     def test_too_few_sizes_names_estimator(self):
         records = power_law_records({"ngd": 0.5}, n_values=(64, 128))
