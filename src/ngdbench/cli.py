@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .data import empirical_risk, save_dataset
-from .linear import save_estimator
+from .linear import ESTIMATOR_KINDS, save_estimator
 from .model import active_width, save_teacher, save_weights
 from .ngd import ChainDivergence, run_chain, save_trace
 from .lowerbound import build_bump_approx, save_approx_csv
@@ -63,8 +63,8 @@ def _build_parser():
 
     p = add("fit", "cross-validate and fit one baseline estimator")
     p.add_argument("--out", required=True, help="output estimator file")
-    p.add_argument("--estimator", required=True,
-                   help="baseline kind (krr-rbf, krr-ntk, krr-rf, knn, nw)")
+    p.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS,
+                   help="baseline kind")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--replicate", type=int, default=0, help="replicate index")
 

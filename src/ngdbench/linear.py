@@ -80,12 +80,6 @@ class RbfKernel:
         return self.from_sq_dists(sq, out=sq)
 
 
-def _feature_gram(features, X, Z):
-    """features(X) features(Z)^T, exactly symmetric when Z is X."""
-    FX = features(X)
-    return FX @ (FX if Z is X else features(Z)).T
-
-
 @dataclass(frozen=True)
 class _FrozenLayerKernel:
     """Feature kernel of a scheduled network's first layer, frozen at the
@@ -103,7 +97,9 @@ class _FrozenLayerKernel:
                               seed=self.seed).weights
 
     def gram(self, X, Z):
-        return _feature_gram(self.features, X, Z)
+        """features(X) features(Z)^T, exactly symmetric when Z is X."""
+        FX = self.features(X)
+        return FX @ (FX if Z is X else self.features(Z)).T
 
 
 class NtkKernel(_FrozenLayerKernel):
@@ -185,11 +181,12 @@ def _solve_regularized(K, ridge, y):
         return scipy.linalg.solve(A, y, assume_a="sym")
 
 
-def _kernel_params(kernel):
-    """Hyperparameters that rebuild the kernel, as an estimator reports them."""
-    if isinstance(kernel, RbfKernel):
-        return {"bandwidth": kernel.bandwidth}
-    return {"width": kernel.width, "seed": kernel.seed}
+def _row_blocks(n_rows, row_doubles):
+    """Slices of consecutive rows, about _CHUNK_DOUBLES doubles per block
+    when one row costs row_doubles.  Block shape moves gemm's rounding, so
+    the block sizes are part of every prediction's bits."""
+    step = max(1, _CHUNK_DOUBLES // max(1, row_doubles))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
 @dataclass
@@ -206,7 +203,6 @@ class KrrEstimator:
     ridge: float
     X: np.ndarray
     dual_coef: np.ndarray
-    params: dict
     train_features: InitVar[np.ndarray | None] = None
     # block map and the coefficients it is multiplied by
     _basis: object = field(init=False, repr=False, compare=False)
@@ -222,12 +218,18 @@ class KrrEstimator:
                 train_features = self._basis(self.X)
             self._coef = train_features.T @ self.dual_coef
 
+    @property
+    def params(self):
+        """Hyperparameters that rebuild the kernel, and the ridge."""
+        if isinstance(self.kernel, RbfKernel):
+            return {"bandwidth": self.kernel.bandwidth, "ridge": self.ridge}
+        return {"width": self.kernel.width, "seed": self.kernel.seed,
+                "ridge": self.ridge}
+
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        rows_per_chunk = max(1, _CHUNK_DOUBLES // max(1, self._coef.shape[0]))
         out = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], rows_per_chunk):
-            sl = slice(lo, lo + rows_per_chunk)
+        for sl in _row_blocks(x.shape[0], self._coef.shape[0]):
             out[sl] = self._basis(x[sl]) @ self._coef
         return out
 
@@ -247,9 +249,7 @@ def krr_fit(kind, data, ridge, config=None, **params):
     _check_finite(G, data.y)
     coef = _solve_regularized(G, ridge, data.y)
     return KrrEstimator(kind=kind, kernel=kernel, ridge=float(ridge),
-                        X=X, dual_coef=coef,
-                        params=dict(_kernel_params(kernel), ridge=float(ridge)),
-                        train_features=F)
+                        X=X, dual_coef=coef, train_features=F)
 
 
 def _k_smallest_sets(D, k):
@@ -278,10 +278,10 @@ def knn_predict(data, k, x):
     if not 1 <= k <= data.n:
         raise ValueError("k must lie in [1, n]")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows_per_chunk = max(1, _CHUNK_DOUBLES // data.n)
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], rows_per_chunk):
-        sl = slice(lo, lo + rows_per_chunk)
+    for sl in _row_blocks(x.shape[0], data.n):
+        # `sets` lives into the next block, so malloc keeps the heap top
+        # instead of returning it to the OS and faulting it back each block
         sets = _k_smallest_sets(_sq_dists(x[sl], data.X), k)
         out[sl] = data.y[sets].mean(axis=1)
     return out
@@ -293,12 +293,10 @@ def nw_predict(data, bandwidth, x):
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows_per_chunk = max(1, _CHUNK_DOUBLES // data.n)
     out = np.empty(x.shape[0])
     tiny = np.finfo(float).tiny
     kern = RbfKernel(bandwidth=bandwidth)
-    for lo in range(0, x.shape[0], rows_per_chunk):
-        sl = slice(lo, lo + rows_per_chunk)
+    for sl in _row_blocks(x.shape[0], data.n):
         sq = _sq_dists(x[sl], data.X)
         w = kern.from_sq_dists(sq)
         denom = w.sum(axis=1)
@@ -307,32 +305,24 @@ def nw_predict(data, bandwidth, x):
         vals[ok] = (w[ok] @ data.y) / denom[ok]
         if not np.all(ok):
             bad = np.flatnonzero(~ok)
-            sets = _k_smallest_sets(sq[bad], 1)
-            vals[bad] = data.y[sets[:, 0]]
+            vals[bad] = data.y[_k_smallest_sets(sq[bad], 1)[:, 0]]
         out[sl] = vals
     return out
 
 
 @dataclass
-class KnnEstimator:
+class LocalEstimator:
+    """k-NN mean (params {"k": k}) or Nadaraya-Watson average (params
+    {"bandwidth": h}) over the training set; params is the only copy."""
+
     kind: str
-    k: int
     data: object
     params: dict
 
     def __call__(self, x):
-        return knn_predict(self.data, self.k, x)
-
-
-@dataclass
-class NwEstimator:
-    kind: str
-    bandwidth: float
-    data: object
-    params: dict
-
-    def __call__(self, x):
-        return nw_predict(self.data, self.bandwidth, x)
+        if self.kind == "knn":
+            return knn_predict(self.data, self.params["k"], x)
+        return nw_predict(self.data, self.params["bandwidth"], x)
 
 
 def default_grid(kind, data=None):
@@ -394,15 +384,10 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     if data.n < folds or folds < 2:
         raise ValueError("need folds >= 2 and n >= folds")
     grid = grid if grid else default_grid(kind, data)
-    fold_idx = _fold_indices(data.n, folds, seed)
-    masks = []
-    all_idx = np.arange(data.n)
-    for va in fold_idx:
-        tr = np.setdiff1d(all_idx, va, assume_unique=False)
-        masks.append((tr, va))
-
+    masks = [(np.setdiff1d(np.arange(data.n), va), va)
+             for va in _fold_indices(data.n, folds, seed)]
     combos = list(_combo_iter(grid))
-    sq_err = {i: 0.0 for i in range(len(combos))}
+    sq_err = [0.0] * len(combos)
 
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
         bandwidths = sorted(set(c.get("bandwidth", None) for c in combos))
@@ -453,14 +438,10 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
                 resid = nw_predict(sub, combo["bandwidth"], data.X[va]) - data.y[va]
                 sq_err[i] += float(resid @ resid)
 
-    table = tuple((combos[i], sq_err[i] / data.n) for i in range(len(combos)))
-    best_i = 0
-    for i in range(1, len(combos)):
-        if table[i][1] < table[best_i][1]:
-            best_i = i
-    return TuneResult(kind=kind, params=dict(combos[best_i]),
-                      score=table[best_i][1], table=table, folds=folds,
-                      seed=seed)
+    table = tuple((combo, err / data.n) for combo, err in zip(combos, sq_err))
+    best, score = min(table, key=lambda row: row[1])  # first of equal scores
+    return TuneResult(kind=kind, params=dict(best), score=score, table=table,
+                      folds=folds, seed=seed)
 
 
 def fit_estimator(kind, data, params, config=None, kernel_seed=0):
@@ -471,11 +452,10 @@ def fit_estimator(kind, data, params, config=None, kernel_seed=0):
         return krr_fit(kind, data, params["ridge"], config=config,
                        width=_kernel_width(data), seed=kernel_seed)
     if kind == "knn":
-        return KnnEstimator(kind=kind, k=int(params["k"]), data=data,
-                            params=dict(params))
+        return LocalEstimator(kind, data, {"k": int(params["k"])})
     if kind == "nw":
-        return NwEstimator(kind=kind, bandwidth=float(params["bandwidth"]),
-                           data=data, params=dict(params))
+        return LocalEstimator(kind, data,
+                              {"bandwidth": float(params["bandwidth"])})
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
@@ -492,14 +472,13 @@ def save_estimator(path, est):
         else:
             header.update(width=kern.width, kernel_seed=kern.seed,
                           **asdict(kern.config))
-        header["n"] = est.X.shape[0]
         sections = [("inputs", est.X), ("dual_coef", est.dual_coef[:, None])]
-    elif isinstance(est, (KnnEstimator, NwEstimator)):
+    elif isinstance(est, LocalEstimator):
         header.update(sorted(est.params.items()))
-        header["n"] = est.data.n
         sections = [("train", np.column_stack([est.data.X, est.data.y]))]
     else:
         raise TypeError(f"cannot serialize {type(est).__name__}")
+    header["n"] = len(sections[0][1])  # training points
     write_text(path, "ngdbench estimator", header, sections)
 
 
@@ -516,18 +495,9 @@ def load_estimator(path):
             kern = make_kernel(kind, config=schedule_from_header(header),
                                width=int(header["width"]),
                                seed=int(header["kernel_seed"]))
-        ridge = float(header["ridge"])
-        return KrrEstimator(kind=kind, kernel=kern, ridge=ridge, X=X,
-                            dual_coef=coef,
-                            params=dict(_kernel_params(kern), ridge=ridge))
+        return KrrEstimator(kind=kind, kernel=kern,
+                            ridge=float(header["ridge"]), X=X, dual_coef=coef)
     arr = np.asarray(rows["train"], dtype=float)
     ds = Dataset(X=arr[:, :-1], y=arr[:, -1], noise_bound=0.0,
                  noise_kind="none", seed=None)
-    if kind == "knn":
-        return KnnEstimator(kind=kind, k=int(header["k"]), data=ds,
-                            params={"k": int(header["k"])})
-    if kind == "nw":
-        bw = float(header["bandwidth"])
-        return NwEstimator(kind=kind, bandwidth=bw, data=ds,
-                           params={"bandwidth": bw})
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return fit_estimator(kind, ds, header)

@@ -205,7 +205,6 @@ class RidgeApprox:
     directions: np.ndarray  # (N, d) ridge directions a_k
     offsets: np.ndarray     # (N,)   offsets b_k
     coefs: np.ndarray       # (N,)   quadrature coefficients (scale included)
-    reported_sup_error: float = math.nan
 
     @property
     def scale(self):
@@ -242,6 +241,12 @@ class RidgeApprox:
         bump = cfg.scale * gauss_bump(cfg.center, cfg.h, pts)
         vals = self(pts)
         return pts, bump, vals, np.abs(vals - bump)
+
+    @cached_property
+    def reported_sup_error(self):
+        """Sup error on the config grid, from on_grid with the arithmetic of
+        sup_error(), so it equals sup_error(self) exactly."""
+        return float(self.on_grid[3].max())
 
     @cached_property
     def _eval_form(self):
@@ -330,11 +335,7 @@ class RidgeApprox:
 
 def build_bump_approx(cfg):
     """Assemble the quadrature combination, certify its atom constraints and
-    record its sup error on the config grid.
-
-    The error is taken from approx.on_grid, the one evaluation of the
-    combination on the grid, with the arithmetic of sup_error(), so
-    reported_sup_error == sup_error(approx) exactly."""
+    evaluate its sup error on the config grid (approx.reported_sup_error)."""
     Db = cfg.offset_radius
     a_nodes, a_w = _direction_nodes(cfg)           # (Na, d), (Na,)
     xb, wb = np.polynomial.legendre.leggauss(cfg.quad_b)
@@ -346,7 +347,7 @@ def build_bump_approx(cfg):
                          offsets=np.tile(b_nodes, a_w.size),
                          coefs=(a_w[:, None] * b_w[None, :]).ravel() * cfg.scale)
     approx.check_atoms()
-    approx.reported_sup_error = float(approx.on_grid[3].max())
+    approx.reported_sup_error  # the grid evaluation belongs to the build
     return approx
 
 

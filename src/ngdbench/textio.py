@@ -46,7 +46,8 @@ def parse_text(text, source, sections=()):
     Returns (header, lines, rows): header maps each key to its value string
     in file order, lines maps each key to its line number, and rows maps
     each section name to its list of float rows.  A header line without
-    '=' and a repeated key raise ValueError naming source and line.
+    '=', a repeated key, a non-numeric token and a row whose length differs
+    from its section's first row raise ValueError naming source and line.
     """
     header, lines, rows = {}, {}, {name: [] for name in sections}
     current = None
@@ -54,19 +55,25 @@ def parse_text(text, source, sections=()):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.endswith(":") and line[:-1] in rows:
-            current = rows[line[:-1]]
-        elif current is not None:
-            current.append([float(tok) for tok in line.split()])
-        elif "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value'")
-        else:
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key in lines:
-                raise ValueError(f"{source}:{lineno}: duplicate key {key!r}"
-                                 f" (first set on line {lines[key]})")
-            header[key], lines[key] = val.strip(), lineno
+        try:
+            if line.endswith(":") and line[:-1] in rows:
+                current = rows[line[:-1]]
+            elif current is not None:
+                current.append([float(tok) for tok in line.split()])
+                if len(current[-1]) != len(current[0]):
+                    raise ValueError(f"{len(current[-1])} values, the section's"
+                                     f" first row has {len(current[0])}")
+            elif "=" not in line:
+                raise ValueError("expected 'key = value'")
+            else:
+                key, _, val = line.partition("=")
+                key = key.strip()
+                if key in lines:
+                    raise ValueError(f"duplicate key {key!r} (first set on"
+                                     f" line {lines[key]})")
+                header[key], lines[key] = val.strip(), lineno
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
     return header, lines, rows
 
 

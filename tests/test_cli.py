@@ -149,9 +149,11 @@ class TestArtifacts:
         assert est(np.array([[0.5]])).shape == (1,)
 
     def test_fit_unknown_estimator(self, cfg_file, tmp_path, capsys):
-        assert main(["fit", str(cfg_file), "--out", str(tmp_path / "e.txt"),
-                     "--estimator", "spline", "--n", "16"]) == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["fit", str(cfg_file), "--out", str(tmp_path / "e.txt"),
+                  "--estimator", "spline", "--n", "16"])
+        assert err.value.code == 1
+        assert "invalid choice: 'spline'" in capsys.readouterr().err
 
     def test_lemma(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "bump.csv"

@@ -392,7 +392,7 @@ class TestSinglePass:
                       1e-4, config=cfg, width=6, seed=1)
         calls = counting(monkeypatch, NtkKernel, "features")
         est = KrrEstimator(kind=fit.kind, kernel=fit.kernel, ridge=fit.ridge,
-                           X=fit.X, dual_coef=fit.dual_coef, params=fit.params)
+                           X=fit.X, dual_coef=fit.dual_coef)
         features = 6 * (2 + 2)
         monkeypatch.setattr(linear, "_CHUNK_DOUBLES", 10 * features)
         est(rng.random((35, 2)))  # blocks of 10 rows: 3 full, one of 5
@@ -568,6 +568,27 @@ class TestSerialization:
             np.testing.assert_array_equal(back(xq), est(xq))
             assert back.params == est.params == params
 
+    def test_hand_built_krr_reports_its_kernel(self):
+        est = KrrEstimator(kind="krr-ntk",
+                           kernel=NtkKernel(config=schedule(d=1), width=3,
+                                            seed=2),
+                           ridge=1e-4, X=np.array([[0.25], [0.75]]),
+                           dual_coef=np.array([2.0, 0.1]))
+        assert est.params == {"width": 3, "seed": 2, "ridge": 1e-4}
+
+    def test_local_saves_the_k_it_predicts_with(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = dataset(rng.random((9, 2)), rng.normal(size=9))
+        xq = rng.random((4, 2))
+        path = tmp_path / "knn.txt"
+        save_estimator(path, linear.LocalEstimator("knn", data, {"k": 3}))
+        back = load_estimator(path)
+        assert back.params == {"k": 3}
+        np.testing.assert_array_equal(back(xq), knn_predict(data, 3, xq))
+        # fit_estimator keeps the one hyperparameter, coerced
+        assert fit_estimator("nw", data, {"bandwidth": 1, "k": 2}).params == {
+            "bandwidth": 1.0}
+
     def test_file_bytes(self, tmp_path):
         # exact text of one file per header layout: rbf, schedule, local
         cfg = ScheduleConfig(d=1, R=2.0, gamma=1.5, alpha1=1.0, alpha2=4.0,
@@ -576,14 +597,12 @@ class TestSerialization:
         X1 = np.array([[0.25], [0.75]])
         cases = [
             (KrrEstimator(kind="krr-rbf", kernel=RbfKernel(bandwidth=0.5),
-                          ridge=0.001, X=X2, dual_coef=np.array([1.5, -0.5]),
-                          params={"bandwidth": 0.5, "ridge": 0.001}),
+                          ridge=0.001, X=X2, dual_coef=np.array([1.5, -0.5])),
              "kind = krr-rbf\nridge = 0.001\nbandwidth = 0.5\nn = 2\n"
              "inputs:\n0.25 0.5\n0.75 1\ndual_coef:\n1.5\n-0.5\n"),
             (KrrEstimator(kind="krr-ntk",
                           kernel=NtkKernel(config=cfg, width=3, seed=2),
-                          ridge=1e-4, X=X1, dual_coef=np.array([2.0, 0.1]),
-                          params={"width": 3, "ridge": 1e-4}),
+                          ridge=1e-4, X=X1, dual_coef=np.array([2.0, 0.1])),
              "kind = krr-ntk\nridge = 0.0001\nwidth = 3\nkernel_seed = 2\n"
              "d = 1\nR = 2\ngamma = 1.5\nalpha1 = 1\nalpha2 = 4\ns = 3\n"
              "c_mu = 0.5\nn = 2\ninputs:\n0.25\n0.75\ndual_coef:\n2\n"

@@ -191,6 +191,10 @@ class TestBuild:
         # the zero function misses the bump peak by exactly scale
         assert math.isclose(sup_error(ap), ap.scale, rel_tol=1e-12)
 
+    def test_hand_built_reports_its_sup_error(self):
+        ap = empty_approx(quick_cfg(grid=64))
+        assert ap.reported_sup_error == sup_error(ap) > 0.0
+
     def test_point_dimension_validated(self):
         ap = empty_approx(quick_cfg())
         with pytest.raises(ValueError):

@@ -420,6 +420,25 @@ class TestSerialization:
         assert cfg2 == cfg
         np.testing.assert_array_equal(back, stack)
 
+    # lines 9-12 of a two-snapshot file with M = 1; its second row is line 13
+    BLOCKS = "M = 1\nsnapshots = 2\nblocks:\n0.5 -0.25 0.125\n"
+
+    def test_non_numeric_row_names_its_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# ngdbench weights\n" + self.GOLDEN_HEADER
+                        + self.BLOCKS + "0.1 x 0.3\n")
+        with pytest.raises(ValueError, match=r"w\.txt:13: could not convert"
+                                             r" string to float: 'x'"):
+            load_weights(path)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# ngdbench weights\n" + self.GOLDEN_HEADER
+                        + self.BLOCKS + "0.1 0.2\n")
+        with pytest.raises(ValueError, match=r"w\.txt:13: 2 values, the"
+                                             r" section's first row has 3"):
+            load_weights(path)
+
     def test_weights_round_trip_stack(self, tmp_path):
         cfg = default_config(d=2)
         stack = np.random.default_rng(1).normal(size=(4, 2, 4))
