@@ -35,23 +35,24 @@ risk.n_test = 4000
 
 def main():
     cfg = parse_config(CONFIG)
-    out = Path(tempfile.mkdtemp(prefix="ngdbench-demo-")) / "sweep"
-    print(f"running {len(cfg.sweep_n_values)} sizes x "
-          f"{cfg.sweep_replicates} replicates x 2 estimators -> {out}")
-    records = run_sweep(cfg, out_dir=out)
+    with tempfile.TemporaryDirectory(prefix="ngdbench-demo-") as tmp:
+        out = Path(tmp) / "sweep"
+        print(f"running {len(cfg.sweep_n_values)} sizes x "
+              f"{cfg.sweep_replicates} replicates x 2 estimators -> {out}")
+        records = run_sweep(cfg, out_dir=out)
 
-    results = out / RESULTS_NAME
-    print(f"{len(records)} records; first three rows of {results.name}:")
-    for line in results.read_text().splitlines()[:4]:
-        print(f"  {line}")
+        results = out / RESULTS_NAME
+        print(f"{len(records)} records; first three rows of {results.name}:")
+        for line in results.read_text().splitlines()[:4]:
+            print(f"  {line}")
 
-    # Rerunning resumes: every cell file already exists, nothing recomputes,
-    # and the merged results are byte-identical (every cell is a pure
-    # function of the config).
-    before = results.read_bytes()
-    run_sweep(cfg, out_dir=out)
-    print(f"resume reproduced results byte-identically: "
-          f"{results.read_bytes() == before}")
+        # Rerunning resumes: every cell file already exists, nothing
+        # recomputes, and the merged results are byte-identical (every cell
+        # is a pure function of the config).
+        before = results.read_bytes()
+        run_sweep(cfg, out_dir=out)
+        print(f"resume reproduced results byte-identically: "
+              f"{results.read_bytes() == before}")
 
     rep = report(records, cfg)
     print("\n" + str(rep))

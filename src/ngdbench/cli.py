@@ -49,8 +49,8 @@ def _build_parser():
     p = add("teacher", "sample the teacher network and write it to a file")
     p.add_argument("--out", required=True, help="output teacher file")
 
-    p = add("data", "draw one training set and write it as CSV")
-    p.add_argument("--out", required=True, help="output dataset CSV")
+    p = add("data", "draw one training set and write it to a file")
+    p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--replicate", type=int, default=0, help="replicate index")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import eval_network
-from .textio import FLOAT_FMT
+from .textio import read_text, write_text
 
 __all__ = ["Dataset", "generate_dataset", "empirical_risk", "save_dataset",
            "load_dataset", "NOISE_KINDS"]
@@ -83,39 +83,28 @@ def empirical_risk(config, W, data):
 
 
 def save_dataset(path, data):
-    """Write the sample as CSV: header x1..xd,y then one row per point."""
-    cols = [f"x{j + 1}" for j in range(data.d)] + ["y"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write(f"# noise_bound = {FLOAT_FMT % data.noise_bound}\n")
-        fh.write(f"# noise_kind = {data.noise_kind}\n")
-        fh.write(f"# seed = {'none' if data.seed is None else data.seed}\n")
-        for xi, yi in zip(data.X, data.y):
-            row = [FLOAT_FMT % v for v in xi] + [FLOAT_FMT % yi]
-            fh.write(",".join(row) + "\n")
+    """Write the sample in the shared text format: noise and seed in the
+    header, one `x1 .. xd y` row per point in the `train:` section."""
+    write_text(path, "ngdbench dataset",
+               {"noise_bound": data.noise_bound, "noise_kind": data.noise_kind,
+                "seed": "none" if data.seed is None else data.seed},
+               [("train", np.column_stack([data.X, data.y]))])
 
 
 def load_dataset(path):
-    """Read a CSV written by save_dataset; round trip is exact."""
-    meta = {"noise_bound": "0", "noise_kind": "none", "seed": "none"}
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "y":
-            raise ValueError(f"{path}: expected trailing y column")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged or empty data")
-    seed = None if meta["seed"] == "none" else int(meta["seed"])
+    """Read a file written by save_dataset; round trip is exact."""
+    header, _, rows = read_text(path, ("train",))
+    return dataset_from_header(header, rows["train"])
+
+
+def dataset_from_header(header, train):
+    """The Dataset of a parsed header and its `train:` rows; noise and seed
+    keys the header lacks read as noise-free and unseeded."""
+    if not train:
+        raise ValueError("no train: rows")
+    arr = np.asarray(train, dtype=float)
+    seed = header.get("seed", "none")
     return Dataset(X=arr[:, :-1], y=arr[:, -1],
-                   noise_bound=float(meta["noise_bound"]),
-                   noise_kind=meta["noise_kind"], seed=seed)
+                   noise_bound=float(header.get("noise_bound", 0.0)),
+                   noise_kind=header.get("noise_kind", "none"),
+                   seed=None if seed == "none" else int(seed))

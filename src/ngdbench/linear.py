@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 import scipy.linalg
 
-from .data import Dataset
+from .data import Dataset, dataset_from_header
 from .model import (
     ScheduleConfig,
     sample_teacher,
@@ -486,18 +486,18 @@ def load_estimator(path):
     """Inverse of save_estimator; krr round trips exactly."""
     header, _, rows = read_text(path, ("inputs", "dual_coef", "train"))
     kind = header["kind"]
-    if kind.startswith("krr"):
-        X = np.asarray(rows["inputs"], dtype=float)
-        coef = np.asarray(rows["dual_coef"], dtype=float).ravel()
-        if kind == "krr-rbf":
-            kern = RbfKernel(bandwidth=float(header["bandwidth"]))
-        else:
-            kern = make_kernel(kind, config=schedule_from_header(header),
-                               width=int(header["width"]),
-                               seed=int(header["kernel_seed"]))
-        return KrrEstimator(kind=kind, kernel=kern,
-                            ridge=float(header["ridge"]), X=X, dual_coef=coef)
-    arr = np.asarray(rows["train"], dtype=float)
-    ds = Dataset(X=arr[:, :-1], y=arr[:, -1], noise_bound=0.0,
-                 noise_kind="none", seed=None)
-    return fit_estimator(kind, ds, header)
+    if not kind.startswith("krr"):
+        return fit_estimator(kind, dataset_from_header(header, rows["train"]),
+                             header)
+    ridge = float(header["ridge"])
+    if ridge <= 0:
+        raise ValueError("ridge must be > 0")
+    if kind == "krr-rbf":
+        kern = make_kernel(kind, bandwidth=float(header["bandwidth"]))
+    else:
+        kern = make_kernel(kind, config=schedule_from_header(header),
+                           width=int(header["width"]),
+                           seed=int(header["kernel_seed"]))
+    X = np.asarray(rows["inputs"], dtype=float)
+    coef = np.asarray(rows["dual_coef"], dtype=float).ravel()
+    return KrrEstimator(kind=kind, kernel=kern, ridge=ridge, X=X, dual_coef=coef)

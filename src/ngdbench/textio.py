@@ -3,9 +3,9 @@
 A file is a header of `key = value` lines, optionally followed by named
 sections: a `name:` line, then one whitespace-separated row of floats per
 line.  Full-line `#` comments and blank lines are ignored everywhere.
-Experiment configs, teachers, weight snapshots and fitted estimators all
-use it.  Floats are written with 17 significant digits, so every round trip
-is exact.
+Experiment configs, teachers, weight snapshots, datasets and fitted
+estimators all use it.  Floats are written with 17 significant digits, so
+every round trip is exact.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ class TestArtifacts:
         assert teacher.config.d == 1
 
     def test_data(self, cfg_file, tmp_path, capsys):
-        out = tmp_path / "train.csv"
+        out = tmp_path / "train.txt"
         assert main(["data", str(cfg_file), "--out", str(out),
                      "--n", "16"]) == 0
         data = load_dataset(out)

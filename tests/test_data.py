@@ -140,13 +140,13 @@ class TestArrayOwnership:
 
 
 class TestSerialization:
-    """CSV round-trip with metadata comments."""
+    """Round trips through the shared text format."""
 
     def test_round_trip(self, tmp_path):
         t = make_teacher(d=2)
         data = generate_dataset(t, n=25, noise_bound=0.15,
                                 noise_kind="scaled-rademacher", seed=21)
-        path = tmp_path / "data.csv"
+        path = tmp_path / "data.txt"
         save_dataset(path, data)
         back = load_dataset(path)
         np.testing.assert_array_equal(back.X, data.X)
@@ -155,10 +155,42 @@ class TestSerialization:
         assert back.noise_kind == data.noise_kind
         assert back.seed == data.seed
 
-    def test_header_names_coordinates(self, tmp_path):
-        t = make_teacher(d=3)
-        data = generate_dataset(t, n=4, noise_bound=0.1, seed=0)
-        path = tmp_path / "data.csv"
+    def test_file_bytes(self, tmp_path):
+        data = Dataset(X=[[0.25, 0.5], [0.75, 1.0]], y=[0.5, -1.0],
+                       noise_bound=0.1, noise_kind="uniform", seed=None)
+        path = tmp_path / "data.txt"
         save_dataset(path, data)
-        header = path.read_text().splitlines()[0]
-        assert header == "x1,x2,x3,y"
+        assert path.read_text() == (
+            "# ngdbench dataset\nnoise_bound = 0.10000000000000001\n"
+            "noise_kind = uniform\nseed = none\ntrain:\n0.25 0.5 0.5\n"
+            "0.75 1 -1\n")
+        assert load_dataset(path).seed is None
+
+    def test_missing_keys_read_as_defaults(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("train:\n0.25 0.5 1\n0.75 1 -1\n")
+        back = load_dataset(path)
+        np.testing.assert_array_equal(back.X, [[0.25, 0.5], [0.75, 1.0]])
+        np.testing.assert_array_equal(back.y, [1.0, -1.0])
+        assert (back.noise_bound, back.noise_kind, back.seed) == (
+            0.0, "none", None)
+
+    def test_non_numeric_token_names_its_line(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("seed = 3\ntrain:\n0.5 1\n0.5 abc\n")
+        with pytest.raises(ValueError, match=r"data\.txt:4: could not convert"
+                                             r" string to float: 'abc'"):
+            load_dataset(path)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("seed = 3\ntrain:\n0.5 0.25 1\n0.5 1\n")
+        with pytest.raises(ValueError, match=r"data\.txt:4: 2 values, the"
+                                             r" section's first row has 3"):
+            load_dataset(path)
+
+    def test_no_rows_is_an_error(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("seed = 3\ntrain:\n")
+        with pytest.raises(ValueError, match="no train: rows"):
+            load_dataset(path)

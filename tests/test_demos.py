@@ -13,8 +13,10 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files a demo writes under pytest's temporary directory
+    # a demo's temporary files go under TMPDIR, and it removes them before
+    # it exits
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.iterdir()), "demo left files in TMPDIR"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ngdbench import linear
-from ngdbench.data import Dataset, generate_dataset
+from ngdbench.data import Dataset, generate_dataset, save_dataset
 from ngdbench.linear import (
     ESTIMATOR_KINDS,
     KrrEstimator,
@@ -619,3 +619,28 @@ class TestSerialization:
             back = load_estimator(path)
             x = xq[:, :est.X.shape[1]] if hasattr(est, "X") else xq
             np.testing.assert_array_equal(back(x), est(x))
+
+    @pytest.mark.parametrize("ridge, bandwidth, message", [
+        ("0.001", "-0.5", "positive bandwidth"),
+        ("-1", "0.5", "ridge must be > 0"),
+        ("0", "0.5", "ridge must be > 0")])
+    def test_load_rejects_what_krr_fit_rejects(self, tmp_path, ridge,
+                                               bandwidth, message):
+        path = tmp_path / "est.txt"
+        path.write_text(f"kind = krr-rbf\nridge = {ridge}\n"
+                        f"bandwidth = {bandwidth}\nn = 2\ninputs:\n0.25\n"
+                        "0.75\ndual_coef:\n1.5\n-0.5\n")
+        with pytest.raises(ValueError, match=message):
+            load_estimator(path)
+
+    def test_knn_train_section_is_the_dataset_file(self, tmp_path):
+        teacher = sample_teacher(schedule(d=2), 3, radius=0.9, seed=0)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=1)
+        save_dataset(tmp_path / "data.txt", data)
+        save_estimator(tmp_path / "knn.txt",
+                       fit_estimator("knn", data, {"k": 2}))
+        data_text, knn_text = ((tmp_path / name).read_text()
+                               for name in ("data.txt", "knn.txt"))
+        section = data_text[data_text.index("train:\n"):]
+        assert knn_text[knn_text.index("train:\n"):] == section
+        assert section.count("\n") == 13
