@@ -15,8 +15,6 @@ from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-import scipy.linalg
 
 from .data import Dataset, dataset_from_header
 from .model import (
@@ -146,6 +144,8 @@ def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
     if kind in ("krr-ntk", "krr-rf"):
         if config is None or width is None:
             raise ValueError(f"{kind} needs a ScheduleConfig and a width")
+        if width < 1:
+            raise ValueError(f"{kind} needs a width >= 1")
         cls = NtkKernel if kind == "krr-ntk" else RandomFeatureKernel
         return cls(config=config, width=int(width), seed=int(seed))
     raise ValueError(f"unknown kernel kind {kind!r}")
@@ -167,7 +167,12 @@ def _solve_regularized(K, ridge, y):
     the factorization fails (a semi-definite gram plus a tiny ridge can lose
     positivity to roundoff) the solve falls back to scipy's
     symmetric-indefinite solver.
+
+    scipy.linalg is imported here, its only use in the package, so a
+    process that solves no kernel system never loads scipy.
     """
+    from scipy.linalg import cho_factor, cho_solve, solve
+
     A = K.copy()
     A.flat[::A.shape[0] + 1] += ridge
     try:
@@ -177,8 +182,8 @@ def _solve_regularized(K, ridge, y):
         # condition number, and the refreshed residual solve buys back the
         # digits the factorization loses there
         return coef + cho_solve(factor, y - A @ coef, check_finite=False)
-    except LinAlgError:
-        return scipy.linalg.solve(A, y, assume_a="sym")
+    except np.linalg.LinAlgError:
+        return solve(A, y, assume_a="sym")
 
 
 def _row_blocks(n_rows, row_doubles):
@@ -216,7 +221,12 @@ class KrrEstimator:
             self._basis = self.kernel.features
             if train_features is None:
                 train_features = self._basis(self.X)
-            self._coef = train_features.T @ self.dual_coef
+            # |c| grows like 1/ridge while F^T c stays O(1): accumulating in
+            # extended precision keeps that cancellation out of the
+            # prediction's digits (the plain product where long double is
+            # double)
+            self._coef = np.einsum("ij,i->j", train_features, self.dual_coef,
+                                   dtype=np.longdouble).astype(float)
 
     @property
     def params(self):
@@ -290,7 +300,7 @@ def knn_predict(data, k, x):
 def nw_predict(data, bandwidth, x):
     """Gaussian-kernel local average; rows whose weights all underflow fall
     back to the 1-nearest-neighbor value."""
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError("bandwidth must be > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0])
@@ -318,6 +328,10 @@ class LocalEstimator:
     kind: str
     data: object
     params: dict
+
+    def __post_init__(self):
+        # the predictor checks k or the bandwidth: run it on no points
+        self(self.data.X[:0])
 
     def __call__(self, x):
         if self.kind == "knn":
@@ -483,10 +497,17 @@ def save_estimator(path, est):
 
 
 def load_estimator(path):
-    """Inverse of save_estimator; krr round trips exactly."""
+    """Inverse of save_estimator; krr round trips exactly.  The header's n
+    must count the training rows, and a krr file must hold one dual
+    coefficient per input row."""
     header, _, rows = read_text(path, ("inputs", "dual_coef", "train"))
     kind = header["kind"]
-    if not kind.startswith("krr"):
+    section = "inputs" if kind.startswith("krr") else "train"
+    n = len(rows[section])
+    if int(header["n"]) != n:
+        raise ValueError(f"{path}: header n = {header['n']} but {n} rows in"
+                         f" {section}:")
+    if section == "train":
         return fit_estimator(kind, dataset_from_header(header, rows["train"]),
                              header)
     ridge = float(header["ridge"])
@@ -498,6 +519,10 @@ def load_estimator(path):
         kern = make_kernel(kind, config=schedule_from_header(header),
                            width=int(header["width"]),
                            seed=int(header["kernel_seed"]))
-    X = np.asarray(rows["inputs"], dtype=float)
-    coef = np.asarray(rows["dual_coef"], dtype=float).ravel()
-    return KrrEstimator(kind=kind, kernel=kern, ridge=ridge, X=X, dual_coef=coef)
+    coef = np.asarray(rows["dual_coef"], dtype=float)
+    if coef.shape != (n, 1):
+        raise ValueError(f"{path}: dual_coef: has shape {coef.shape},"
+                         f" expected ({n}, 1), one value per inputs: row")
+    return KrrEstimator(kind=kind, kernel=kern, ridge=ridge,
+                        X=np.asarray(rows["inputs"], dtype=float),
+                        dual_coef=coef.ravel())

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc
 
 from .textio import FLOAT_FMT
 
@@ -79,13 +78,42 @@ def gauss_bump(center, h, x):
 
 def gaussian_ball_mass(d, radius):
     """Standard-Gaussian mass of the centered ball of given radius in R^d:
-    the chi-square CDF P(chi2_d <= radius^2), a regularized lower incomplete
-    gamma function."""
+    the chi-square CDF P(chi2_d <= radius^2), the regularized lower
+    incomplete gamma function P(a, x) at a = d/2, x = radius^2/2.
+
+    From x = a on, P = 1 - Q with Q's terminating sum for integer and
+    half-integer a:
+
+        Q(k, x)       = e^-x sum_{j<k} x^j / j!
+        Q(k + 1/2, x) = erfc(sqrt x) + e^-x sum_{j=1..k} x^(j-1/2) / Gamma(j+1/2)
+
+    Below it P is small and 1 - Q would cancel, so P is summed from its
+    power series x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)), whose
+    terms are all positive.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if radius <= 0:
         return 0.0
-    return float(gammainc(d / 2.0, radius * radius / 2.0))
+    a, x = d / 2.0, radius * radius / 2.0
+    if x < a:
+        term = total = x**a * math.exp(-x) / math.gamma(a + 1.0)
+        k = a + 1.0
+        while term > total * 1e-17:
+            term *= x / k
+            total += term
+            k += 1.0
+        return total
+    if x == math.inf:
+        return 1.0
+    # Q's terms e^-x x^(j-1) / Gamma(j), from j = 1 or j = 3/2
+    upper, j = (math.erfc(math.sqrt(x)), 1.5) if d % 2 else (0.0, 1.0)
+    term = x ** (j - 1.0) * math.exp(-x) / math.gamma(j)
+    for _ in range(d // 2):
+        upper += term
+        term *= x / j
+        j += 1.0
+    return 1.0 - upper
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .textio import read_text, write_text
 
@@ -44,8 +43,25 @@ __all__ = [
     "load_weights",
 ]
 
-# the logistic function 1/(1+exp(-u)); a float64 scalar for scalar input
-sigmoid = expit
+
+def _neg_logistic(v):
+    """In place: v <- 1 / (1 + exp(v)), the logistic of -v; returns v.
+
+    Where exp(v) overflows the result is exactly 0, and NaN stays NaN.  The
+    caller holds np.errstate(over="ignore")."""
+    np.exp(v, v)
+    v += 1.0
+    return np.reciprocal(v, v)
+
+
+def sigmoid(u):
+    """The logistic function 1/(1+exp(-u)): _neg_logistic on a negated float
+    copy of u, so it is the chain's logistic bitwise.  Exactly 0 and 1 where
+    it saturates; a float64 scalar for scalar input."""
+    v = np.array(u, dtype=float)
+    np.negative(v, out=v)
+    with np.errstate(over="ignore"):
+        return _neg_logistic(v)[()]
 
 
 def sigmoid_deriv(u):

@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import empirical_risk
-from .model import (active_width, eval_network, h_norm, hgamma_norm,
-                    soft_clip, with_ones)
+from .model import (_neg_logistic, active_width, eval_network, h_norm,
+                    hgamma_norm, soft_clip, with_ones)
 from .textio import FLOAT_FMT
 
 __all__ = [
@@ -121,17 +121,6 @@ def apply_shrink(config, eta, lam, W):
     return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
 
 
-def _neg_logistic(v):
-    """In place: v <- 1 / (1 + exp(v)), the logistic of -v; returns v.
-
-    Agrees with model.sigmoid(-v) to 5e-16 relative wherever that is a
-    normal float; where exp(v) overflows, both give exactly 0.  The caller
-    holds np.errstate(over="ignore")."""
-    np.exp(v, v)
-    v += 1.0
-    return np.reciprocal(v, v)
-
-
 class _GradKernel:
     """The gradient kernel behind loss_grad, step and run_chain, built once
     per (config, M, data): per-block constants folded and every temporary
@@ -214,7 +203,8 @@ def loss_grad(config, W, data):
     most R sum_{m > a} amp(m) width(m)^s, both below eps relative to
     block 1's scales.
 
-    The logistic is _neg_logistic, within 5e-16 relative of model.sigmoid.
+    The logistic is model._neg_logistic, the kernel of model.sigmoid, so the
+    two agree bitwise.
     """
     W = np.asarray(W, dtype=float)
     grad = _GradKernel(config, W.shape[0], data.X, data.y).bind(W)

@@ -1,5 +1,5 @@
-"""Import hygiene: no package module imports a name it never uses, and the
-CLI does not load scipy's integration or optimization subpackages."""
+"""Import hygiene: no package module imports a name it never uses, and no
+process loads scipy until it solves a kernel-ridge system."""
 
 import ast
 import os
@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ngdbench"
+from ngdbench.linear import load_estimator
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "ngdbench"
 
 
 def unused_imports(source):
@@ -56,14 +59,56 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_cli_import_skips_scipy_integrate_and_optimize():
-    """Importing the CLI in a fresh interpreter loads neither scipy.integrate
-    nor scipy.optimize."""
+def fresh_run(code):
+    """stdout of `code` run by a fresh interpreter that imports the package
+    from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    probe = ("import sys, ngdbench.cli; print(' '.join(m for m in"
-             " ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, cwd=REPO).stdout
+
+
+# prints the loaded scipy modules after `code` ran
+LOADED_SCIPY = ("\nprint(' '.join(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))")
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    """Importing the CLI in a fresh interpreter loads no scipy module at all:
+    scipy.linalg is imported by the kernel-ridge solve, on first use."""
+    out = fresh_run("import sys, ngdbench.cli" + LOADED_SCIPY)
     assert out.split() == []
+
+
+# a small run: the ngd chain and a krr-rbf baseline
+SMALL_CFG = ("schedule.d = 1\nschedule.alpha2 = 1\nnoise.bound = 0.1\n"
+             "ngd.eta = 0.25\nngd.budget = 2\nbaselines = krr-rbf\n"
+             "tune.folds = 4\nsweep.n_values = 16, 32\nrisk.n_test = 200\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "configs/comparison.cfg"],
+    ["report", "configs/comparison.cfg", "--records",
+     "results/comparison/results.csv", "--out", "{tmp}"],
+    ["lemma", "configs/comparison.cfg", "--out", "{tmp}/lemma.csv"],
+    ["train", "{tmp}/run.cfg", "--out", "{tmp}/kept.txt", "--n", "8"]],
+    ids=["check", "report", "lemma", "train"])
+def test_commands_without_kernel_ridge_load_no_scipy(argv, tmp_path):
+    (tmp_path / "run.cfg").write_text(SMALL_CFG)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    out = fresh_run("import sys\nfrom ngdbench.cli import main\n"
+                    f"assert main({argv!r}) == 0" + LOADED_SCIPY)
+    assert out.splitlines()[-1].split() == []
+
+
+def test_kernel_ridge_fit_loads_scipy_linalg(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    est = tmp_path / "krr.txt"
+    out = fresh_run("import sys\nfrom ngdbench.cli import main\n"
+                    f"assert main(['fit', {str(cfg)!r}, '--estimator',"
+                    f" 'krr-rbf', '--n', '16', '--out', {str(est)!r}]) == 0"
+                    + LOADED_SCIPY)
+    assert "scipy.linalg" in out.splitlines()[-1].split()
+    assert load_estimator(est).dual_coef.shape == (16,)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ngdbench import linear
 from ngdbench.data import Dataset, generate_dataset, save_dataset
@@ -376,7 +377,8 @@ class TestSinglePass:
     def test_cholesky_sees_fortran_arrays_only(self, monkeypatch):
         rng = np.random.default_rng(3)
         data = dataset(rng.random((30, 2)), rng.normal(size=30))
-        calls = counting(monkeypatch, linear, "cho_factor")
+        # the solve imports cho_factor from scipy.linalg on each call
+        calls = counting(monkeypatch, scipy.linalg, "cho_factor")
         tune("krr-rbf", data, folds=3, seed=0)
         krr_fit("krr-rbf", data, 1e-3, bandwidth=0.5)
         tune("krr-ntk", data, folds=3, seed=0, config=schedule(d=2))
@@ -630,6 +632,46 @@ class TestSerialization:
         path.write_text(f"kind = krr-rbf\nridge = {ridge}\n"
                         f"bandwidth = {bandwidth}\nn = 2\ninputs:\n0.25\n"
                         "0.75\ndual_coef:\n1.5\n-0.5\n")
+        with pytest.raises(ValueError, match=message):
+            load_estimator(path)
+
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_load_rejects_a_feature_kernel_width_below_one(self, tmp_path,
+                                                           width):
+        path = tmp_path / "est.txt"
+        path.write_text(f"kind = krr-ntk\nridge = 0.0001\nwidth = {width}\n"
+                        "kernel_seed = 2\nd = 1\nR = 2\ngamma = 1.5\n"
+                        "alpha1 = 1\nalpha2 = 4\ns = 3\nc_mu = 0.5\nn = 2\n"
+                        "inputs:\n0.25\n0.75\ndual_coef:\n2\n0.1\n")
+        with pytest.raises(ValueError, match="krr-ntk needs a width >= 1"):
+            load_estimator(path)
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("knn", "k", 0, "k must lie in"),
+        ("knn", "k", 5, "k must lie in"),
+        ("nw", "bandwidth", 0, "bandwidth must be > 0")])
+    def test_local_estimator_rejects_bad_params_before_predicting(
+            self, tmp_path, kind, key, value, message):
+        # on two training points, through a fit and through a file
+        data = dataset(np.array([[0.25], [0.75]]), [0.5, -1.0])
+        with pytest.raises(ValueError, match=message):
+            fit_estimator(kind, data, {key: value})
+        path = tmp_path / "est.txt"
+        path.write_text(f"kind = {kind}\n{key} = {value}\nn = 2\n"
+                        "train:\n0.25 0.5\n0.75 -1\n")
+        with pytest.raises(ValueError, match=message):
+            load_estimator(path)
+
+    @pytest.mark.parametrize("n, inputs, coefs, message", [
+        (2, "0.25\n0.75", "1.5\n-0.5\n2", r"dual_coef: has shape \(3, 1\)"),
+        (2, "0.25\n0.75", "1.5 1\n-0.5 1", r"dual_coef: has shape \(2, 2\)"),
+        (5, "0.25\n0.75", "1.5\n-0.5", "header n = 5 but 2 rows in inputs:")])
+    def test_load_rejects_krr_sections_that_disagree(self, tmp_path, n,
+                                                     inputs, coefs, message):
+        path = tmp_path / "est.txt"
+        path.write_text(f"kind = krr-rbf\nridge = 0.001\nbandwidth = 0.5\n"
+                        f"n = {n}\ninputs:\n{inputs}\n"
+                        f"dual_coef:\n{coefs}\n")
         with pytest.raises(ValueError, match=message):
             load_estimator(path)
 

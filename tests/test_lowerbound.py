@@ -94,9 +94,20 @@ class TestGaussians:
                 got = gaussian_ball_mass(d, r)
                 assert math.isclose(got, want(r), rel_tol=1e-13), (d, r)
 
+    def test_ball_mass_matches_gammainc(self):
+        # scipy's regularized lower incomplete gamma as the oracle, over the
+        # whole range where the mass is at least 1e-6
+        for d in range(1, 13):
+            for r in np.geomspace(1e-3, 60.0, 1201):
+                want = scipy.special.gammainc(d / 2.0, r * r / 2.0)
+                if want >= 1e-6:
+                    got = gaussian_ball_mass(d, r)
+                    assert math.isclose(got, want, rel_tol=1e-12), (d, r)
+
     def test_ball_mass_edges(self):
         assert gaussian_ball_mass(2, 0.0) == 0.0
         assert gaussian_ball_mass(1, 40.0) == pytest.approx(1.0, rel=1e-12)
+        assert gaussian_ball_mass(3, math.inf) == 1.0
         with pytest.raises(ValueError):
             gaussian_ball_mass(0, 1.0)
 
@@ -323,7 +334,6 @@ class TestEvaluator:
 
         assert not hasattr(lowerbound, "sigmoid")
         monkeypatch.setattr(model, "sigmoid", forbidden)
-        monkeypatch.setattr(model, "expit", forbidden)
         monkeypatch.setattr(scipy.special, "expit", forbidden)
         vals = fresh(ap.cfg.eval_grid())
         np.testing.assert_array_equal(vals, ap.on_grid[2])

