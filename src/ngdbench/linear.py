@@ -19,6 +19,8 @@ import numpy as np
 from .data import Dataset, dataset_from_header
 from .model import (
     ScheduleConfig,
+    hidden_layer,
+    live_columns,
     sample_teacher,
     schedule_from_header,
     soft_clip,
@@ -81,7 +83,8 @@ class RbfKernel:
 @dataclass(frozen=True)
 class _FrozenLayerKernel:
     """Feature kernel of a scheduled network's first layer, frozen at the
-    reference initialization of the given seed."""
+    reference initialization of the given seed.  The layer is drawn at the
+    full width; the features cover its live blocks (model.live_blocks)."""
 
     config: ScheduleConfig
     width: int
@@ -103,24 +106,21 @@ class _FrozenLayerKernel:
 class NtkKernel(_FrozenLayerKernel):
     """Empirical tangent kernel of a scheduled network at a frozen init.
 
-    k(x, z) = <grad_W f_{W0}(x), grad_W f_{W0}(z)> over all weight
-    coordinates; computed through the explicit finite-dimensional feature
-    map, so the gram is positive semidefinite by construction.
+    k(x, z) = <grad_W f_{W0}(x), grad_W f_{W0}(z)> over the weight
+    coordinates of the live blocks; computed through the explicit
+    finite-dimensional feature map, so the gram is positive semidefinite by
+    construction.
     """
 
     def features(self, X):
         cfg = self.config
-        W0 = self.frozen_weights
         X1, _ = with_ones(X, cfg.d)
-        m = np.arange(1, self.width + 1)
-        z = X1 @ W0[:, :-1].T
-        dact = cfg.activation_deriv(m, z)       # (n, M)
-        act = cfg.activation(m, z)
-        amp = cfg.amp(m)
-        c1 = amp * soft_clip(W0[:, -1], cfg.R)
-        c2 = amp * soft_clip_deriv(W0[:, -1], cfg.R)
-        first = (c1 * dact)[:, :, None] * X1[:, None, :]  # (n, M, d+1)
-        second = (c2 * act)[:, :, None]                   # (n, M, 1)
+        VT, w2, amp, b = live_columns(cfg, self.frozen_weights[None])
+        sig = hidden_layer(X1, VT)                        # (n, a)
+        c1 = amp * soft_clip(w2, cfg.R) * b ** (cfg.s - 1.0)
+        c2 = amp * soft_clip_deriv(w2, cfg.R) * b**cfg.s
+        first = (c1 * (sig * (1.0 - sig)))[:, :, None] * X1[:, None, :]
+        second = (c2 * sig)[:, :, None]                   # (n, a, 1)
         return np.concatenate([first, second], axis=2).reshape(X1.shape[0], -1)
 
 
@@ -130,9 +130,8 @@ class RandomFeatureKernel(_FrozenLayerKernel):
     def features(self, X):
         cfg = self.config
         X1, _ = with_ones(X, cfg.d)
-        m = np.arange(1, self.width + 1)
-        return cfg.amp(m) * cfg.activation(
-            m, X1 @ self.frozen_weights[:, :-1].T)
+        VT, _, amp, b = live_columns(cfg, self.frozen_weights[None])
+        return amp * b**cfg.s * hidden_layer(X1, VT)
 
 
 def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):

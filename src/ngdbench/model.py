@@ -13,6 +13,14 @@ with act_m(u) = width^s * sigmoid(u / width).
 Weights are stored as float arrays of shape (M, d+2); rows are blocks, the
 last column is w2.  A narrower weight vector is identified with any wider one
 by zero padding, which changes neither the function nor any norm.
+
+Only live blocks are evaluated.  Block m is live when its gradient scale
+amp(m) * width(m)^(s-1) exceeds float64 eps times block 1's; the scale
+falls strictly with m, so the live blocks are a prefix 1..a with
+a = active_width(config, M).  eval_network, the chain's gradient kernel and
+the tangent and random-feature maps all read the live blocks through
+live_blocks, and leaving out the others moves f_W(x) by at most
+R * sum_{m > a} amp(m) * width(m)^s.
 """
 
 from __future__ import annotations
@@ -28,10 +36,12 @@ __all__ = [
     "ScheduleConfig",
     "TeacherSpec",
     "sigmoid",
-    "sigmoid_deriv",
     "soft_clip",
     "soft_clip_deriv",
     "active_width",
+    "live_blocks",
+    "live_columns",
+    "hidden_layer",
     "eval_network",
     "h_norm",
     "hgamma_norm",
@@ -62,12 +72,6 @@ def sigmoid(u):
     np.negative(v, out=v)
     with np.errstate(over="ignore"):
         return _neg_logistic(v)[()]
-
-
-def sigmoid_deriv(u):
-    """Derivative sigmoid(u)*(1-sigmoid(u)); 0 at both saturated ends."""
-    s = sigmoid(u)
-    return s * (1.0 - s)
 
 
 def soft_clip(w, R):
@@ -168,27 +172,6 @@ class ScheduleConfig:
         """Activation width schedule mu(m)^alpha2."""
         return self.mu(m) ** self.alpha2
 
-    def activation(self, m, u):
-        """Scaled sigmoid of block m: width^s * sigmoid(u / width).
-
-        For extreme schedules width(m) can underflow to exactly 0; those
-        blocks have identically zero activation and derivative.
-        """
-        return self._width_scaled(m, u, self.s, sigmoid)
-
-    def activation_deriv(self, m, u):
-        """Derivative of activation w.r.t. u: width^(s-1) * sigmoid'(u / width)."""
-        return self._width_scaled(m, u, self.s - 1.0, sigmoid_deriv)
-
-    def _width_scaled(self, m, u, power, fn):
-        """width^power * fn(u / width), with fn(+inf) on zero-width blocks."""
-        b = np.asarray(self.width(m), dtype=float)
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", divide="ignore", under="ignore"):
-            scaled = np.where(b > 0.0, u / np.where(b > 0.0, b, 1.0), np.inf)
-            out = b**power * fn(scaled)
-        return out if out.ndim else float(out)
-
 
 def _as_weight_matrix(config, W):
     W = np.asarray(W, dtype=float)
@@ -210,37 +193,72 @@ def with_ones(x, d):
 
 
 def active_width(config, M):
-    """Number of leading blocks of an M-block network that are numerically
-    alive.
-
-    Block m is alive when its gradient scale amp(m) * width(m)^(s-1)
-    exceeds float64 eps times block 1's.  The scale falls strictly with m,
-    so the alive blocks are a prefix; the others move the output by at most
-    amp(m) * R * width(m)^s and are elided by the chain kernel and the
-    snapshot average.
-    """
+    """Number of live blocks of an M-block network (see the module
+    docstring): those whose gradient scale amp(m) * width(m)^(s-1) exceeds
+    float64 eps times block 1's."""
     m = np.arange(1, M + 1)
     with np.errstate(under="ignore"):
         scale = config.amp(m) * config.width(m) ** (config.s - 1.0)
     return int(np.count_nonzero(scale > np.finfo(float).eps * scale[:1]))
 
 
+def live_blocks(config, M):
+    """amp(m) and width(m) of the live blocks m = 1..active_width(config, M)."""
+    m = np.arange(1, active_width(config, M) + 1)
+    return config.amp(m), config.width(m)
+
+
+def live_columns(config, stack):
+    """The live blocks of a stack (S, M, d+2) as S*a columns, snapshot-major.
+
+    Returns (VT, w2, amp, width): VT (d+1, S*a) is the first layer divided
+    by -width(m), the operand of hidden_layer; w2, amp and width hold each
+    column's output weight and schedule values.
+    """
+    S, M, dp2 = stack.shape
+    amp, b = live_blocks(config, M)
+    W = stack[:, :amp.size].reshape(-1, dp2)
+    b = np.tile(b, S)
+    VT = np.ascontiguousarray((W[:, :-1] * (-1.0 / b)[:, None]).T)
+    return VT, W[:, -1], np.tile(amp, S), b
+
+
+def hidden_layer(X1, VT, out=None):
+    """sigmoid(w1 . [x; 1] / width) at each row of X1 = [x; 1] and each
+    column of VT from live_columns, written to `out` when given."""
+    with np.errstate(over="ignore"):
+        return _neg_logistic(np.dot(X1, VT, out=out))
+
+
+# element cap of one (points x columns) temporary of eval_network: 2**18
+# doubles = 2 MB
+_AVERAGE_CHUNK = 1 << 18
+
+
 def eval_network(config, W, x):
     """Evaluate f_W at x; x is a point (d,) or a batch (n, d).
 
-    Returns a float for a single point, an (n,) array for a batch.
+    W is one weight matrix (M, d+2) or a stack (S, M, d+2), whose networks
+    are averaged.  Every (snapshot, live block) pair is one column, so a
+    chunk of points costs one matmul; chunks hold at most _AVERAGE_CHUNK
+    doubles.  Returns a float for a single point, an (n,) array for a batch.
     """
-    W = _as_weight_matrix(config, W)
+    W = np.asarray(W, dtype=float)
+    if W.ndim not in (2, 3) or W.shape[-1] != config.d + 2:
+        raise ValueError(f"weights must have shape (M, {config.d + 2}) or"
+                         f" (S, M, {config.d + 2}), got {W.shape}")
+    stack = W[None] if W.ndim == 2 else W
     X1, single = with_ones(x, config.d)
-    M = W.shape[0]
-    if M == 0:
-        out = np.zeros(X1.shape[0])
-        return float(out[0]) if single else out
-    m = np.arange(1, M + 1)
-    z = X1 @ W[:, :-1].T  # (n, M) preactivations
-    act = config.activation(m, z)
-    coef = config.amp(m) * soft_clip(W[:, -1], config.R)
-    out = act @ coef
+    VT, w2, amp, b = live_columns(config, stack)
+    coef = amp * b**config.s * soft_clip(w2, config.R)
+    rows = max(1, _AVERAGE_CHUNK // max(1, coef.size))
+    buf = np.empty((min(rows, X1.shape[0]), coef.size))
+    out = np.empty(X1.shape[0])
+    for i in range(0, X1.shape[0], rows):
+        Xi = X1[i:i + rows]
+        np.dot(hidden_layer(Xi, VT, buf[:Xi.shape[0]]), coef,
+               out=out[i:i + rows])
+    out /= stack.shape[0]
     return float(out[0]) if single else out
 
 

@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .data import empirical_risk
-from .model import (_neg_logistic, active_width, eval_network, h_norm,
-                    hgamma_norm, soft_clip, with_ones)
+from .model import (_neg_logistic, eval_network, h_norm, hgamma_norm,
+                    live_blocks, with_ones)
 from .textio import FLOAT_FMT
 
 __all__ = [
@@ -124,13 +124,12 @@ def apply_shrink(config, eta, lam, W):
 class _GradKernel:
     """The gradient kernel behind loss_grad, step and run_chain, built once
     per (config, M, data): per-block constants folded and every temporary
-    preallocated.  Only the a = model.active_width(config, M) leading blocks
-    are computed; rows of the gradient past them stay exactly 0.
+    preallocated.  Only the live blocks (model.live_blocks) are computed;
+    rows of the gradient past them stay exactly 0.
     """
 
     def __init__(self, config, M, X, y):
-        m = np.arange(1, active_width(config, M) + 1)
-        amp, b = config.amp(m), config.width(m)
+        amp, b = live_blocks(config, M)
         with np.errstate(under="ignore"):
             bs = b**config.s
             bs1 = b ** (config.s - 1.0)
@@ -139,7 +138,7 @@ class _GradKernel:
         self.y = y
         self.R = config.R
         two_n = 2.0 / y.shape[0]
-        a, (n, dp1) = m.size, X1.shape
+        a, (n, dp1) = amp.size, X1.shape
         self.a = a
         self.neg_inv_b = (-1.0 / b)[:, None]
         self.out_scale = amp * config.R * bs
@@ -195,13 +194,10 @@ def loss_grad(config, W, data):
         (2/n) sum_i r_i * amp(m) * soft_clip'(w2_m, R) * act_m(z_im),
     with residuals r_i = f_W(x_i) - y_i.
 
-    Blocks past a = model.active_width(config, M), whose gradient scale
-    amp(m) * width(m)^(s-1) is below float64 eps times block 1's, get an
-    exactly zero gradient and are left out of the residuals.  For inputs in
-    [0, 1]^d each dropped entry is at most
-    2 R max_i |r_i| amp(m) width(m)^(s-1), and each residual moves by at
-    most R sum_{m > a} amp(m) width(m)^s, both below eps relative to
-    block 1's scales.
+    Blocks past a = model.active_width(config, M) get an exactly zero
+    gradient and are left out of the residuals.  For inputs in [0, 1]^d
+    each dropped entry is at most 2 R max_i |r_i| amp(m) width(m)^(s-1),
+    below eps relative to block 1's scale.
 
     The logistic is model._neg_logistic, the kernel of model.sigmoid, so the
     two agree bitwise.
@@ -233,56 +229,29 @@ def step(config, ngd, W, data=None, noise=None):
     return out
 
 
-# element cap of one (test points x snapshot columns) temporary of the
-# snapshot average: 2**18 doubles = 2 MB
-_AVERAGE_CHUNK = 1 << 18
-
 # chain steps per block of drawn noise: 144 KiB at M = 3, d = 10
 _NOISE_STEPS = 512
 
 
 @dataclass
 class MeanPredictor:
-    """Average of the networks at the kept snapshots (evaluable).
-
-    Every (snapshot, active block) pair is one column, so a chunk of test
-    points costs one matmul.  Blocks past a = model.active_width(config, M)
-    are left out, which moves each prediction by at most
-    R * sum_{m > a} amp(m) * width(m)^s.  Returns a float for a single
-    point, an (n,) array for a batch.
-    """
+    """Average of the networks at the kept snapshots: eval_network on the
+    stack.  Returns a float for a single point, an (n,) array for a batch."""
 
     config: object
     stack: np.ndarray  # (S, M, d+2)
 
     def __call__(self, x):
-        cfg = self.config
-        S, M, _ = self.stack.shape
-        m = np.arange(1, active_width(cfg, M) + 1)
-        W = self.stack[:, :m.size].reshape(-1, self.stack.shape[2])
-        b = np.tile(cfg.width(m), S)
-        coef = np.tile(cfg.amp(m), S) * b**cfg.s * soft_clip(W[:, -1], cfg.R)
-        VT = np.ascontiguousarray((W[:, :-1] * (-1.0 / b)[:, None]).T)
-        X1, single = with_ones(x, cfg.d)
-        rows = max(1, _AVERAGE_CHUNK // max(1, W.shape[0]))
-        buf = np.empty((min(rows, X1.shape[0]), W.shape[0]))
-        out = np.empty(X1.shape[0])
-        with np.errstate(over="ignore"):
-            for i in range(0, X1.shape[0], rows):
-                Xi = X1[i:i + rows]
-                sig = _neg_logistic(np.dot(Xi, VT, out=buf[:Xi.shape[0]]))
-                np.dot(sig, coef, out=out[i:i + rows])
-        out /= S
-        return float(out[0]) if single else out
+        return eval_network(self.config, self.stack, x)
 
 
 @dataclass
 class ChainResult:
     """Final weights, kept snapshots and norm traces of one chain.
 
-    The chain records, at each kept iterate, h_norm (its divergence check)
-    and hgamma_norm with g = 1.  kept_steps and the empirical-risk trace (on
-    `data`, 0 without data) are derived from `kept` on first access.
+    The chain records h_norm, its divergence check, at each kept iterate.
+    kept_steps, the hgamma_norm (g = 1) trace and the empirical-risk trace
+    (on `data`, 0 without data) are derived from `kept` on first access.
     """
 
     config: object
@@ -291,13 +260,16 @@ class ChainResult:
     weights: np.ndarray
     kept: np.ndarray        # (S, M, d+2)
     hnorm_trace: np.ndarray  # (S,)
-    h1norm_trace: np.ndarray  # (S,)
 
     @property
     def kept_steps(self):
         """Chain step of each snapshot: burn_in + thinning * (1..S)."""
         ngd = self.ngd
         return ngd.burn_in + ngd.thinning * np.arange(1, len(self.kept) + 1)
+
+    @cached_property
+    def h1norm_trace(self):
+        return np.array([hgamma_norm(self.config, W, 1.0) for W in self.kept])
 
     @cached_property
     def risk_trace(self):
@@ -308,10 +280,6 @@ class ChainResult:
 
     def averaged_predictor(self):
         return MeanPredictor(self.config, self.kept)
-
-    def last_predictor(self):
-        cfg, W = self.config, self.weights
-        return lambda x: eval_network(cfg, W, x)
 
 
 def run_chain(config, ngd, data=None, init=None):
@@ -347,7 +315,7 @@ def run_chain(config, ngd, data=None, init=None):
             else _GradKernel(config, M, data.X, data.y).bind(W))
     eta, burn_in, thinning = ngd.eta, ngd.burn_in, ngd.thinning
     S = (ngd.k_max - burn_in) // thinning
-    kept, hn, h1n = np.empty((S, M, dp2)), np.empty(S), np.empty(S)
+    kept, hn = np.empty((S, M, dp2)), np.empty(S)
 
     k = 0
     with np.errstate(over="ignore"):
@@ -370,11 +338,10 @@ def run_chain(config, ngd, data=None, init=None):
                     if hn[i] > DIVERGENCE_NORM:
                         raise ChainDivergence(f"h_norm {hn[i]:.3g} at step {k}")
                     kept[i] = W
-                    h1n[i] = hgamma_norm(config, W, 1.0)
     _check_finite(W, "at final step")
 
     return ChainResult(config=config, ngd=ngd, data=data, weights=W, kept=kept,
-                       hnorm_trace=hn, h1norm_trace=h1n)
+                       hnorm_trace=hn)
 
 
 def ou_block_variance(config, ngd):

@@ -40,16 +40,28 @@ def write_text(path, title, header, sections=()):
         fh.write(format_text(title, header, sections))
 
 
+class Header(dict):
+    """The parsed header of one source: looking up a key it lacks raises
+    ValueError naming the source and the key (`get` keeps its default)."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.source}: missing header key {key!r}")
+
+
 def parse_text(text, source, sections=()):
     """Parse the format; only the names in `sections` open a section.
 
-    Returns (header, lines, rows): header maps each key to its value string
-    in file order, lines maps each key to its line number, and rows maps
-    each section name to its list of float rows.  A header line without
+    Returns (header, lines, rows): header, a Header, maps each key to its
+    value string in file order, lines maps each key to its line number, and
+    rows maps each section name to its list of float rows.  A header line without
     '=', a repeated key, a non-numeric token and a row whose length differs
     from its section's first row raise ValueError naming source and line.
     """
-    header, lines, rows = {}, {}, {name: [] for name in sections}
+    header, lines, rows = Header(source), {}, {name: [] for name in sections}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -1,16 +1,18 @@
 """Independent reference paths that only the tests use.
 
 Each restates a piece of the program another way (an explicit update
-scheme, a closed-form gradient bound, a one-call kernel gram, the zero
-combination, a zero-padded weight matrix, cross validation by full sorts and
-per-bandwidth grams, the two-sigmoid window and a ridge combination summed
-atom by atom through it), so the tests can check the program against it.
+scheme, a closed-form gradient bound, a one-call kernel gram, the network
+and its tangent and random features summed block by block over every block,
+the zero combination, a zero-padded weight matrix, cross validation by full
+sorts and per-bandwidth grams, the two-sigmoid window and a ridge
+combination summed atom by atom through it), so the tests can check the
+program against it.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import zeta
+from scipy.special import expit, zeta
 
 from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
                              _sq_dists, make_kernel)
@@ -68,6 +70,60 @@ def loss_grad_bound(config, noise_bound):
 def kernel_eval(kind, x, z, config=None, **params):
     """Evaluate the named kernel on two point batches."""
     return make_kernel(kind, config=config, **params).gram(x, z)
+
+
+def _block_logistic(config, m, u):
+    """width(m) and sigmoid(u / width(m)) per block; a block whose width
+    underflows to 0 reads sigmoid(+inf) = 1, so its scaled activation and
+    derivative are exactly 0."""
+    b = np.asarray(config.width(m), dtype=float)
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        scaled = np.where(b > 0.0, u / np.where(b > 0.0, b, 1.0), np.inf)
+        return b, expit(scaled)
+
+
+def block_activation(config, m, u):
+    """Scaled sigmoid of block m: width^s * sigmoid(u / width)."""
+    b, sig = _block_logistic(config, m, u)
+    with np.errstate(under="ignore"):
+        return b**config.s * sig
+
+
+def network_oracle(config, W, x):
+    """f_W at the (n, d) points x, summed over every block of W (M, d+2),
+    dead ones included."""
+    W = np.asarray(W, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    X1 = np.hstack([x, np.ones((x.shape[0], 1))])
+    m = np.arange(1, W.shape[0] + 1)
+    out_weight = config.R * np.tanh(W[:, -1] / config.R)
+    return block_activation(config, m, X1 @ W[:, :-1].T) @ (config.amp(m)
+                                                            * out_weight)
+
+
+def snapshot_mean_oracle(config, stack, x):
+    """Snapshot average: network_oracle per snapshot, then the mean."""
+    return np.mean([network_oracle(config, W, x) for W in stack], axis=0)
+
+
+def feature_oracle(kind, config, W0, x):
+    """Tangent (krr-ntk) or random (krr-rf) features of the network W0 at
+    the (n, d) points x, over every block of W0, dead ones included."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    X1 = np.hstack([x, np.ones((x.shape[0], 1))])
+    m = np.arange(1, W0.shape[0] + 1)
+    b, sig = _block_logistic(config, m, X1 @ W0[:, :-1].T)
+    with np.errstate(under="ignore"):
+        act = b**config.s * sig
+        dact = b ** (config.s - 1.0) * sig * (1.0 - sig)
+    amp = config.amp(m)
+    if kind == "krr-rf":
+        return amp * act
+    t = np.tanh(W0[:, -1] / config.R)
+    first = (amp * config.R * t * dact)[:, :, None] * X1[:, None, :]
+    second = (amp * (1.0 - t * t) * act)[:, :, None]
+    return np.concatenate([first, second], axis=2).reshape(X1.shape[0], -1)
 
 
 def sigmoid_window(t):

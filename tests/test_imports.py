@@ -1,5 +1,6 @@
-"""Import hygiene: no package module imports a name it never uses, and no
-process loads scipy until it solves a kernel-ridge system."""
+"""Import hygiene: no package module imports a name it never uses, no
+process loads scipy until it solves a kernel-ridge system, and the network's
+forward pass has one home."""
 
 import ast
 import os
@@ -57,6 +58,59 @@ def test_checker_flags_unused_and_accepts_used():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the functions that may use the in-place logistic kernel: the elementwise
+# logistic, the hidden layer that eval_network and the feature kernels share,
+# and the chain's fused gradient loop
+LOGISTIC_USERS = {"model.sigmoid", "model.hidden_layer", "ngd._GradKernel"}
+
+
+def forward_pass_copies(module, source):
+    """(line, top-level definition) of each use of `_neg_logistic` outside
+    LOGISTIC_USERS and each call of a `.activation(` method, in the source
+    of package module `module`."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if where == module and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{module}.{child.name}"
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if (name == "_neg_logistic"
+                    and isinstance(child, (ast.Name, ast.Attribute))
+                    and inner not in LOGISTIC_USERS):
+                found.append((child.lineno, inner))
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "activation"):
+                found.append((child.lineno, inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_forward_pass_checker_flags_copies():
+    source = ("from .model import _neg_logistic\n"
+              "def hidden_layer(X1, VT):\n"
+              "    return _neg_logistic(X1 @ VT)\n"
+              "class Predictor:\n"
+              "    def __call__(self, v):\n"
+              "        return model._neg_logistic(v)\n"
+              "def features(cfg, m, z):\n"
+              "    fn = _neg_logistic\n"
+              "    return cfg.activation(m, z)\n")
+    assert forward_pass_copies("model", source) == [
+        (6, "model.Predictor"), (8, "model.features"), (9, "model.features")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_forward_pass(path):
+    assert forward_pass_copies(path.stem, path.read_text()) == []
 
 
 def fresh_run(code):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from ngdbench.linear import (
     save_estimator,
     tune,
 )
-from ngdbench.model import ScheduleConfig, eval_network, sample_teacher
-from oracles import cv_table, kernel_eval
+from ngdbench.config import load_config
+from ngdbench.model import (ScheduleConfig, active_width, eval_network,
+                            sample_teacher)
+from oracles import block_activation, cv_table, feature_oracle, kernel_eval
 
 
 def dataset(X, y):
@@ -103,8 +106,29 @@ class TestKernels:
         X = np.array([[0.2], [0.8]])
         m = np.arange(1, 5)
         z = np.hstack([X, np.ones((2, 1))]) @ W0[:, :-1].T
-        want = cfg.amp(m) * cfg.activation(m, z)
+        want = cfg.amp(m) * block_activation(cfg, m, z)
         np.testing.assert_allclose(kern.features(X), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("kind, per_block", [("krr-ntk", 12),
+                                                 ("krr-rf", 1)])
+    def test_features_cover_live_blocks_on_committed_schedule(self, kind,
+                                                              per_block):
+        """At width 512 the features span the a live blocks only, and the
+        gram matches the every-block oracle's.  Bound, stated before
+        measuring: 1e-12 times the largest oracle entry.  Each dead block's
+        tangent entries are below eps times block 1's, so its share of an
+        entry is below 1e-31 relative; the rest is the rounding of a few
+        ulp per feature in a sum of 12 terms."""
+        repo = Path(__file__).resolve().parents[1]
+        cfg = load_config(repo / "configs" / "comparison.cfg").schedule
+        kern = make_kernel(kind, config=cfg, width=512, seed=3)
+        X = np.random.default_rng(6).random((64, cfg.d))
+        a = active_width(cfg, 512)
+        assert kern.features(X).shape == (64, a * per_block)
+        F = feature_oracle(kind, cfg, kern.frozen_weights, X)
+        want = F @ F.T
+        bound = 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(kern.gram(X, X), want, rtol=0, atol=bound)
 
     def test_feature_kernels_psd(self):
         cfg = schedule(d=2)
@@ -660,6 +684,18 @@ class TestSerialization:
         path.write_text(f"kind = {kind}\n{key} = {value}\nn = 2\n"
                         "train:\n0.25 0.5\n0.75 -1\n")
         with pytest.raises(ValueError, match=message):
+            load_estimator(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind = krr-rbf\nbandwidth = 0.5\nn = 2\ninputs:\n0.25\n0.75\n"
+         "dual_coef:\n1.5\n-0.5\n", "ridge"),
+        ("kind = knn\nk = 1\ntrain:\n0.25 0.5\n0.75 -1\n", "n")],
+        ids=["krr-rbf-ridge", "knn-n"])
+    def test_missing_header_key_names_file_and_key(self, tmp_path, text, key):
+        path = tmp_path / "est.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"est\.txt: missing header key"
+                                             rf" '{key}'"):
             load_estimator(path)
 
     @pytest.mark.parametrize("n, inputs, coefs, message", [

@@ -25,12 +25,12 @@ from ngdbench.model import (
     save_teacher,
     save_weights,
     sigmoid,
-    sigmoid_deriv,
     soft_clip,
     soft_clip_deriv,
     with_ones,
 )
-from oracles import pad_weights
+from ngdbench import model
+from oracles import network_oracle, pad_weights
 
 
 def default_config(**kw):
@@ -94,12 +94,6 @@ class TestSigmoid:
         for u in (-5.0, -0.3, 0.0, 2.2, 40.0, -800.0):
             assert sigmoid(u) == sigmoid(np.array([u]))[0]
 
-    def test_derivative_is_s_times_one_minus_s(self):
-        u = np.linspace(-30, 30, 1001)
-        s = sigmoid(u)
-        np.testing.assert_allclose(sigmoid_deriv(u), s * (1 - s), rtol=0,
-                                   atol=0)
-
 
 class TestSoftClip:
     """R*tanh(w/R): bounded, 1-Lipschitz, identity-like near zero."""
@@ -152,32 +146,46 @@ class TestScheduleConfig:
         with pytest.raises(ValueError):
             default_config(R=0.5)
 
+    # the scaled activation of block m, read through eval_network: at x = 0
+    # the preactivation of block m is its bias u, and only block m has a
+    # nonzero output weight, so f = amp(m) * tanh(0.5) * act_m(u)
+    @staticmethod
+    def block_network(cfg, m, u):
+        W = np.zeros((m, cfg.d + 2))
+        W[m - 1, -2:] = u, 0.5
+        return eval_network(cfg, W, np.zeros(cfg.d))
+
     def test_activation_block_one_at_zero(self):
         cfg = default_config()
-        assert cfg.activation(1, 0.0) == 0.5
+        assert self.block_network(cfg, 1, 0.0) == 0.5 * math.tanh(0.5)
 
     def test_activation_block_two_oracle(self):
         # b_2 = 0.25 at alpha2=1, so the value is 0.25^3 * sigmoid(0.4)
         cfg = default_config(alpha2=1.0, gamma=1.0)
-        got = cfg.activation(2, 0.1)
-        want = 0.25 ** 3 / (1.0 + math.exp(-0.4))
+        got = self.block_network(cfg, 2, 0.1)
+        want = cfg.amp(2) * math.tanh(0.5) * 0.25 ** 3 / (1.0 + math.exp(-0.4))
         assert math.isclose(got, want, rel_tol=1e-15)
 
     def test_activation_saturates_at_width_power(self):
         cfg = default_config(alpha2=2.0)
         for m in (1, 2, 5):
-            sup = cfg.width(m) ** cfg.s
-            assert math.isclose(cfg.activation(m, 1e4), sup, rel_tol=1e-12)
-            assert cfg.activation(m, -1e4) == 0.0
+            sup = cfg.amp(m) * math.tanh(0.5) * cfg.width(m) ** cfg.s
+            assert math.isclose(self.block_network(cfg, m, 1e4), sup,
+                                rel_tol=1e-12)
+            assert self.block_network(cfg, m, -1e4) == 0.0
 
     def test_activation_deriv_matches_finite_differences(self):
+        # d f / d u = amp(m) tanh(0.5) width^(s-1) sigmoid'(u / width)
         cfg = default_config(alpha2=1.5)
         h = 1e-6
         for m in (1, 2, 3):
+            b = cfg.width(m)
             for u in (-0.7, 0.0, 0.4):
-                fd = (cfg.activation(m, u + h) - cfg.activation(m, u - h)) / (2 * h)
-                assert math.isclose(cfg.activation_deriv(m, u), fd,
-                                    rel_tol=1e-7, abs_tol=1e-12)
+                fd = (self.block_network(cfg, m, u + h)
+                      - self.block_network(cfg, m, u - h)) / (2 * h)
+                p = expit(u / b)
+                want = cfg.amp(m) * math.tanh(0.5) * b ** (cfg.s - 1) * p * (1 - p)
+                assert math.isclose(fd, want, rel_tol=1e-7, abs_tol=1e-12)
 
 
 class TestEvalNetwork:
@@ -188,6 +196,9 @@ class TestEvalNetwork:
         W = np.zeros((4, cfg.d + 2))
         x = np.random.default_rng(0).random((20, 3))
         np.testing.assert_array_equal(eval_network(cfg, W, x), 0.0)
+        # no blocks at all, as one matrix and as a stack of two
+        for empty in (W[:0], np.zeros((2, 0, cfg.d + 2))):
+            np.testing.assert_array_equal(eval_network(cfg, empty, x), 0.0)
 
     def test_single_block_oracle(self):
         # one unit-schedule block: value is tanh(0.5) * sigmoid(0.5)
@@ -220,6 +231,31 @@ class TestEvalNetwork:
         batch = eval_network(cfg, W, X)
         singles = [eval_network(cfg, W, xi) for xi in X]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
+
+    @pytest.mark.parametrize("S", [None, 37], ids=["matrix", "stack"])
+    def test_matches_every_block_oracle_on_committed_schedule(self,
+                                                              monkeypatch, S):
+        """eval_network reads the live blocks only; the every-block oracle
+        differs by at most the dead blocks' R * sum amp(m) width(m)^s."""
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "configs" / "comparison.cfg").schedule
+        rng = np.random.default_rng(8)
+        M = 3
+        W = rng.normal(scale=0.7, size=(S or 1, M, cfg.d + 2))
+        # same-sign terms keep the relative tolerance free of cancellation
+        W[..., -1] = np.abs(W[..., -1])
+        a = active_width(cfg, M)
+        m = np.arange(a + 1, M + 1)
+        tail = cfg.R * float(np.sum(cfg.amp(m) * cfg.width(m) ** cfg.s))
+        monkeypatch.setattr(model, "_AVERAGE_CHUNK", 256)
+        rows = 256 // (len(W) * a)
+        x = rng.random((2 * rows + 5, cfg.d))  # two whole chunks, a partial
+        want = np.mean([network_oracle(cfg, Ws, x) for Ws in W], axis=0)
+        got = eval_network(cfg, W if S else W[0], x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=tail)
+        one = eval_network(cfg, W if S else W[0], x[3])
+        assert isinstance(one, float)
+        assert one == pytest.approx(want[3], rel=1e-12, abs=tail)
 
 
 class TestActiveWidth:
@@ -452,6 +488,16 @@ class TestSerialization:
         cfg2, back = load_weights(path)
         assert cfg2 == cfg
         np.testing.assert_array_equal(back, stack)
+
+    def test_teacher_without_radius_names_file_and_key(self, tmp_path):
+        path = tmp_path / "teacher.txt"
+        save_teacher(path, sample_teacher(default_config(), 2, seed=1))
+        path.write_text("".join(line for line in path.read_text()
+                                .splitlines(keepends=True)
+                                if not line.startswith("radius =")))
+        with pytest.raises(ValueError, match=r"teacher\.txt: missing header"
+                                             r" key 'radius'"):
+            load_teacher(path)
 
     # lines 9-12 of a two-snapshot file with M = 1; its second row is line 13
     BLOCKS = "M = 1\nsnapshots = 2\nblocks:\n0.5 -0.25 0.125\n"
