@@ -16,10 +16,9 @@ from .config import ConfigError, load_config
 from .data import empirical_risk, save_dataset
 from .linear import ESTIMATOR_KINDS, save_estimator
 from .model import active_width, save_teacher, save_weights
-from .ngd import ChainDivergence, run_chain, save_trace
+from .ngd import ChainDivergence, save_trace
 from .lowerbound import build_bump_approx, save_approx_csv
-from .risk import excess_risk_mc
-from .sweep import (RESULTS_NAME, cell_inputs, fit_baseline, report,
+from .sweep import (RESULTS_NAME, cell_inputs, fit_cell, report,
                     resolve_teacher, run_sweep, save_report, student_width)
 
 __all__ = ["main"]
@@ -39,9 +38,13 @@ def _build_parser():
                                  "noisy gradient descent vs linear estimators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, cell=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="experiment config file")
+        if cell:
+            p.add_argument("--n", type=int, required=True, help="sample size")
+            p.add_argument("--replicate", type=int, default=0,
+                           help="replicate index")
         return p
 
     add("check", "validate the config and the schedule assumptions")
@@ -49,24 +52,18 @@ def _build_parser():
     p = add("teacher", "sample the teacher network and write it to a file")
     p.add_argument("--out", required=True, help="output teacher file")
 
-    p = add("data", "draw one training set and write it to a file")
+    p = add("data", "draw one training set and write it to a file", cell=True)
     p.add_argument("--out", required=True, help="output dataset file")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--replicate", type=int, default=0, help="replicate index")
 
-    p = add("train", "run one noisy-gradient-descent chain")
+    p = add("train", "run one noisy-gradient-descent chain", cell=True)
     p.add_argument("--out", required=True,
                    help="output weight-snapshot file (kept iterates)")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--replicate", type=int, default=0, help="replicate index")
     p.add_argument("--trace", help="optional per-iterate trace CSV")
 
-    p = add("fit", "cross-validate and fit one baseline estimator")
+    p = add("fit", "cross-validate and fit one baseline estimator", cell=True)
     p.add_argument("--out", required=True, help="output estimator file")
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS,
                    help="baseline kind")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--replicate", type=int, default=0, help="replicate index")
 
     p = add("sweep", "run or resume the full excess-risk sweep")
     p.add_argument("--out", help="output directory (default: output.dir)")
@@ -120,20 +117,17 @@ def _cmd_data(cfg, args):
 
 
 def _cmd_train(cfg, args):
-    teacher = resolve_teacher(cfg)
-    cell = cell_inputs(cfg, teacher, args.n, args.replicate)
+    cell = cell_inputs(cfg, resolve_teacher(cfg), args.n, args.replicate)
     ngd = cell.ngd
     print(f"chain: width={ngd.width} beta={ngd.beta:g} "
           f"lam={ngd.lam:g} k_max={ngd.k_max} eta={ngd.eta:g}")
-    result = run_chain(cfg.schedule, ngd, cell.data)
+    result, _, mc = fit_cell(cfg, cell, "ngd")
     save_weights(args.out, cfg.schedule, result.kept,
                  extra={"kind": "kept-iterates",
                         "burn_in": ngd.burn_in,
                         "thinning": ngd.thinning})
     if args.trace:
         save_trace(args.trace, result)
-    mc = excess_risk_mc(teacher, result.averaged_predictor(),
-                        n_test=cfg.risk_n_test, seed=cell.test_seed)
     print(f"empirical risk at the last kept step "
           f"({result.kept_steps[-1]}): "
           f"{empirical_risk(cfg.schedule, result.kept[-1], cell.data):.6g}")
@@ -144,15 +138,12 @@ def _cmd_train(cfg, args):
 
 
 def _cmd_fit(cfg, args):
-    teacher = resolve_teacher(cfg)
-    cell = cell_inputs(cfg, teacher, args.n, args.replicate)
+    cell = cell_inputs(cfg, resolve_teacher(cfg), args.n, args.replicate)
     kind = args.estimator
-    tuned, est = fit_baseline(cfg, cell, kind)
+    tuned, est, mc = fit_cell(cfg, cell, kind)
     save_estimator(args.out, est)
     params = " ".join(f"{k}={v:g}" for k, v in sorted(tuned.params.items()))
     print(f"{kind}: chose {params} (cv score {tuned.score:.6g})")
-    mc = excess_risk_mc(teacher, est, n_test=cfg.risk_n_test,
-                        seed=cell.test_seed)
     print(f"excess risk: {mc.value:.6g} (stderr {mc.stderr:.2g})")
     print(f"wrote {args.out}")
     return 0
@@ -203,7 +194,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for flag, low in (("replicate", 0), ("workers", 1)):
+        if getattr(args, flag, low) < low:
+            parser.error(f"argument --{flag}: must be >= {low}")
     try:
         cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:

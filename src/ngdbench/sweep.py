@@ -24,14 +24,14 @@ from pathlib import Path
 from .config import ConfigError
 from .data import Dataset, generate_dataset
 from .linear import ESTIMATOR_KINDS, fit_estimator, tune
-from .model import bump_teacher, sample_teacher
+from .model import TeacherSpec, bump_teacher, sample_teacher
 from .ngd import ChainDivergence, NgdConfig, run_chain
 from .risk import (RiskRecord, dominance_condition, excess_risk_mc,
                    linear_lower_exponents, load_records, nn_upper_exponent,
                    rate_fit, records_csv, save_records)
 from .textio import FLOAT_FMT
 
-__all__ = ["derive_seed", "CellInputs", "cell_inputs", "fit_baseline",
+__all__ = ["derive_seed", "CellInputs", "cell_inputs", "fit_cell",
            "resolve_teacher", "run_cell", "run_sweep", "SweepReport",
            "report", "save_report"]
 
@@ -55,11 +55,13 @@ def derive_seed(base_seed, n, replicate, tag):
 class CellInputs:
     """What one (n, replicate) cell draws from the config.
 
+    teacher is the network every estimator of the cell is scored against;
     data is the training set, whose seed field is the cell's data seed; ngd
     holds the sampler's auto hyperparameters and chain seed; baseline_seeds
     maps every estimator kind to its (cv, kernel) seeds.
     """
 
+    teacher: TeacherSpec
     data: Dataset
     test_seed: int
     ngd: NgdConfig
@@ -67,7 +69,7 @@ class CellInputs:
 
 
 def cell_inputs(cfg, teacher, n, replicate):
-    """Training set, seeds and sampler settings of one cell.
+    """Teacher, training set, seeds and sampler settings of one cell.
 
     The only place cell seeds are derived, so sweep cells and the single-run
     CLI commands draw identical streams.
@@ -81,8 +83,8 @@ def cell_inputs(cfg, teacher, n, replicate):
                          budget=cfg.ngd_budget, seed=seed("ngd"))
     baseline_seeds = {kind: (seed(f"cv-{kind}"), seed(f"kernel-{kind}"))
                       for kind in ESTIMATOR_KINDS}
-    return CellInputs(data=data, test_seed=seed("test"), ngd=ngd,
-                      baseline_seeds=baseline_seeds)
+    return CellInputs(teacher=teacher, data=data, test_seed=seed("test"),
+                      ngd=ngd, baseline_seeds=baseline_seeds)
 
 
 def student_width(cfg, n):
@@ -92,15 +94,24 @@ def student_width(cfg, n):
                           eta=cfg.ngd_eta).width
 
 
-def fit_baseline(cfg, cell, kind):
-    """Cross-validate one baseline on the cell's training set and refit it
-    at the chosen hyperparameters; returns (TuneResult, predictor)."""
-    grid = cfg.grid_for(kind, cell.data)  # rejects unknown kinds
-    cv_seed, kernel_seed = cell.baseline_seeds[kind]
-    tuned = tune(kind, cell.data, grid=grid, folds=min(cfg.tune_folds, cell.data.n),
-                 seed=cv_seed, config=cfg.schedule, kernel_seed=kernel_seed)
-    return tuned, fit_estimator(kind, cell.data, tuned.params,
-                                config=cfg.schedule, kernel_seed=kernel_seed)
+def fit_cell(cfg, cell, estimator):
+    """Fit one estimator on the cell's training set and score it against
+    cell.teacher on the cell's test stream; returns (fitted, predictor,
+    risk), fitted being the ChainResult (ngd) or the TuneResult."""
+    if estimator == "ngd":
+        fitted = run_chain(cfg.schedule, cell.ngd, cell.data)
+        predictor = fitted.averaged_predictor()
+    else:
+        grid = cfg.grid_for(estimator, cell.data)  # rejects unknown kinds
+        cv_seed, kernel_seed = cell.baseline_seeds[estimator]
+        fitted = tune(estimator, cell.data, grid=grid,
+                      folds=min(cfg.tune_folds, cell.data.n), seed=cv_seed,
+                      config=cfg.schedule, kernel_seed=kernel_seed)
+        predictor = fit_estimator(estimator, cell.data, fitted.params,
+                                  config=cfg.schedule, kernel_seed=kernel_seed)
+    risk = excess_risk_mc(cell.teacher, predictor, n_test=cfg.risk_n_test,
+                          seed=cell.test_seed)
+    return fitted, predictor, risk
 
 
 def resolve_teacher(cfg):
@@ -140,24 +151,16 @@ def load_cell(path):
 def run_cell(cfg, teacher, estimator, n, replicate):
     """Compute one sweep cell; returns (records, failure message or None).
 
-    NGD cells train the sampler with the auto hyperparameter rules and
-    score the kept-iterate average.  Baseline cells cross-validate on the
-    training set, refit, and score.  A diverged chain becomes a failed cell
-    rather than an exception.
+    The cell is fit and scored by fit_cell.  A diverged chain becomes a
+    failed cell rather than an exception.
     """
     cell = cell_inputs(cfg, teacher, n, replicate)
     try:
-        if estimator == "ngd":
-            predictor = run_chain(cfg.schedule, cell.ngd,
-                                  cell.data).averaged_predictor()
-        else:
-            predictor = fit_baseline(cfg, cell, estimator)[1]
+        risk = fit_cell(cfg, cell, estimator)[2]
     except ChainDivergence as exc:
         return [], f"{estimator} n={n} replicate={replicate}: {exc}"
-    mc = excess_risk_mc(teacher, predictor,
-                        n_test=cfg.risk_n_test, seed=cell.test_seed)
     return [RiskRecord(estimator=estimator, n=n, seed=cell.data.seed,
-                       excess_risk=mc.value, stderr=mc.stderr)], None
+                       excess_risk=risk.value, stderr=risk.stderr)], None
 
 
 def _compute_cell(cfg, teacher, estimator, n, replicate, path):

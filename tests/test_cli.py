@@ -7,11 +7,12 @@ import pytest
 
 import ngdbench.ngd as ngd_module
 from ngdbench.cli import main
+from ngdbench.config import load_config
 from ngdbench.data import empirical_risk, load_dataset
 from ngdbench.linear import load_estimator
 from ngdbench.model import load_teacher, load_weights
 from ngdbench.risk import load_records
-from ngdbench.sweep import derive_seed
+from ngdbench.sweep import derive_seed, resolve_teacher, run_cell
 
 CFG_TEXT = """\
 schedule.d = 1
@@ -85,6 +86,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["teacher", str(cfg_file)])  # --out is required
         assert err.value.code == 1
+
+    # counts that start no worker process: a sweep is refused before it runs
+    @pytest.mark.parametrize("argv", [
+        ["data", "--n", "8", "--replicate", "-1"],
+        ["train", "--n", "8", "--replicate", "-1"],
+        ["fit", "--estimator", "knn", "--n", "8", "--replicate", "-1"],
+        ["sweep", "--workers", "0"],
+        ["sweep", "--workers", "-1"]],
+        ids=["data-replicate", "train-replicate", "fit-replicate",
+             "sweep-workers-0", "sweep-workers-negative"])
+    def test_count_below_its_minimum(self, cfg_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], str(cfg_file), "--out", str(out)] + argv[1:])
+        assert err.value.code == 1
+        flag = argv[-2]
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestArtifacts:
@@ -162,6 +181,26 @@ class TestArtifacts:
         assert "atoms:" in stdout
         assert "sup error" in stdout
         assert out.read_text().startswith("# bump ridge approximation")
+
+
+class TestCellParity:
+    """train and fit print the figure that the sweep records for their cell."""
+
+    @pytest.mark.parametrize("argv, estimator, n, label", [
+        (["train", "--replicate", "0"], "ngd", 8,
+         "averaged-predictor excess risk"),
+        (["fit", "--estimator", "knn"], "knn", 16, "excess risk")],
+        ids=["train", "fit"])
+    def test_prints_the_recorded_risk(self, cfg_file, tmp_path, capsys, argv,
+                                      estimator, n, label):
+        cfg = load_config(cfg_file)
+        (rec,), failed = run_cell(cfg, resolve_teacher(cfg), estimator, n, 0)
+        assert failed is None
+        assert main([argv[0], str(cfg_file), "--out", str(tmp_path / "out"),
+                     "--n", str(n)] + argv[1:]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (f"{label}: {rec.excess_risk:.6g} (stderr {rec.stderr:.2g})"
+                in lines)
 
 
 class TestSweepAndReport:

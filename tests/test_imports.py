@@ -1,6 +1,6 @@
 """Import hygiene: no package module imports a name it never uses, no
 process loads scipy until it solves a kernel-ridge system, and the network's
-forward pass has one home."""
+forward pass and a cell's fit-and-score each have one home."""
 
 import ast
 import os
@@ -111,6 +111,68 @@ def test_forward_pass_checker_flags_copies():
                          ids=lambda p: p.name)
 def test_one_forward_pass(path):
     assert forward_pass_copies(path.stem, path.read_text()) == []
+
+
+# the calls that fit and score a cell, by the module that defines each: only
+# sweep.fit_cell makes them, so the sweep and the train/fit commands report
+# one figure per cell.  A defining module may call its own name (linear's
+# load_estimator refits a saved local estimator with fit_estimator).
+CELL_CALLS = {"run_chain": "ngd", "tune": "linear", "fit_estimator": "linear",
+              "excess_risk_mc": "risk"}
+CELL_FITTER = "sweep.fit_cell"
+
+
+def cell_fit_copies(module, source):
+    """(line, top-level definition) of each call of a CELL_CALLS name outside
+    CELL_FITTER and the name's own module, in the source of package module
+    `module`."""
+    found = []
+    for top in ast.parse(source).body:
+        where = module
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{module}.{top.name}"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if CELL_CALLS.get(name, module) != module and where != CELL_FITTER:
+                found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_cell_fit_checker_flags_every_other_caller():
+    # the call sites of the CLI and the sweep before fit_cell served both
+    cli = ("from .ngd import run_chain\n"
+           "from .risk import excess_risk_mc\n"
+           "def _cmd_train(cfg, args):\n"
+           "    result = run_chain(cfg.schedule, ngd, cell.data)\n"
+           "    mc = excess_risk_mc(teacher, result.averaged_predictor())\n"
+           "def _cmd_fit(cfg, args):\n"
+           "    tuned, est = fit_baseline(cfg, cell, kind)\n"
+           "    mc = excess_risk_mc(teacher, est, n_test=cfg.risk_n_test)\n")
+    assert cell_fit_copies("cli", cli) == [
+        (4, "cli._cmd_train"), (5, "cli._cmd_train"), (8, "cli._cmd_fit")]
+    sweep = ("def fit_baseline(cfg, cell, kind):\n"
+             "    tuned = tune(kind, cell.data, grid=grid)\n"
+             "    return tuned, fit_estimator(kind, cell.data, tuned.params)\n"
+             "def run_cell(cfg, teacher, estimator, n, replicate):\n"
+             "    predictor = ngd.run_chain(cfg.schedule, cell.ngd, cell.data)\n"
+             "    mc = excess_risk_mc(teacher, predictor)\n"
+             "def fit_cell(cfg, cell, estimator):\n"
+             "    fitted = run_chain(cfg.schedule, cell.ngd, cell.data)\n"
+             "    return excess_risk_mc(cell.teacher, fitted)\n")
+    assert cell_fit_copies("sweep", sweep) == [
+        (2, "sweep.fit_baseline"), (3, "sweep.fit_baseline"),
+        (5, "sweep.run_cell"), (6, "sweep.run_cell")]
+    linear = ("def load_estimator(path):\n"
+              "    return fit_estimator(kind, data, header)\n")
+    assert cell_fit_copies("linear", linear) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_cell_fit(path):
+    assert cell_fit_copies(path.stem, path.read_text()) == []
 
 
 def fresh_run(code):
