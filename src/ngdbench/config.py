@@ -78,6 +78,10 @@ class ExperimentConfig:
                 raise ConfigError(f"no grid parameter {kind}.{param}")
             if not values:
                 raise ConfigError(f"grid.{kind}.{param} must be non-empty")
+            if param == "k" and min(values) < 1:
+                raise ConfigError(f"grid.{kind}.k values must be >= 1")
+            if param != "k" and not all(v > 0 for v in values):
+                raise ConfigError(f"grid.{kind}.{param} values must be > 0")
         if self.tune_folds < 2:
             raise ConfigError("tune.folds must be >= 2")
         if not self.sweep_n_values:

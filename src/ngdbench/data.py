@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import eval_network
-from .textio import read_text, write_text
+from .textio import write_text
 
 __all__ = ["Dataset", "generate_dataset", "empirical_risk", "save_dataset",
-           "load_dataset", "NOISE_KINDS"]
+           "NOISE_KINDS"]
 
 NOISE_KINDS = ("uniform", "scaled-rademacher", "none")
 
@@ -89,22 +89,3 @@ def save_dataset(path, data):
                {"noise_bound": data.noise_bound, "noise_kind": data.noise_kind,
                 "seed": "none" if data.seed is None else data.seed},
                [("train", np.column_stack([data.X, data.y]))])
-
-
-def load_dataset(path):
-    """Read a file written by save_dataset; round trip is exact."""
-    header, _, rows = read_text(path, ("train",))
-    return dataset_from_header(header, rows["train"])
-
-
-def dataset_from_header(header, train):
-    """The Dataset of a parsed header and its `train:` rows; noise and seed
-    keys the header lacks read as noise-free and unseeded."""
-    if not train:
-        raise ValueError("no train: rows")
-    arr = np.asarray(train, dtype=float)
-    seed = header.get("seed", "none")
-    return Dataset(X=arr[:, :-1], y=arr[:, -1],
-                   noise_bound=float(header.get("noise_bound", 0.0)),
-                   noise_kind=header.get("noise_kind", "none"),
-                   seed=None if seed == "none" else int(seed))

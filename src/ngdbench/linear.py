@@ -16,7 +16,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .data import Dataset, dataset_from_header
+from .data import Dataset
 from .model import (
     ScheduleConfig,
     hidden_layer,
@@ -497,8 +497,9 @@ def save_estimator(path, est):
 
 def load_estimator(path):
     """Inverse of save_estimator; krr round trips exactly.  The header's n
-    must count the training rows, and a krr file must hold one dual
-    coefficient per input row."""
+    must count the training rows, at least one, and a krr file must hold one
+    dual coefficient per input row.  A knn or nw training set is read back
+    noise-free and unseeded, as estimator files record neither."""
     header, _, rows = read_text(path, ("inputs", "dual_coef", "train"))
     kind = header["kind"]
     section = "inputs" if kind.startswith("krr") else "train"
@@ -506,9 +507,12 @@ def load_estimator(path):
     if int(header["n"]) != n:
         raise ValueError(f"{path}: header n = {header['n']} but {n} rows in"
                          f" {section}:")
+    if not n:
+        raise ValueError(f"{path}: no {section}: rows")
     if section == "train":
-        return fit_estimator(kind, dataset_from_header(header, rows["train"]),
-                             header)
+        train = np.asarray(rows["train"], dtype=float)
+        return fit_estimator(kind, Dataset(train[:, :-1], train[:, -1],
+                                           noise_bound=0.0), header)
     ridge = float(header["ridge"])
     if ridge <= 0:
         raise ValueError("ridge must be > 0")

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .textio import read_text, write_text
+from .textio import write_text
 
 __all__ = [
     "ScheduleConfig",
@@ -48,9 +48,7 @@ __all__ = [
     "sample_teacher",
     "bump_teacher",
     "save_teacher",
-    "load_teacher",
     "save_weights",
-    "load_weights",
 ]
 
 
@@ -401,26 +399,6 @@ def save_teacher(path, teacher):
     write_text(path, "ngdbench teacher", header, [("blocks", teacher.weights)])
 
 
-def _load_blocks(path):
-    """Header, schedule and (S, M, d+2) weight blocks of a saved file; a
-    teacher file holds one snapshot."""
-    header, _, rows = read_text(path, ("blocks",))
-    config = schedule_from_header(header)
-    M, S = int(header["M"]), int(header.get("snapshots", 1))
-    W = np.asarray(rows["blocks"], dtype=float)
-    if W.shape != (S * M, config.d + 2):
-        raise ValueError(f"{path}: block shape {W.shape} does not match header")
-    return header, config, W.reshape(S, M, config.d + 2)
-
-
-def load_teacher(path):
-    """Read a teacher written by save_teacher; round trip is exact."""
-    header, config, W = _load_blocks(path)
-    seed = None if header["seed"] == "none" else int(header["seed"])
-    return TeacherSpec(config=config, weights=W[0], radius=float(header["radius"]),
-                       seed=seed, kind=header.get("kind", "gaussian"))
-
-
 def save_weights(path, config, weights, extra=None):
     """Write one weight matrix (or a stack of snapshots) as structured text.
 
@@ -435,9 +413,3 @@ def save_weights(path, config, weights, extra=None):
     header.update(extra or {})
     write_text(path, "ngdbench weights", header,
                [("blocks", stack.reshape(-1, config.d + 2))])
-
-
-def load_weights(path):
-    """Read weights written by save_weights -> (config, stack (S, M, d+2))."""
-    _, config, stack = _load_blocks(path)
-    return config, stack

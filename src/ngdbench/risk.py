@@ -103,13 +103,17 @@ def load_records(path):
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            est, n, seed, risk, err, _ = line.split(",")
-            records.append(RiskRecord(estimator=est, n=int(n), seed=int(seed),
-                                      excess_risk=float(risk), stderr=float(err)))
+            try:
+                est, n, seed, risk, err, _ = line.split(",")
+                records.append(RiskRecord(
+                    estimator=est, n=int(n), seed=int(seed),
+                    excess_risk=float(risk), stderr=float(err)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -132,8 +136,8 @@ class RateFit:
 def rate_fit(records):
     """Per-n medians across replicates, then OLS on the log-log points.
 
-    Requires at least three distinct n values and positive medians.  The
-    slope is invariant to multiplying every risk by a constant.
+    Requires at least three distinct n values and positive finite medians.
+    The slope is invariant to multiplying every risk by a constant.
     """
     by_n = {}
     for rec in records:
@@ -142,8 +146,8 @@ def rate_fit(records):
         raise ValueError("rate_fit needs at least 3 distinct n values")
     ns = sorted(by_n)
     medians = [float(np.median(by_n[n])) for n in ns]
-    if any(m <= 0 for m in medians):
-        raise ValueError("rate_fit needs positive median risks")
+    if not all(math.isfinite(m) and m > 0 for m in medians):
+        raise ValueError("rate_fit needs positive finite median risks")
     x = np.log(np.asarray(ns, dtype=float))
     # fit on median ratios: the slope is then exactly invariant to scaling
     # every risk by a constant (the common factor cancels before the log)

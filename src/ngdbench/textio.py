@@ -4,8 +4,9 @@ A file is a header of `key = value` lines, optionally followed by named
 sections: a `name:` line, then one whitespace-separated row of floats per
 line.  Full-line `#` comments and blank lines are ignored everywhere.
 Experiment configs, teachers, weight snapshots, datasets and fitted
-estimators all use it.  Floats are written with 17 significant digits, so
-every round trip is exact.
+estimators all use it.  The package reads back only configs and estimator
+files; teacher, weight and dataset files are write-only inspection output.
+Floats are written with 17 significant digits, so every round trip is exact.
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ import pytest
 import ngdbench.ngd as ngd_module
 from ngdbench.cli import main
 from ngdbench.config import load_config
-from ngdbench.data import empirical_risk, load_dataset
+from ngdbench.data import empirical_risk, save_dataset
 from ngdbench.linear import load_estimator
-from ngdbench.model import load_teacher, load_weights
+from ngdbench.model import save_teacher, save_weights
 from ngdbench.risk import load_records
-from ngdbench.sweep import derive_seed, resolve_teacher, run_cell
+from ngdbench.sweep import (cell_inputs, derive_seed, fit_cell,
+                            resolve_teacher, run_cell)
 
 CFG_TEXT = """\
 schedule.d = 1
@@ -107,20 +108,28 @@ class TestUsageErrors:
 
 
 class TestArtifacts:
+    """Each command writes the bytes of the package's writer for its cell."""
+
     def test_teacher(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "teacher.txt"
         assert main(["teacher", str(cfg_file), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "tail amplitude" in stdout
-        teacher = load_teacher(out)
-        assert teacher.config.d == 1
+        want = tmp_path / "want.txt"
+        save_teacher(want, resolve_teacher(load_config(cfg_file)))
+        assert out.read_bytes() == want.read_bytes()
+        assert "\nd = 1\n" in out.read_text()
 
     def test_data(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "train.txt"
         assert main(["data", str(cfg_file), "--out", str(out),
                      "--n", "16"]) == 0
-        data = load_dataset(out)
+        cfg = load_config(cfg_file)
+        data = cell_inputs(cfg, resolve_teacher(cfg), 16, 0).data
         assert data.n == 16
+        want = tmp_path / "want.txt"
+        save_dataset(want, data)
+        assert out.read_bytes() == want.read_bytes()
         seed = derive_seed(0, 16, 0, "data")
         assert f"seed={seed}" in capsys.readouterr().out
 
@@ -132,8 +141,16 @@ class TestArtifacts:
         stdout = capsys.readouterr().out
         assert "chain: width=" in stdout
         assert "excess risk" in stdout
-        _, stack = load_weights(wout)
-        assert stack.ndim == 3  # kept iterates
+        cfg = load_config(cfg_file)
+        cell = cell_inputs(cfg, resolve_teacher(cfg), 8, 0)
+        result, _, _ = fit_cell(cfg, cell, "ngd")
+        assert result.kept.ndim == 3 and len(result.kept) > 1  # kept iterates
+        want = tmp_path / "want.txt"
+        save_weights(want, cfg.schedule, result.kept,
+                     extra={"kind": "kept-iterates",
+                            "burn_in": cell.ngd.burn_in,
+                            "thinning": cell.ngd.thinning})
+        assert wout.read_bytes() == want.read_bytes()
         assert tout.read_text().startswith("k,empirical_risk")
 
     def test_train_without_trace_derives_no_risk_trace(self, cfg_file, tmp_path,

@@ -172,6 +172,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise.kind"):
             parse_config("noise.kind = gaussian\n")
 
+    @pytest.mark.parametrize("line", [
+        "grid.krr-rbf.ridge = -1e-3, 0",
+        "grid.krr-rbf.bandwidth = 0.5, nan",
+        "grid.krr-ntk.ridge = 0",
+        "grid.krr-rf.ridge = -1",
+        "grid.knn.k = 0, 2",
+        "grid.nw.bandwidth = 0.1, -0.2"],
+        ids=lambda line: line.partition(" =")[0])
+    def test_grid_values_in_range(self, line):
+        key = line.partition(" =")[0]
+        with pytest.raises(ConfigError, match=rf"<config>: {key} values"):
+            parse_config(line + "\n")
+
     def test_n_test_needs_two_points(self):
         # the Monte Carlo standard error needs two test points
         with pytest.raises(ConfigError, match="risk.n_test"):

@@ -9,10 +9,10 @@ from ngdbench.data import (
     Dataset,
     empirical_risk,
     generate_dataset,
-    load_dataset,
     save_dataset,
 )
 from ngdbench.model import ScheduleConfig, TeacherSpec, sample_teacher
+from ngdbench.textio import read_text
 
 
 def make_teacher(d=2, seed=0):
@@ -140,7 +140,7 @@ class TestArrayOwnership:
 
 
 class TestSerialization:
-    """Round trips through the shared text format."""
+    """The written dataset file: exact text, every field at full precision."""
 
     def test_round_trip(self, tmp_path):
         t = make_teacher(d=2)
@@ -148,12 +148,13 @@ class TestSerialization:
                                 noise_kind="scaled-rademacher", seed=21)
         path = tmp_path / "data.txt"
         save_dataset(path, data)
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.X, data.X)
-        np.testing.assert_array_equal(back.y, data.y)
-        assert back.noise_bound == data.noise_bound
-        assert back.noise_kind == data.noise_kind
-        assert back.seed == data.seed
+        header, _, rows = read_text(path, ("train",))
+        train = np.array(rows["train"])
+        np.testing.assert_array_equal(train[:, :-1], data.X)
+        np.testing.assert_array_equal(train[:, -1], data.y)
+        assert float(header["noise_bound"]) == data.noise_bound
+        assert header["noise_kind"] == data.noise_kind
+        assert int(header["seed"]) == data.seed
 
     def test_file_bytes(self, tmp_path):
         data = Dataset(X=[[0.25, 0.5], [0.75, 1.0]], y=[0.5, -1.0],
@@ -164,33 +165,17 @@ class TestSerialization:
             "# ngdbench dataset\nnoise_bound = 0.10000000000000001\n"
             "noise_kind = uniform\nseed = none\ntrain:\n0.25 0.5 0.5\n"
             "0.75 1 -1\n")
-        assert load_dataset(path).seed is None
-
-    def test_missing_keys_read_as_defaults(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("train:\n0.25 0.5 1\n0.75 1 -1\n")
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.X, [[0.25, 0.5], [0.75, 1.0]])
-        np.testing.assert_array_equal(back.y, [1.0, -1.0])
-        assert (back.noise_bound, back.noise_kind, back.seed) == (
-            0.0, "none", None)
 
     def test_non_numeric_token_names_its_line(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("seed = 3\ntrain:\n0.5 1\n0.5 abc\n")
         with pytest.raises(ValueError, match=r"data\.txt:4: could not convert"
                                              r" string to float: 'abc'"):
-            load_dataset(path)
+            read_text(path, ("train",))
 
     def test_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("seed = 3\ntrain:\n0.5 0.25 1\n0.5 1\n")
         with pytest.raises(ValueError, match=r"data\.txt:4: 2 values, the"
                                              r" section's first row has 3"):
-            load_dataset(path)
-
-    def test_no_rows_is_an_error(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("seed = 3\ntrain:\n")
-        with pytest.raises(ValueError, match="no train: rows"):
-            load_dataset(path)
+            read_text(path, ("train",))

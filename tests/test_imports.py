@@ -3,6 +3,7 @@ process loads scipy until it solves a kernel-ridge system, and the network's
 forward pass and a cell's fit-and-score each have one home."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -58,6 +59,16 @@ def test_checker_flags_unused_and_accepts_used():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# unused_imports counts every __all__ entry as read, so a name deleted from a
+# module but left in its __all__ would pass it unnoticed
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    module = importlib.import_module(f"ngdbench.{path.stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 # the functions that may use the in-place logistic kernel: the elementwise

@@ -711,6 +711,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_estimator(path)
 
+    @pytest.mark.parametrize("text, section", [
+        ("kind = knn\nk = 1\nn = 0\ntrain:\n", "train"),
+        ("kind = krr-rbf\nridge = 0.001\nbandwidth = 0.5\nn = 0\ninputs:\n"
+         "dual_coef:\n", "inputs")], ids=["knn", "krr-rbf"])
+    def test_no_rows_is_an_error(self, tmp_path, text, section):
+        path = tmp_path / "est.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"est\.txt: no {section}: rows"):
+            load_estimator(path)
+
+    def test_local_training_set_reads_back_noise_free(self, tmp_path):
+        # an estimator file holds no noise or seed keys
+        path = tmp_path / "est.txt"
+        path.write_text("kind = nw\nbandwidth = 0.5\nn = 2\n"
+                        "train:\n0.25 0.5 1\n0.75 1 -1\n")
+        back = load_estimator(path).data
+        np.testing.assert_array_equal(back.X, [[0.25, 0.5], [0.75, 1.0]])
+        np.testing.assert_array_equal(back.y, [1.0, -1.0])
+        assert (back.noise_bound, back.noise_kind, back.seed) == (
+            0.0, "none", None)
+
     def test_knn_train_section_is_the_dataset_file(self, tmp_path):
         teacher = sample_teacher(schedule(d=2), 3, radius=0.9, seed=0)
         data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=1)

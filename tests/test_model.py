@@ -19,17 +19,17 @@ from ngdbench.model import (
     eval_network,
     h_norm,
     hgamma_norm,
-    load_teacher,
-    load_weights,
     sample_teacher,
     save_teacher,
     save_weights,
+    schedule_from_header,
     sigmoid,
     soft_clip,
     soft_clip_deriv,
     with_ones,
 )
 from ngdbench import model
+from ngdbench.textio import read_text
 from oracles import network_oracle, pad_weights
 
 
@@ -431,28 +431,36 @@ class TestTeachers:
 
 
 class TestSerialization:
-    """Text round-trips for teachers and weight snapshots."""
+    """The written teacher and weight files: exact text, full precision."""
+
+    @staticmethod
+    def read_blocks(path):
+        """Header, schedule and the `blocks:` rows of a written file."""
+        header, _, rows = read_text(path, ("blocks",))
+        return header, schedule_from_header(header), np.array(rows["blocks"])
 
     def test_teacher_round_trip(self, tmp_path):
         cfg = default_config(d=2, gamma=2.0, alpha2=3.0)
         t = sample_teacher(cfg, width=5, radius=0.6, seed=77)
         path = tmp_path / "teacher.txt"
         save_teacher(path, t)
-        back = load_teacher(path)
-        assert back.config == cfg
-        assert back.radius == t.radius
-        assert back.seed == t.seed
-        np.testing.assert_array_equal(back.weights, t.weights)
+        header, cfg2, blocks = self.read_blocks(path)
+        assert cfg2 == cfg
+        assert float(header["radius"]) == t.radius
+        assert int(header["seed"]) == t.seed
+        assert int(header["M"]) == t.width
+        np.testing.assert_array_equal(blocks, t.weights)
 
     def test_weights_round_trip_single(self, tmp_path):
         cfg = default_config(d=1)
         W = np.random.default_rng(0).normal(size=(3, 3))
         path = tmp_path / "w.txt"
         save_weights(path, cfg, W, extra={"note": "unit"})
-        cfg2, stack = load_weights(path)
+        header, cfg2, blocks = self.read_blocks(path)
         assert cfg2 == cfg
-        assert stack.shape == (1, 3, 3)
-        np.testing.assert_array_equal(stack[0], W)
+        assert (header["M"], header["snapshots"], header["note"]) == (
+            "3", "1", "unit")
+        np.testing.assert_array_equal(blocks, W)
 
     GOLDEN_CFG = dict(d=1, R=2.0, gamma=1.5, alpha1=1.0, alpha2=4.0, s=3.0,
                       c_mu=0.5)
@@ -470,9 +478,6 @@ class TestSerialization:
                 + "M = 2\nseed = 3\nradius = 0.5\nkind = gaussian\n"
                 "blocks:\n0.5 -0.25 0.125\n0 1 -2\n")
         assert path.read_text() == want
-        back = load_teacher(path)
-        assert back.config == cfg and back.seed == 3 and back.radius == 0.5
-        np.testing.assert_array_equal(back.weights, t.weights)
 
     def test_weights_file_bytes_with_extra(self, tmp_path):
         cfg = default_config(**self.GOLDEN_CFG)
@@ -485,19 +490,6 @@ class TestSerialization:
                 "eta = 0.25\nblocks:\n0.5 -0.25 0.125\n0.10000000000000001 "
                 "0.20000000000000001 0.29999999999999999\n")
         assert path.read_text() == want
-        cfg2, back = load_weights(path)
-        assert cfg2 == cfg
-        np.testing.assert_array_equal(back, stack)
-
-    def test_teacher_without_radius_names_file_and_key(self, tmp_path):
-        path = tmp_path / "teacher.txt"
-        save_teacher(path, sample_teacher(default_config(), 2, seed=1))
-        path.write_text("".join(line for line in path.read_text()
-                                .splitlines(keepends=True)
-                                if not line.startswith("radius =")))
-        with pytest.raises(ValueError, match=r"teacher\.txt: missing header"
-                                             r" key 'radius'"):
-            load_teacher(path)
 
     # lines 9-12 of a two-snapshot file with M = 1; its second row is line 13
     BLOCKS = "M = 1\nsnapshots = 2\nblocks:\n0.5 -0.25 0.125\n"
@@ -508,7 +500,7 @@ class TestSerialization:
                         + self.BLOCKS + "0.1 x 0.3\n")
         with pytest.raises(ValueError, match=r"w\.txt:13: could not convert"
                                              r" string to float: 'x'"):
-            load_weights(path)
+            self.read_blocks(path)
 
     def test_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "w.txt"
@@ -516,12 +508,13 @@ class TestSerialization:
                         + self.BLOCKS + "0.1 0.2\n")
         with pytest.raises(ValueError, match=r"w\.txt:13: 2 values, the"
                                              r" section's first row has 3"):
-            load_weights(path)
+            self.read_blocks(path)
 
     def test_weights_round_trip_stack(self, tmp_path):
         cfg = default_config(d=2)
         stack = np.random.default_rng(1).normal(size=(4, 2, 4))
         path = tmp_path / "stack.txt"
         save_weights(path, cfg, stack)
-        _, back = load_weights(path)
-        np.testing.assert_array_equal(back, stack)
+        header, _, blocks = self.read_blocks(path)
+        assert (header["M"], header["snapshots"]) == ("2", "4")
+        np.testing.assert_array_equal(blocks.reshape(stack.shape), stack)

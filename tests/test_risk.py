@@ -149,6 +149,11 @@ class TestRateFit:
             rate_fit([record(n=8), record(n=16)])
         with pytest.raises(ValueError):
             rate_fit([record(n=8, risk=0.0), record(n=16), record(n=32)])
+        # a NaN or infinite median would give a NaN exponent, which every
+        # comparison in the report's verdict reads as a win
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive finite median"):
+                rate_fit([record(n=8), record(n=16), record(n=256, risk=bad)])
 
 
 class TestRecordsIo:
@@ -184,6 +189,17 @@ class TestRecordsIo:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError):
+            load_records(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("ngd,8,0,0.5", r"not enough values to unpack"),
+        ("ngd,8.5,0,0.5,0.01,0", r"invalid literal for int\(\)")],
+        ids=["short-row", "non-integer-n"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("estimator,n,seed,excess_risk,stderr,wall_ms\n"
+                        "ngd,4,0,0.5,0.01,0\n\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}"):
             load_records(path)
 
 
