@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -51,17 +51,52 @@ ESTIMATOR_KINDS = ("krr-rbf", "krr-ntk", "krr-rf", "knn", "nw")
 _CHUNK_DOUBLES = 1 << 17
 
 
-def _sq_dists(X, Z):
+def _block_rows(row_doubles):
+    """Rows in one block of about _CHUNK_DOUBLES doubles, one row costing
+    row_doubles."""
+    return max(1, _CHUNK_DOUBLES // max(1, row_doubles))
+
+
+def _row_blocks(n_rows, row_doubles):
+    """Slices of consecutive rows, _block_rows(row_doubles) per block.
+    Block shape moves gemm's rounding, so the block sizes are part of every
+    prediction's bits."""
+    step = _block_rows(row_doubles)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def _sq_dists(X, Z, out=None, z_sq=None):
     """Pairwise squared euclidean distances, clamped at 0.  When X and Z are
-    one float array the result is exactly symmetric (a rank-k update)."""
+    one float array the result is exactly symmetric (a rank-k update).
+
+    The distances are written into the array the gemm fills (out, when
+    given), one row block at a time as (|x|^2 + |z|^2) - 2 x.z, so the only
+    other temporary is one block.  z_sq passes Z's squared norms when the
+    caller already has them.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    cross = X @ Z.T
-    cross *= 2.0
-    sq = (X * X).sum(1)[:, None] + (Z * Z).sum(1)[None, :]
-    sq -= cross
+    x_sq = (X * X).sum(1)
+    if z_sq is None:
+        z_sq = (Z * Z).sum(1)
+    sq = np.matmul(X, Z.T, out=out)
+    for sl in _row_blocks(sq.shape[0], sq.shape[1]):
+        block = sq[sl]
+        block *= 2.0
+        np.subtract(x_sq[sl, None] + z_sq, block, out=block)
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _dist_blocks(x, Z):
+    """(rows, squared distances from x[rows] to Z) for each prediction
+    block of x.  Every block is written into one buffer, so a block is valid
+    only until the next is yielded; Z's squared norms are computed once."""
+    z_sq = (Z * Z).sum(1)
+    buf = np.empty((min(x.shape[0], _block_rows(Z.shape[0])), Z.shape[0]))
+    for sl in _row_blocks(x.shape[0], Z.shape[0]):
+        rows = x[sl]
+        yield sl, _sq_dists(rows, Z, out=buf[:rows.shape[0]], z_sq=z_sq)
 
 
 @dataclass(frozen=True)
@@ -151,46 +186,46 @@ def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
 
 
 def _check_finite(*arrays):
-    """The ValueError scipy.linalg raises, checked once per gram so the
-    solves below can skip it."""
+    """The ValueError scipy.linalg raises, checked once per gram (per fold
+    block in tuning) so the solves below can skip it."""
     for a in arrays:
         if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _solve_regularized(K, ridge, y):
+def _solve_regularized(K, ridge, y, work):
     """(K + ridge I)^{-1} y; K and y must already be checked finite.
 
-    K must be exactly symmetric, as every gram here is: Cholesky reads the
-    upper triangle, through a Fortran-ordered view that saves a copy.  When
-    the factorization fails (a semi-definite gram plus a tiny ridge can lose
-    positivity to roundoff) the solve falls back to scipy's
-    symmetric-indefinite solver.
+    K's diagonal is shifted by the ridge in place and restored on return,
+    so K comes back bitwise unchanged, also when the solve raises.  The
+    shifted K is copied into `work`, a C-ordered array of K's shape that the
+    caller owns, and factored there: K must be exactly symmetric, as every
+    gram here is, since Cholesky reads the upper triangle through work's
+    Fortran-ordered transpose.  When the factorization fails (a
+    semi-definite gram plus a tiny ridge can lose positivity to roundoff)
+    the solve falls back to scipy's symmetric-indefinite solver.
 
     scipy.linalg is imported here, its only use in the package, so a
     process that solves no kernel system never loads scipy.
     """
     from scipy.linalg import cho_factor, cho_solve, solve
 
-    A = K.copy()
-    A.flat[::A.shape[0] + 1] += ridge
+    diagonal = K.diagonal().copy()
+    K.flat[::K.shape[0] + 1] += ridge
     try:
-        factor = cho_factor(A.T, lower=True, check_finite=False)
-        coef = cho_solve(factor, y, check_finite=False)
-        # one step of iterative refinement: tiny ridges leave A with a large
-        # condition number, and the refreshed residual solve buys back the
-        # digits the factorization loses there
-        return coef + cho_solve(factor, y - A @ coef, check_finite=False)
-    except np.linalg.LinAlgError:
-        return solve(A, y, assume_a="sym")
-
-
-def _row_blocks(n_rows, row_doubles):
-    """Slices of consecutive rows, about _CHUNK_DOUBLES doubles per block
-    when one row costs row_doubles.  Block shape moves gemm's rounding, so
-    the block sizes are part of every prediction's bits."""
-    step = max(1, _CHUNK_DOUBLES // max(1, row_doubles))
-    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+        np.copyto(work, K)
+        try:
+            factor = cho_factor(work.T, lower=True, overwrite_a=True,
+                                check_finite=False)
+            coef = cho_solve(factor, y, check_finite=False)
+            # one step of iterative refinement: tiny ridges leave K + ridge I
+            # with a large condition number, and the refreshed residual
+            # solve buys back the digits the factorization loses there
+            return coef + cho_solve(factor, y - K @ coef, check_finite=False)
+        except np.linalg.LinAlgError:
+            return solve(K, y, assume_a="sym")
+    finally:
+        K.flat[::K.shape[0] + 1] = diagonal
 
 
 @dataclass
@@ -208,24 +243,30 @@ class KrrEstimator:
     X: np.ndarray
     dual_coef: np.ndarray
     train_features: InitVar[np.ndarray | None] = None
-    # block map and the coefficients it is multiplied by
-    _basis: object = field(init=False, repr=False, compare=False)
+    # the coefficients each block of _blocks is multiplied by
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, train_features):
         if isinstance(self.kernel, RbfKernel):
-            self._basis = partial(self.kernel.gram, Z=self.X)
             self._coef = self.dual_coef
         else:
-            self._basis = self.kernel.features
             if train_features is None:
-                train_features = self._basis(self.X)
+                train_features = self.kernel.features(self.X)
             # |c| grows like 1/ridge while F^T c stays O(1): accumulating in
             # extended precision keeps that cancellation out of the
             # prediction's digits (the plain product where long double is
             # double)
             self._coef = np.einsum("ij,i->j", train_features, self.dual_coef,
                                    dtype=np.longdouble).astype(float)
+
+    def _blocks(self, x):
+        """(rows, gram(x[rows], X) or features(x[rows])) per block of x."""
+        if isinstance(self.kernel, RbfKernel):
+            for sl, sq in _dist_blocks(x, self.X):
+                yield sl, self.kernel.from_sq_dists(sq, out=sq)
+        else:
+            for sl in _row_blocks(x.shape[0], self._coef.shape[0]):
+                yield sl, self.kernel.features(x[sl])
 
     @property
     def params(self):
@@ -238,8 +279,8 @@ class KrrEstimator:
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty(x.shape[0])
-        for sl in _row_blocks(x.shape[0], self._coef.shape[0]):
-            out[sl] = self._basis(x[sl]) @ self._coef
+        for sl, block in self._blocks(x):
+            out[sl] = block @ self._coef
         return out
 
 
@@ -256,7 +297,7 @@ def krr_fit(kind, data, ridge, config=None, **params):
         F = kernel.features(X)
         G = F @ F.T
     _check_finite(G, data.y)
-    coef = _solve_regularized(G, ridge, data.y)
+    coef = _solve_regularized(G, ridge, data.y, np.empty_like(G))
     return KrrEstimator(kind=kind, kernel=kernel, ridge=float(ridge),
                         X=X, dual_coef=coef, train_features=F)
 
@@ -288,10 +329,10 @@ def knn_predict(data, k, x):
         raise ValueError("k must lie in [1, n]")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0])
-    for sl in _row_blocks(x.shape[0], data.n):
+    for sl, sq in _dist_blocks(x, data.X):
         # `sets` lives into the next block, so malloc keeps the heap top
         # instead of returning it to the OS and faulting it back each block
-        sets = _k_smallest_sets(_sq_dists(x[sl], data.X), k)
+        sets = _k_smallest_sets(sq, k)
         out[sl] = data.y[sets].mean(axis=1)
     return out
 
@@ -305,8 +346,7 @@ def nw_predict(data, bandwidth, x):
     out = np.empty(x.shape[0])
     tiny = np.finfo(float).tiny
     kern = RbfKernel(bandwidth=bandwidth)
-    for sl in _row_blocks(x.shape[0], data.n):
-        sq = _sq_dists(x[sl], data.X)
+    for sl, sq in _dist_blocks(x, data.X):
         w = kern.from_sq_dists(sq)
         denom = w.sum(axis=1)
         ok = denom > tiny
@@ -363,6 +403,13 @@ class TuneResult:
     seed: int
 
 
+def _gather(D, rows, cols, out):
+    """D[np.ix_(rows, cols)] written into out, through one row block of D
+    at a time."""
+    for sl in _row_blocks(rows.size, D.shape[1]):
+        np.take(D[rows[sl]], cols, axis=1, out=out[sl], mode="clip")
+
+
 def _fold_indices(n, folds, seed):
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
@@ -388,6 +435,13 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     function of (data, grid, folds, seed).  Score ties go to the smallest
     parameter combination in sorted key order.
 
+    Kernel ridge keeps one n x n array, the squared distances (krr-rbf) or
+    the gram (feature kernels).  Each fold's training gram and validation
+    block are gathered from it into buffers sized once for the largest
+    fold, krr-rbf applying each bandwidth's exp to them in place, and every
+    solve factors in one more buffer of the fold gram's size: about
+    8 (n^2 + 2 m^2 + m (n - m)) bytes for a largest training fold of m.
+
     k-NN scores every k from one list per validation point, ordered by
     (distance, index), whose first k are the neighbours `knn_predict`
     would average.
@@ -405,23 +459,35 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
         bandwidths = sorted(set(c.get("bandwidth", None) for c in combos))
         _check_finite(data.y)
+        # squared distances (krr-rbf) or the gram (feature kernels), from
+        # which each fold's blocks are gathered
         if kind == "krr-rbf":
+            kernels = [make_kernel(kind, bandwidth=bw) for bw in bandwidths]
             D = _sq_dists(data.X, data.X)
-            G = np.empty_like(D)
-        for bw in bandwidths:
-            if kind == "krr-rbf":
-                make_kernel(kind, bandwidth=bw).from_sq_dists(D, out=G)
-            else:
-                G = make_kernel(kind, config=config, width=_kernel_width(data),
-                                seed=kernel_seed).gram(data.X, data.X)
-            _check_finite(G)
-            for tr, va in masks:
-                Ktr = G[np.ix_(tr, tr)]
-                Kva = G[np.ix_(va, tr)]
+        else:
+            kernels = [None] * len(bandwidths)
+            D = make_kernel(kind, config=config, width=_kernel_width(data),
+                            seed=kernel_seed).gram(data.X, data.X)
+        # one fold gram, validation block and factor buffer for every fold
+        m_max = max(tr.size for tr, _ in masks)
+        gram_buf, work_buf = np.empty(m_max**2), np.empty(m_max**2)
+        val_buf = np.empty(max(tr.size * va.size for tr, va in masks))
+        for tr, va in masks:
+            m = tr.size
+            Ktr, work = (b[:m * m].reshape(m, m) for b in (gram_buf, work_buf))
+            Kva = val_buf[:va.size * m].reshape(va.size, m)
+            for bw, kern in zip(bandwidths, kernels):
+                _gather(D, tr, tr, out=Ktr)
+                _gather(D, va, tr, out=Kva)
+                if kern is not None:
+                    kern.from_sq_dists(Ktr, out=Ktr)
+                    kern.from_sq_dists(Kva, out=Kva)
+                _check_finite(Ktr, Kva)
                 for i, combo in enumerate(combos):
                     if combo.get("bandwidth", None) != bw:
                         continue
-                    coef = _solve_regularized(Ktr, combo["ridge"], data.y[tr])
+                    coef = _solve_regularized(Ktr, combo["ridge"], data.y[tr],
+                                              work)
                     resid = Kva @ coef - data.y[va]
                     sq_err[i] += float(resid @ resid)
     elif kind == "knn":

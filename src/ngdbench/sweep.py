@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,6 +179,9 @@ def _computed(jobs, workers):
     if workers <= 1:
         yield from (_compute_cell(*job) for job in jobs)
         return
+    # imported here: a serial sweep never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_compute_cell, *job) for job in jobs]
         yield from (fut.result() for fut in as_completed(futures))

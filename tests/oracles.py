@@ -6,8 +6,11 @@ and its tangent and random features summed block by block over every block,
 the zero combination, a zero-padded weight matrix, cross validation by full
 sorts and per-bandwidth grams, the two-sigmoid window and a ridge
 combination summed atom by atom through it), so the tests can check the
-program against it.
+program against it.  `traced_peak` is the memory measurement the tests
+share.
 """
+
+import tracemalloc
 
 import numpy as np
 import scipy.linalg
@@ -203,3 +206,14 @@ def cv_table(kind, data, grid, folds, seed):
             resid = pred - data.y[va]
             sq_err[i] += float(resid @ resid)
     return tuple((combo, err / data.n) for combo, err in zip(combos, sq_err))
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc traces while fn() runs, counted from its
+    start; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

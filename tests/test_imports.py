@@ -208,6 +208,15 @@ def test_cli_import_skips_scipy_integrate_and_optimize():
     assert out.split() == []
 
 
+def test_cli_import_skips_the_process_pool():
+    """Importing the CLI in a fresh interpreter loads neither the process
+    pool nor multiprocessing: only a sweep on more than one worker does."""
+    out = fresh_run("import sys, ngdbench.cli\n"
+                    "print(' '.join(m for m in ('concurrent.futures.process',"
+                    " 'multiprocessing') if m in sys.modules))")
+    assert out.split() == []
+
+
 # a small run: the ngd chain and a krr-rbf baseline
 SMALL_CFG = ("schedule.d = 1\nschedule.alpha2 = 1\nnoise.bound = 0.1\n"
              "ngd.eta = 0.25\nngd.budget = 2\nbaselines = krr-rbf\n"

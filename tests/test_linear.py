@@ -1,7 +1,6 @@
 """Baseline estimators: kernels, ridge solves, local averaging, tuning."""
 
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,8 @@ from ngdbench.linear import (
 from ngdbench.config import load_config
 from ngdbench.model import (ScheduleConfig, active_width, eval_network,
                             sample_teacher)
-from oracles import block_activation, cv_table, feature_oracle, kernel_eval
+from oracles import (block_activation, cv_table, feature_oracle, kernel_eval,
+                     traced_peak)
 
 
 def dataset(X, y):
@@ -456,13 +456,7 @@ class TestSinglePass:
         est = krr_fit("krr-rbf", data, 1e-3, bandwidth=1.0)
         x = rng.random((20000, 10))
         for predict in (lambda: knn_predict(data, 16, x), lambda: est(x)):
-            tracemalloc.start()
-            try:
-                predict()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound
+            assert traced_peak(predict) < bound
 
     @pytest.mark.parametrize("kind", ["knn", "krr-rbf"])
     def test_cv_table_matches_reference_bitwise(self, kind):
@@ -527,6 +521,88 @@ class TestSinglePass:
                          for row in est.kernel.features(xq).tolist()]
                 np.testing.assert_allclose(est(xq), exact, rtol=0, atol=1e-10,
                                            err_msg=f"{kind} {ridge:g}")
+
+
+class TestKrrMemory:
+    """Kernel ridge holds a fixed set of dense arrays: tuning keeps the
+    n x n distances (or gram), one training-fold gram, one factor buffer and
+    one validation block; a fit keeps the gram and one factor buffer.  Each
+    solve shifts the gram's diagonal in place and restores it."""
+
+    n = 1000
+    # bound slack, stated before measuring: two 1 MiB row blocks (the
+    # distance rows and a gathered block), the fold's finiteness mask
+    # (m^2 bytes, 0.6 MiB here) and the vectors, 3 MiB in all.  One more
+    # m x m array (4.9 MiB) does not fit
+    slack = 3 * 2**20
+
+    def data(self, seed):
+        rng = np.random.default_rng(seed)
+        return dataset(rng.random((self.n, 3)), rng.normal(size=self.n))
+
+    def tune_bound(self, folds):
+        # 8 (n^2 + 2 m^2 + m (n - m)) bytes, m the largest training fold
+        n = self.n
+        m = n - n // folds
+        return 8 * (n * n + 2 * m * m + m * (n - m)) + self.slack
+
+    def test_rbf_tune_memory_is_bounded(self):
+        data = self.data(12)
+        grid = {"bandwidth": [0.5, 1.0], "ridge": [1e-3, 1e-1]}
+        peak = traced_peak(lambda: tune("krr-rbf", data, grid=grid, folds=5))
+        assert peak < self.tune_bound(5)
+
+    def test_feature_tune_memory_is_bounded(self):
+        data = self.data(13)
+        peak = traced_peak(lambda: tune("krr-rf", data, grid={"ridge": [1e-3]},
+                                        folds=5, config=schedule(d=3)))
+        assert peak < self.tune_bound(5)
+
+    def test_fit_memory_is_bounded(self):
+        # 16 n^2 bytes: the gram and one factor buffer
+        data = self.data(14)
+        peak = traced_peak(lambda: krr_fit("krr-rbf", data, 1e-3,
+                                           bandwidth=1.0))
+        assert peak < 16 * self.n**2 + self.slack
+
+    def gram(self, rank=60):
+        rng = np.random.default_rng(15)
+        F = rng.normal(size=(40, rank))
+        # one point near the origin: its diagonal entry (~1e-40) is one the
+        # ridge moves, whatever the ridge
+        F[0] *= 1e-20
+        return F @ F.T, rng.normal(size=40)
+
+    def test_solve_leaves_gram_unchanged(self):
+        K, y = self.gram()
+        before = K.copy()
+        coef = linear._solve_regularized(K, 1e-3, y, np.empty_like(K))
+        np.testing.assert_array_equal(K, before)
+        np.testing.assert_allclose(
+            (before + 1e-3 * np.eye(40)) @ coef, y, rtol=0, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:An ill-conditioned matrix")
+    def test_indefinite_fallback_leaves_gram_unchanged(self, monkeypatch):
+        # rank 3 plus a tiny ridge: roundoff leaves Cholesky a non-positive
+        # pivot, and the symmetric-indefinite solver takes over
+        K, y = self.gram(rank=3)
+        before = K.copy()
+        calls = counting(monkeypatch, scipy.linalg, "solve")
+        linear._solve_regularized(K, 1e-30, y, np.empty_like(K))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(K, before)
+
+    def test_failed_solve_leaves_gram_unchanged(self, monkeypatch):
+        K, y = self.gram()
+        before = K.copy()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", broken)
+        with pytest.raises(RuntimeError, match="solve failed"):
+            linear._solve_regularized(K, 1e-3, y, np.empty_like(K))
+        np.testing.assert_array_equal(K, before)
 
 
 class TestSerialization:
