@@ -189,7 +189,7 @@ def parse_config(text, source="<config>"):
     keys and unparseable values, and for semantically invalid combinations.
     """
     try:
-        header, lines, _ = parse_text(text, source)
+        header, lines = parse_text(text, source)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     top, grids = {}, []

@@ -345,33 +345,27 @@ def sample_teacher(config, width, radius=1.0, seed=0):
                        kind="gaussian")
 
 
-def bump_teacher(config, width, index=1, center=None, direction=None, radius=1.0):
+def bump_teacher(config, width, radius=1.0):
     """Deterministic one-active-node teacher: a single scheduled ridge bump.
 
-    Block `index` gets w1 proportional to [u; -u.c] (a ridge along direction
-    u through center c) and w2 topped up so the weighted norm is exactly
-    `radius`; every other block is zero.  Worst-case-style target for
-    experiments probing the resolution of a single node.
+    Block 1 gets w1 proportional to [u; -u.c] (a ridge along the diagonal
+    u = 1/sqrt(d) through the cube's center c = 0.5) and w2 topped up so the
+    weighted norm is exactly `radius`; every other block is zero.
+    Worst-case-style target for experiments probing the resolution of a
+    single node.
     """
-    if not 1 <= index <= width:
-        raise ValueError("bump index must lie in [1, width]")
     d = config.d
-    c = np.full(d, 0.5) if center is None else np.asarray(center, dtype=float)
-    u = np.ones(d) if direction is None else np.asarray(direction, dtype=float)
-    if c.shape != (d,) or u.shape != (d,):
-        raise ValueError("center and direction must be d-vectors")
-    un = np.linalg.norm(u)
-    if un == 0.0:
-        raise ValueError("direction must be nonzero")
-    u = u / un
+    c = np.full(d, 0.5)
+    u = np.ones(d)
+    u /= np.linalg.norm(u)
     v = np.concatenate([u, [-float(u @ c)]])
-    mu_i = float(config.mu(index))
-    rt = mu_i ** (config.gamma / 2.0)
+    mu_1 = float(config.mu(1))
+    rt = mu_1 ** (config.gamma / 2.0)
     W = np.zeros((width, d + 2))
     # half the norm budget in the ridge direction, half in the output weight
-    W[index - 1, :-1] = rt * radius * v / (np.linalg.norm(v) * np.sqrt(2.0))
-    block_sq = float(np.sum(W[index - 1, :-1] ** 2))
-    W[index - 1, -1] = np.sqrt(max(mu_i**config.gamma * radius**2 - block_sq, 0.0))
+    W[0, :-1] = rt * radius * v / (np.linalg.norm(v) * np.sqrt(2.0))
+    block_sq = float(np.sum(W[0, :-1] ** 2))
+    W[0, -1] = np.sqrt(max(mu_1**config.gamma * radius**2 - block_sq, 0.0))
     return TeacherSpec(config=config, weights=W, radius=radius, seed=None,
                        kind="bump")
 
@@ -379,16 +373,10 @@ def bump_teacher(config, width, index=1, center=None, direction=None, radius=1.0
 # -- structured-text serialization ------------------------------------------
 
 # ScheduleConfig's fields with their text parsers, in declaration order (the
-# annotations are strings here).  Every text format reads the schedule
-# through this table and writes it with dataclasses.asdict.
+# annotations are strings here).  Configs read the schedule through this
+# table, and every text format writes it with dataclasses.asdict.
 SCHEDULE_FIELDS = {f.name: int if f.type == "int" else float
                    for f in fields(ScheduleConfig)}
-
-
-def schedule_from_header(header):
-    """ScheduleConfig from the value strings of a parsed text header."""
-    return ScheduleConfig(**{name: parse(header[name])
-                             for name, parse in SCHEDULE_FIELDS.items()})
 
 
 def save_teacher(path, teacher):

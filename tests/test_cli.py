@@ -2,14 +2,13 @@
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ngdbench.ngd as ngd_module
 from ngdbench.cli import main
 from ngdbench.config import load_config
 from ngdbench.data import empirical_risk, save_dataset
-from ngdbench.linear import load_estimator
+from ngdbench.linear import save_estimator
 from ngdbench.model import save_teacher, save_weights
 from ngdbench.risk import load_records
 from ngdbench.sweep import (cell_inputs, derive_seed, fit_cell,
@@ -181,8 +180,12 @@ class TestArtifacts:
                      "--estimator", "knn", "--n", "16"]) == 0
         stdout = capsys.readouterr().out
         assert "knn: chose k=" in stdout
-        est = load_estimator(out)
-        assert est(np.array([[0.5]])).shape == (1,)
+        cfg = load_config(cfg_file)
+        _, est, _ = fit_cell(cfg, cell_inputs(cfg, resolve_teacher(cfg), 16, 0),
+                             "knn")
+        want = tmp_path / "want.txt"
+        save_estimator(want, est)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_fit_unknown_estimator(self, cfg_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

@@ -110,8 +110,11 @@ class TestDiagnostics:
             parse_config("tune.folds = 3\n\ntune.folds = 4\n")
 
     def test_missing_equals(self):
-        with pytest.raises(ConfigError, match=r":1: expected 'key = value'"):
-            parse_config("just words\n")
+        # a section line is no exception: configs have none
+        for text in ("just words\n", "blocks:\n"):
+            with pytest.raises(ConfigError,
+                               match=r":1: expected 'key = value'"):
+                parse_config(text)
 
     def test_bad_int(self):
         with pytest.raises(ConfigError, match=r":1: bad value for 'tune.folds'"):

@@ -1,6 +1,7 @@
-"""Import hygiene: no package module imports a name it never uses, no
-process loads scipy until it solves a kernel-ridge system, and the network's
-forward pass and a cell's fit-and-score each have one home."""
+"""Import hygiene: no package module imports a name it never uses, every
+public name has a caller outside tests, no process loads scipy until it
+solves a kernel-ridge system, and the network's forward pass and a cell's
+fit-and-score each have one home."""
 
 import ast
 import importlib
@@ -11,10 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from ngdbench.linear import load_estimator
-
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "ngdbench"
+
+
+def public_names(source):
+    """The names in a module source's __all__."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source):
@@ -34,10 +42,7 @@ def unused_imports(source):
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(public_names(source))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -69,6 +74,47 @@ def test_no_unused_imports(path):
 def test_all_names_are_defined(path):
     module = importlib.import_module(f"ngdbench.{path.stem}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def uncalled_public_names(package, callers):
+    """`module.name` of each __all__ entry of the `package` sources (module
+    name -> source) that no code reads: neither another part of the package
+    (a read inside the name's own top-level def or class does not count)
+    nor a `callers` source.  Reads are matched by identifier; imports and
+    __all__ entries are not reads."""
+    readers = {}  # name -> {(module, top-level definition or None)}
+    for module, source in [*package.items(),
+                           *((None, src) for src in callers)]:
+        for top in ast.parse(source).body:
+            where = (module, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = getattr(node, "id", getattr(node, "attr", None))
+                    readers.setdefault(name, set()).add(where)
+    return sorted(f"{module}.{name}" for module, source in package.items()
+                  for name in public_names(source)
+                  if not readers.get(name, set()) - {(module, name)})
+
+
+def test_public_name_checker_flags_names_only_tests_read():
+    package = {"linear": ("__all__ = ['fit', 'load', 'walk']\n"
+                          "def fit(data):\n    return data\n"
+                          "def load(path):\n    return load(path)\n"
+                          "def walk(tree):\n    return walk(tree)\n"),
+               "sweep": ("from .linear import fit, load\n"
+                         "__all__ = ['run']\n"
+                         "def run(cell):\n    return fit(cell)\n")}
+    demo = "from ngdbench import sweep, linear\nsweep.run(linear.walk)\n"
+    assert uncalled_public_names(package, [demo]) == ["linear.load"]
+
+
+# reference paths that only tests need belong in tests/oracles.py
+def test_every_public_name_has_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    callers = [p.read_text() for folder in ("bench", "demos")
+               for p in (REPO / folder).rglob("*.py")]
+    assert uncalled_public_names(package, callers) == []
 
 
 # the functions that may use the in-place logistic kernel: the elementwise
@@ -127,7 +173,7 @@ def test_one_forward_pass(path):
 # the calls that fit and score a cell, by the module that defines each: only
 # sweep.fit_cell makes them, so the sweep and the train/fit commands report
 # one figure per cell.  A defining module may call its own name (linear's
-# load_estimator refits a saved local estimator with fit_estimator).
+# tune, say, could refit its best combination with fit_estimator).
 CELL_CALLS = {"run_chain": "ngd", "tune": "linear", "fit_estimator": "linear",
               "excess_risk_mc": "risk"}
 CELL_FITTER = "sweep.fit_cell"
@@ -175,8 +221,8 @@ def test_cell_fit_checker_flags_every_other_caller():
     assert cell_fit_copies("sweep", sweep) == [
         (2, "sweep.fit_baseline"), (3, "sweep.fit_baseline"),
         (5, "sweep.run_cell"), (6, "sweep.run_cell")]
-    linear = ("def load_estimator(path):\n"
-              "    return fit_estimator(kind, data, header)\n")
+    linear = ("def tune(kind, data):\n"
+              "    return fit_estimator(kind, data, best)\n")
     assert cell_fit_copies("linear", linear) == []
 
 
@@ -247,4 +293,5 @@ def test_kernel_ridge_fit_loads_scipy_linalg(tmp_path):
                     f" 'krr-rbf', '--n', '16', '--out', {str(est)!r}]) == 0"
                     + LOADED_SCIPY)
     assert "scipy.linalg" in out.splitlines()[-1].split()
-    assert load_estimator(est).dual_coef.shape == (16,)
+    rows = est.read_text().split("dual_coef:\n")[1].splitlines()
+    assert len(rows) == 16

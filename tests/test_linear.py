@@ -1,5 +1,6 @@
 """Baseline estimators: kernels, ridge solves, local averaging, tuning."""
 
+import io
 import math
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from ngdbench.linear import (
     fit_estimator,
     knn_predict,
     krr_fit,
-    load_estimator,
     make_kernel,
     nw_predict,
     save_estimator,
@@ -196,19 +196,32 @@ class TestKrr:
         with pytest.raises(ValueError):
             krr_fit("krr-rbf", dataset(X, [0.0, 1.0]), 0.0, bandwidth=1.0)
 
+    @staticmethod
+    def assert_nonfinite_raises(data, bandwidth):
+        # building such a gram warns; the error is what is checked
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                krr_fit("krr-rbf", data, 0.1, bandwidth=bandwidth)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                tune("krr-rbf", data,
+                     grid={"bandwidth": [bandwidth], "ridge": [0.1]}, folds=3)
+
     @pytest.mark.parametrize("bad", ["X", "y"])
     def test_nonfinite_input_raises_in_fit_and_tune(self, bad):
         # the solves skip scipy's finiteness check, so each gram and y are
         # checked once with the same error
         rng = np.random.default_rng(3)
-        X, y = rng.random((12, 2)), rng.normal(size=12)
-        (X if bad == "X" else y)[4] = np.nan
-        data = dataset(X, y)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            krr_fit("krr-rbf", data, 0.1, bandwidth=1.0)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            tune("krr-rbf", data, grid={"bandwidth": [1.0], "ridge": [0.1]},
-                 folds=3)
+        for value in (np.nan, np.inf, -np.inf):
+            X, y = rng.random((12, 2)), rng.normal(size=12)
+            (X if bad == "X" else y)[4] = value
+            self.assert_nonfinite_raises(dataset(X, y), bandwidth=1.0)
+
+    def test_underflowing_bandwidth_raises_in_fit_and_tune(self):
+        # finite X and y, but 1e-200 squared underflows to 0, so each gram's
+        # diagonal is 0/0: only the gram check catches it
+        rng = np.random.default_rng(3)
+        data = dataset(rng.random((12, 2)), rng.normal(size=12))
+        self.assert_nonfinite_raises(data, bandwidth=1e-200)
 
 
 class TestLocalAverages:
@@ -606,7 +619,16 @@ class TestKrrMemory:
 
 
 class TestSerialization:
-    """Text round trips for fitted predictors."""
+    """The written estimator files: exact text, every value at full
+    precision."""
+
+    @staticmethod
+    def rows(path, section, end=None):
+        """The float rows after a file's `section:` line, up to the `end`
+        line if given."""
+        body = path.read_text().split(f"{section}:\n")[1]
+        return np.loadtxt(io.StringIO(body.split(end)[0] if end else body),
+                          ndmin=2)
 
     def test_krr_rbf_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -615,10 +637,9 @@ class TestSerialization:
                       bandwidth=0.8)
         path = tmp_path / "est.txt"
         save_estimator(path, est)
-        back = load_estimator(path)
-        xq = rng.random((4, 2))
-        np.testing.assert_array_equal(back(xq), est(xq))
-        assert back.params == est.params
+        assert self.rows(path, "inputs", "dual_coef:").tobytes() == X.tobytes()
+        assert self.rows(path, "dual_coef").ravel().tobytes() == (
+            est.dual_coef.tobytes())
 
     def test_krr_ntk_roundtrip(self, tmp_path):
         cfg = schedule(d=1)
@@ -628,65 +649,57 @@ class TestSerialization:
                       config=cfg, width=3, seed=2)
         path = tmp_path / "est.txt"
         save_estimator(path, est)
-        back = load_estimator(path)
-        xq = rng.random((3, 1))
-        np.testing.assert_array_equal(back(xq), est(xq))
-        assert back.params == est.params == {"width": 3, "seed": 2,
-                                             "ridge": 1e-4}
+        assert path.read_text().startswith(
+            "# ngdbench estimator\nkind = krr-ntk\nridge = 0.0001\n"
+            "width = 3\nkernel_seed = 2\n")
+        assert self.rows(path, "inputs", "dual_coef:").tobytes() == X.tobytes()
+        assert self.rows(path, "dual_coef").ravel().tobytes() == (
+            est.dual_coef.tobytes())
 
     def test_params_roundtrip_every_kind(self, tmp_path):
-        # a reloaded estimator reports the hyperparameters it was fitted
-        # with, kernel seed included, and predicts the same bits
+        # the header names the hyperparameters each kind was fitted with,
+        # kernel width and seed included
         cfg = schedule(d=2)
         rng = np.random.default_rng(4)
         data = dataset(rng.random((40, 2)), rng.normal(size=40))
-        xq = rng.random((9, 2))
-        cases = {"krr-rbf": {"bandwidth": 0.7, "ridge": 1e-3},
-                 "krr-ntk": {"ridge": 1e-4}, "krr-rf": {"ridge": 1e-4},
-                 "knn": {"k": 3}, "nw": {"bandwidth": 0.3}}
+        feature = ({"ridge": 1e-4},
+                   "ridge = 0.0001\nwidth = 10\nkernel_seed = 3\n")
+        cases = {"krr-rbf": ({"bandwidth": 0.7, "ridge": 1e-3},
+                             "ridge = 0.001\nbandwidth = 0.69999999999999996\n"),
+                 "krr-ntk": feature, "krr-rf": feature,
+                 "knn": ({"k": 3}, "k = 3\n"),
+                 "nw": ({"bandwidth": 0.3}, "bandwidth = 0.29999999999999999\n")}
         for kind in ESTIMATOR_KINDS:
-            est = fit_estimator(kind, data, cases[kind], config=cfg,
+            params, header = cases[kind]
+            est = fit_estimator(kind, data, params, config=cfg,
                                 kernel_seed=3)
             path = tmp_path / f"{kind}.txt"
             save_estimator(path, est)
-            back = load_estimator(path)
-            assert back.params == est.params, kind
-            np.testing.assert_array_equal(back(xq), est(xq), err_msg=kind)
+            assert path.read_text().startswith(
+                f"# ngdbench estimator\nkind = {kind}\n{header}"), kind
         assert est.params == {"bandwidth": 0.3}
-        assert fit_estimator("krr-ntk", data, {"ridge": 1e-4}, config=cfg,
-                             kernel_seed=3).params == {"width": 10, "seed": 3,
-                                                       "ridge": 1e-4}
 
     def test_local_roundtrips(self, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.random((7, 2))
         y = rng.normal(size=7)
-        xq = rng.random((4, 2))
         for kind, params in (("knn", {"k": 2}), ("nw", {"bandwidth": 0.4})):
             est = fit_estimator(kind, dataset(X, y), params)
             path = tmp_path / f"{kind}.txt"
             save_estimator(path, est)
-            back = load_estimator(path)
-            np.testing.assert_array_equal(back(xq), est(xq))
-            assert back.params == est.params == params
-
-    def test_hand_built_krr_reports_its_kernel(self):
-        est = KrrEstimator(kind="krr-ntk",
-                           kernel=NtkKernel(config=schedule(d=1), width=3,
-                                            seed=2),
-                           ridge=1e-4, X=np.array([[0.25], [0.75]]),
-                           dual_coef=np.array([2.0, 0.1]))
-        assert est.params == {"width": 3, "seed": 2, "ridge": 1e-4}
+            train = self.rows(path, "train")
+            assert train.tobytes() == np.column_stack([X, y]).tobytes()
+            assert est.params == params
 
     def test_local_saves_the_k_it_predicts_with(self, tmp_path):
         rng = np.random.default_rng(5)
         data = dataset(rng.random((9, 2)), rng.normal(size=9))
         xq = rng.random((4, 2))
         path = tmp_path / "knn.txt"
-        save_estimator(path, linear.LocalEstimator("knn", data, {"k": 3}))
-        back = load_estimator(path)
-        assert back.params == {"k": 3}
-        np.testing.assert_array_equal(back(xq), knn_predict(data, 3, xq))
+        est = linear.LocalEstimator("knn", data, {"k": 3})
+        save_estimator(path, est)
+        assert "\nk = 3\n" in path.read_text()
+        np.testing.assert_array_equal(est(xq), knn_predict(data, 3, xq))
         # fit_estimator keeps the one hyperparameter, coerced
         assert fit_estimator("nw", data, {"bandwidth": 1, "k": 2}).params == {
             "bandwidth": 1.0}
@@ -713,100 +726,21 @@ class TestSerialization:
              "kind = knn\nk = 2\nn = 2\ntrain:\n0.25 0.5 0.5\n"
              "0.75 1 -1\n"),
         ]
-        xq = np.array([[0.3, 0.6], [0.9, 0.1]])
         for est, body in cases:
             path = tmp_path / f"{est.kind}.txt"
             save_estimator(path, est)
             assert path.read_text() == "# ngdbench estimator\n" + body
-            back = load_estimator(path)
-            x = xq[:, :est.X.shape[1]] if hasattr(est, "X") else xq
-            np.testing.assert_array_equal(back(x), est(x))
-
-    @pytest.mark.parametrize("ridge, bandwidth, message", [
-        ("0.001", "-0.5", "positive bandwidth"),
-        ("-1", "0.5", "ridge must be > 0"),
-        ("0", "0.5", "ridge must be > 0")])
-    def test_load_rejects_what_krr_fit_rejects(self, tmp_path, ridge,
-                                               bandwidth, message):
-        path = tmp_path / "est.txt"
-        path.write_text(f"kind = krr-rbf\nridge = {ridge}\n"
-                        f"bandwidth = {bandwidth}\nn = 2\ninputs:\n0.25\n"
-                        "0.75\ndual_coef:\n1.5\n-0.5\n")
-        with pytest.raises(ValueError, match=message):
-            load_estimator(path)
-
-    @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_load_rejects_a_feature_kernel_width_below_one(self, tmp_path,
-                                                           width):
-        path = tmp_path / "est.txt"
-        path.write_text(f"kind = krr-ntk\nridge = 0.0001\nwidth = {width}\n"
-                        "kernel_seed = 2\nd = 1\nR = 2\ngamma = 1.5\n"
-                        "alpha1 = 1\nalpha2 = 4\ns = 3\nc_mu = 0.5\nn = 2\n"
-                        "inputs:\n0.25\n0.75\ndual_coef:\n2\n0.1\n")
-        with pytest.raises(ValueError, match="krr-ntk needs a width >= 1"):
-            load_estimator(path)
 
     @pytest.mark.parametrize("kind, key, value, message", [
         ("knn", "k", 0, "k must lie in"),
         ("knn", "k", 5, "k must lie in"),
         ("nw", "bandwidth", 0, "bandwidth must be > 0")])
     def test_local_estimator_rejects_bad_params_before_predicting(
-            self, tmp_path, kind, key, value, message):
-        # on two training points, through a fit and through a file
+            self, kind, key, value, message):
+        # on two training points
         data = dataset(np.array([[0.25], [0.75]]), [0.5, -1.0])
         with pytest.raises(ValueError, match=message):
             fit_estimator(kind, data, {key: value})
-        path = tmp_path / "est.txt"
-        path.write_text(f"kind = {kind}\n{key} = {value}\nn = 2\n"
-                        "train:\n0.25 0.5\n0.75 -1\n")
-        with pytest.raises(ValueError, match=message):
-            load_estimator(path)
-
-    @pytest.mark.parametrize("text, key", [
-        ("kind = krr-rbf\nbandwidth = 0.5\nn = 2\ninputs:\n0.25\n0.75\n"
-         "dual_coef:\n1.5\n-0.5\n", "ridge"),
-        ("kind = knn\nk = 1\ntrain:\n0.25 0.5\n0.75 -1\n", "n")],
-        ids=["krr-rbf-ridge", "knn-n"])
-    def test_missing_header_key_names_file_and_key(self, tmp_path, text, key):
-        path = tmp_path / "est.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=rf"est\.txt: missing header key"
-                                             rf" '{key}'"):
-            load_estimator(path)
-
-    @pytest.mark.parametrize("n, inputs, coefs, message", [
-        (2, "0.25\n0.75", "1.5\n-0.5\n2", r"dual_coef: has shape \(3, 1\)"),
-        (2, "0.25\n0.75", "1.5 1\n-0.5 1", r"dual_coef: has shape \(2, 2\)"),
-        (5, "0.25\n0.75", "1.5\n-0.5", "header n = 5 but 2 rows in inputs:")])
-    def test_load_rejects_krr_sections_that_disagree(self, tmp_path, n,
-                                                     inputs, coefs, message):
-        path = tmp_path / "est.txt"
-        path.write_text(f"kind = krr-rbf\nridge = 0.001\nbandwidth = 0.5\n"
-                        f"n = {n}\ninputs:\n{inputs}\n"
-                        f"dual_coef:\n{coefs}\n")
-        with pytest.raises(ValueError, match=message):
-            load_estimator(path)
-
-    @pytest.mark.parametrize("text, section", [
-        ("kind = knn\nk = 1\nn = 0\ntrain:\n", "train"),
-        ("kind = krr-rbf\nridge = 0.001\nbandwidth = 0.5\nn = 0\ninputs:\n"
-         "dual_coef:\n", "inputs")], ids=["knn", "krr-rbf"])
-    def test_no_rows_is_an_error(self, tmp_path, text, section):
-        path = tmp_path / "est.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=rf"est\.txt: no {section}: rows"):
-            load_estimator(path)
-
-    def test_local_training_set_reads_back_noise_free(self, tmp_path):
-        # an estimator file holds no noise or seed keys
-        path = tmp_path / "est.txt"
-        path.write_text("kind = nw\nbandwidth = 0.5\nn = 2\n"
-                        "train:\n0.25 0.5 1\n0.75 1 -1\n")
-        back = load_estimator(path).data
-        np.testing.assert_array_equal(back.X, [[0.25, 0.5], [0.75, 1.0]])
-        np.testing.assert_array_equal(back.y, [1.0, -1.0])
-        assert (back.noise_bound, back.noise_kind, back.seed) == (
-            0.0, "none", None)
 
     def test_knn_train_section_is_the_dataset_file(self, tmp_path):
         teacher = sample_teacher(schedule(d=2), 3, radius=0.9, seed=0)

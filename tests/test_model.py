@@ -1,7 +1,9 @@
 """Network definition, schedules, norms, and teacher sampling."""
 
+import io
 import math
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +24,13 @@ from ngdbench.model import (
     sample_teacher,
     save_teacher,
     save_weights,
-    schedule_from_header,
     sigmoid,
     soft_clip,
     soft_clip_deriv,
     with_ones,
 )
 from ngdbench import model
-from ngdbench.textio import read_text
+from ngdbench.textio import parse_text
 from oracles import network_oracle, pad_weights
 
 
@@ -435,17 +436,18 @@ class TestSerialization:
 
     @staticmethod
     def read_blocks(path):
-        """Header, schedule and the `blocks:` rows of a written file."""
-        header, _, rows = read_text(path, ("blocks",))
-        return header, schedule_from_header(header), np.array(rows["blocks"])
+        """The header and the `blocks:` rows of a written file."""
+        head, _, body = path.read_text().partition("blocks:\n")
+        return (parse_text(head, str(path))[0],
+                np.loadtxt(io.StringIO(body), ndmin=2))
 
     def test_teacher_round_trip(self, tmp_path):
         cfg = default_config(d=2, gamma=2.0, alpha2=3.0)
         t = sample_teacher(cfg, width=5, radius=0.6, seed=77)
         path = tmp_path / "teacher.txt"
         save_teacher(path, t)
-        header, cfg2, blocks = self.read_blocks(path)
-        assert cfg2 == cfg
+        header, blocks = self.read_blocks(path)
+        assert {k: float(header[k]) for k in asdict(cfg)} == asdict(cfg)
         assert float(header["radius"]) == t.radius
         assert int(header["seed"]) == t.seed
         assert int(header["M"]) == t.width
@@ -456,8 +458,8 @@ class TestSerialization:
         W = np.random.default_rng(0).normal(size=(3, 3))
         path = tmp_path / "w.txt"
         save_weights(path, cfg, W, extra={"note": "unit"})
-        header, cfg2, blocks = self.read_blocks(path)
-        assert cfg2 == cfg
+        header, blocks = self.read_blocks(path)
+        assert {k: float(header[k]) for k in asdict(cfg)} == asdict(cfg)
         assert (header["M"], header["snapshots"], header["note"]) == (
             "3", "1", "unit")
         np.testing.assert_array_equal(blocks, W)
@@ -491,30 +493,11 @@ class TestSerialization:
                 "0.20000000000000001 0.29999999999999999\n")
         assert path.read_text() == want
 
-    # lines 9-12 of a two-snapshot file with M = 1; its second row is line 13
-    BLOCKS = "M = 1\nsnapshots = 2\nblocks:\n0.5 -0.25 0.125\n"
-
-    def test_non_numeric_row_names_its_line(self, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_text("# ngdbench weights\n" + self.GOLDEN_HEADER
-                        + self.BLOCKS + "0.1 x 0.3\n")
-        with pytest.raises(ValueError, match=r"w\.txt:13: could not convert"
-                                             r" string to float: 'x'"):
-            self.read_blocks(path)
-
-    def test_ragged_row_names_its_line(self, tmp_path):
-        path = tmp_path / "w.txt"
-        path.write_text("# ngdbench weights\n" + self.GOLDEN_HEADER
-                        + self.BLOCKS + "0.1 0.2\n")
-        with pytest.raises(ValueError, match=r"w\.txt:13: 2 values, the"
-                                             r" section's first row has 3"):
-            self.read_blocks(path)
-
     def test_weights_round_trip_stack(self, tmp_path):
         cfg = default_config(d=2)
         stack = np.random.default_rng(1).normal(size=(4, 2, 4))
         path = tmp_path / "stack.txt"
         save_weights(path, cfg, stack)
-        header, _, blocks = self.read_blocks(path)
+        header, blocks = self.read_blocks(path)
         assert (header["M"], header["snapshots"]) == ("2", "4")
         np.testing.assert_array_equal(blocks.reshape(stack.shape), stack)
