@@ -124,8 +124,16 @@ def apply_shrink(config, eta, lam, W):
 class _GradKernel:
     """The gradient kernel behind loss_grad, step and run_chain, built once
     per (config, M, data): per-block constants folded and every temporary
-    preallocated.  Only the live blocks (model.live_blocks) are computed;
-    rows of the gradient past them stay exactly 0.
+    preallocated.  Only the a = model.active_width live blocks
+    (model.live_blocks) are computed; rows of the gradient past them stay
+    exactly 0.
+
+    bind() is the gradient alone, the reference that loss_grad and step()
+    use.  bind_step() is run_chain's whole update.  With one live block, as
+    on the committed schedule at every n, it works on the 1-D rows of the
+    buffers and folds the block's constants into Python floats, so a step
+    is 18 numpy calls and none broadcasts; otherwise it wraps bind().  Both
+    round every operation as step() does.
     """
 
     def __init__(self, config, M, X, y):
@@ -183,6 +191,60 @@ class _GradKernel:
             return G
 
         return grad
+
+    def bind_step(self, W, s_fac, eta):
+        """One whole chain update of W in place, W <- s_fac * (W - eta *
+        grad Lhat(W) + xi), as a closure advance(xi).
+
+        s_fac is the shrink factor of every coordinate, an array of W's
+        shape.  The caller holds np.errstate(over="ignore") around every
+        call.  Rows of W past the live block(s) take the same noise and
+        shrink as in step(): their gradient is exactly 0, and w - 0.0 is w.
+        """
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+        if self.a != 1:
+            grad = self.bind(W)
+
+            def advance(xi):
+                G = grad()
+                multiply(G, eta, G)
+                subtract(W, G, W)
+                add(W, xi, W)
+                multiply(W, s_fac, W)
+
+            return advance
+
+        # one live block: bind()'s (1, k) operands become 1-D rows and its
+        # (1,) constants Python floats, which round as numpy does; the
+        # (1,) @ (1, n) residual product, a single term, is one multiply
+        R, y, r, X1T = self.R, self.y, self.r, self.X1T
+        w, g, sig, dsig, v, vt = (W[0], self.G[0], self.sig[0], self.dsig[0],
+                                  self.V[0], self.VT[:, 0])
+        w1, g1 = w[:-1], g[:-1]
+        neg_inv_b = float(self.neg_inv_b[0, 0])
+        out_scale, w1_scale, w2_scale = (float(self.out_scale[0]),
+                                         float(self.w1_scale[0]),
+                                         float(self.w2_scale[0]))
+        dot, tanh = np.dot, np.tanh
+
+        def advance(xi):
+            multiply(w1, neg_inv_b, v)
+            _neg_logistic(dot(v, X1T, sig))
+            t = float(tanh(w[-1] / R))
+            multiply(sig, out_scale * t, r)
+            subtract(r, y, r)
+            g[-1] = float(dot(sig, r)) * (w2_scale * (1.0 - t * t))
+            subtract(1.0, sig, dsig)
+            multiply(dsig, sig, dsig)
+            multiply(dsig, r, dsig)
+            dot(X1T, dsig, vt)
+            multiply(vt, w1_scale * t, g1)
+            multiply(g, eta, g)
+            subtract(w, g, w)
+            add(W, xi, W)
+            multiply(W, s_fac, W)
+
+        return advance
 
 
 def loss_grad(config, W, data):
@@ -290,11 +352,17 @@ def run_chain(config, ngd, data=None, init=None):
     pass an explicit (width, d+2) array.  Divergence (non-finite weights or
     h_norm above 1e6) raises ChainDivergence.
 
-    Each step is step() without its allocations: the gradient kernel is
-    bound once per chain and the noise is drawn _NOISE_STEPS steps at a
-    time.  Generator fills sequentially, so the noise stream, and the
-    chain, are bitwise those of k_max step() calls each fed
-    noise_sd * rng.standard_normal((M, d+2)).
+    A step is one call of an update closure that writes W in place.  With
+    data it is _GradKernel.bind_step, bound once per chain: 18 numpy calls
+    on 1-D rows when one block is live (model.active_width(config, M) == 1,
+    as on the committed schedule), else the bind() gradient and four
+    in-place updates.  Without data it is the noise add and the shrink.
+    The noise is drawn _NOISE_STEPS steps at a time; Generator fills
+    sequentially, so the noise stream, and the chain, are bitwise those of
+    k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
+    W is checked for non-finite entries at each kept snapshot and at the
+    end of each noise block, so a chain that breaks in burn-in stops within
+    _NOISE_STEPS steps; h_norm is checked at kept snapshots only.
     """
     M, dp2 = ngd.width, config.d + 2
     rng = np.random.default_rng(ngd.seed)
@@ -308,12 +376,18 @@ def run_chain(config, ngd, data=None, init=None):
         if W.shape != (M, dp2):
             raise ValueError(f"init must have shape {(M, dp2)}")
 
-    s_fac = shrink_factors(config, ngd.eta, ngd.lam, M)[:, None]
+    s_fac = np.repeat(shrink_factors(config, ngd.eta, ngd.lam, M)[:, None],
+                      dp2, axis=1)
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
     noise = np.empty((min(_NOISE_STEPS, ngd.k_max), M, dp2))
-    grad = (None if data is None
-            else _GradKernel(config, M, data.X, data.y).bind(W))
-    eta, burn_in, thinning = ngd.eta, ngd.burn_in, ngd.thinning
+    if data is None:
+        def advance(xi):
+            np.add(W, xi, W)
+            np.multiply(W, s_fac, W)
+    else:
+        advance = _GradKernel(config, M, data.X, data.y).bind_step(
+            W, s_fac, ngd.eta)
+    burn_in, thinning = ngd.burn_in, ngd.thinning
     S = (ngd.k_max - burn_in) // thinning
     kept, hn = np.empty((S, M, dp2)), np.empty(S)
 
@@ -325,12 +399,7 @@ def run_chain(config, ngd, data=None, init=None):
             block *= noise_sd
             for xi in block:
                 k += 1
-                if grad is not None:
-                    G = grad()
-                    G *= eta
-                    W -= G
-                W += xi
-                W *= s_fac
+                advance(xi)
                 if k > burn_in and (k - burn_in) % thinning == 0:
                     _check_finite(W, f"at step {k}")
                     i = (k - burn_in) // thinning - 1
@@ -338,7 +407,7 @@ def run_chain(config, ngd, data=None, init=None):
                     if hn[i] > DIVERGENCE_NORM:
                         raise ChainDivergence(f"h_norm {hn[i]:.3g} at step {k}")
                     kept[i] = W
-    _check_finite(W, "at final step")
+            _check_finite(W, f"at step {k}")
 
     return ChainResult(config=config, ngd=ngd, data=data, weights=W, kept=kept,
                        hnorm_trace=hn)

@@ -8,7 +8,6 @@ comparison sweep under results/comparison; its cells resume instantly when
 present and are recomputed from configs/comparison.cfg when deleted.
 """
 
-import math
 import time
 from pathlib import Path
 

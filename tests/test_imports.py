@@ -1,7 +1,7 @@
-"""Import hygiene: no package module imports a name it never uses, every
-public name has a caller outside tests, no process loads scipy until it
-solves a kernel-ridge system, and the network's forward pass and a cell's
-fit-and-score each have one home."""
+"""Import hygiene: no package or test module imports a name it never uses,
+every public name has a caller outside tests, no process loads scipy until
+it solves a kernel-ridge system, and the network's forward pass and a
+cell's fit-and-score each have one home."""
 
 import ast
 import importlib
@@ -60,7 +60,9 @@ def test_checker_flags_unused_and_accepts_used():
 
 # __init__.py re-exports the public API, so its imports are exempt
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted((REPO / "tests").glob("*.py")),
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

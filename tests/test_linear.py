@@ -16,7 +16,6 @@ from ngdbench.linear import (
     NtkKernel,
     RandomFeatureKernel,
     RbfKernel,
-    TuneResult,
     default_grid,
     fit_estimator,
     knn_predict,

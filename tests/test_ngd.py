@@ -52,6 +52,27 @@ def committed_schedule():
     return load_config(path).schedule
 
 
+def chain_schedule(name):
+    """A schedule and a teacher for 3-block chain tests: "small" keeps
+    several blocks live, "committed" (the committed sweep's) only block 1,
+    so the two run the chain's two update paths."""
+    if name == "committed":
+        cfg = committed_schedule()
+        assert active_width(cfg, 3) == 1
+        return cfg, bump_teacher(cfg, 6, radius=0.6)
+    cfg = small_config(d=2, alpha2=4.0)
+    assert active_width(cfg, 3) > 1
+    return cfg, sample_teacher(cfg, width=3, radius=0.9, seed=1)
+
+
+# (schedule, eta) of the chain-versus-step() tests; the small-schedule ids
+# are the eta alone
+CHAIN_CASES = [pytest.param("small", 0.5, id="0.5"),
+               pytest.param("small", 0.3, id="0.3"),
+               pytest.param("committed", 0.5, id="committed-0.5"),
+               pytest.param("committed", 0.3, id="committed-0.3")]
+
+
 class TestAutoHyperparameters:
     """Sample-size-driven defaults for temperature, ridge, width, budget."""
 
@@ -326,41 +347,67 @@ class TestChain:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     @staticmethod
-    def assert_chain_is_repeated_step(eta, with_data=True, prior=False):
+    def assert_chain_is_repeated_step(schedule, eta, with_data=True,
+                                      init="random"):
         # the chain's update is step() fed the chain's own noise stream, which
         # it draws _NOISE_STEPS steps at a time: k_max spans two whole noise
-        # blocks and a partial one
-        cfg = small_config(d=2, alpha2=4.0)
-        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
+        # blocks and a partial one, and the kept steps straddle both seams
+        cfg, teacher = chain_schedule(schedule)
         data = (generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
                 if with_data else None)
         k_max = 2 * _NOISE_STEPS + 37
-        ngd = small_ngd(eta=eta, width=3, k_max=k_max, burn_in=k_max - 1, seed=7)
+        ngd = small_ngd(eta=eta, width=3, k_max=k_max, burn_in=500,
+                        thinning=7, seed=7)
         rng = np.random.default_rng(7)
-        if prior:
-            init = "prior"
+        shape = (3, cfg.d + 2)
+        if init == "prior":
             sd = np.sqrt(prior_block_variance(cfg, ngd))
-            W = rng.standard_normal((3, 4)) * sd[:, None]
+            W = rng.standard_normal(shape) * sd[:, None]
+        elif init == "zero":
+            init, W = None, np.zeros(shape)
         else:
-            init = W = np.random.default_rng(5).normal(size=(3, 4))
+            init = W = np.random.default_rng(5).normal(size=shape)
         res = run_chain(cfg, ngd, data, init=init)
         noise_sd = math.sqrt(2.0 * eta / ngd.beta)
+        path = []
         for _ in range(ngd.k_max):
             W = step(cfg, ngd, W, data, noise_sd * rng.standard_normal(W.shape))
+            path.append(W)
+        kept = np.array(path)[res.kept_steps - 1]
+        assert len(kept) == 80
         np.testing.assert_array_equal(res.weights, W)
-        np.testing.assert_array_equal(res.kept[-1], W)
+        np.testing.assert_array_equal(res.kept, kept)
+        np.testing.assert_array_equal(res.hnorm_trace,
+                                      [h_norm(Wk) for Wk in kept])
 
-    @pytest.mark.parametrize("eta", [0.5, 0.3])
-    def test_chain_is_repeated_step_bitwise(self, eta):
-        self.assert_chain_is_repeated_step(eta)
+    @pytest.mark.parametrize("schedule, eta", CHAIN_CASES)
+    def test_chain_is_repeated_step_bitwise(self, schedule, eta):
+        self.assert_chain_is_repeated_step(schedule, eta)
 
-    @pytest.mark.parametrize("eta", [0.5, 0.3])
-    def test_chain_without_data_is_repeated_step_bitwise(self, eta):
-        self.assert_chain_is_repeated_step(eta, with_data=False)
+    @pytest.mark.parametrize("schedule, eta", CHAIN_CASES)
+    def test_chain_without_data_is_repeated_step_bitwise(self, schedule, eta):
+        self.assert_chain_is_repeated_step(schedule, eta, with_data=False)
 
-    @pytest.mark.parametrize("eta", [0.5, 0.3])
-    def test_chain_from_prior_is_repeated_step_bitwise(self, eta):
-        self.assert_chain_is_repeated_step(eta, prior=True)
+    @pytest.mark.parametrize("schedule, eta", CHAIN_CASES)
+    def test_chain_from_prior_is_repeated_step_bitwise(self, schedule, eta):
+        self.assert_chain_is_repeated_step(schedule, eta, init="prior")
+
+    @pytest.mark.parametrize("schedule, eta", CHAIN_CASES)
+    def test_chain_from_zero_is_repeated_step_bitwise(self, schedule, eta):
+        self.assert_chain_is_repeated_step(schedule, eta, init="zero")
+
+    @pytest.mark.parametrize("schedule", ["small", "committed"])
+    def test_nonfinite_weights_in_burn_in_stop_the_chain(self, schedule):
+        # the chain checks W at the end of every noise block, not only at
+        # kept snapshots: a NaN from the start stops it at the first seam
+        cfg, teacher = chain_schedule(schedule)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        k_max = 4 * _NOISE_STEPS
+        ngd = small_ngd(width=3, k_max=k_max, burn_in=k_max - 1, seed=7)
+        init = np.zeros((3, cfg.d + 2))
+        init[0, 1] = np.nan
+        with pytest.raises(ChainDivergence, match=f"at step {_NOISE_STEPS}$"):
+            run_chain(cfg, ngd, data, init=init)
 
     def test_chain_sets_its_error_state_once(self, monkeypatch):
         # per-step set-up such as an overflow guard entered on every step
@@ -389,32 +436,33 @@ class TestChain:
         # active first-layer weights of +-1e4 put preactivations past exp's
         # overflow point on one side; neither the chain nor step() may warn
         # or leave the floating-point error state changed
-        cfg = small_config(d=2, alpha2=4.0)
-        teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)
-        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
-        ngd = small_ngd(eta=0.5, width=3, k_max=300, burn_in=299, seed=7)
-        a = active_width(cfg, 3)
-        init = np.random.default_rng(5).normal(size=(3, 4))
-        init[:a, :-1] = 1e4 * np.sign(init[:a, :-1])
-        X1 = np.concatenate([data.X, np.ones((data.n, 1))], axis=1)
-        u = X1 @ (init[:a, :-1] / cfg.width(np.arange(1, a + 1))[:, None]).T
-        assert np.any(-u > np.log(np.finfo(float).max))
-        before = np.geterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            G = loss_grad(cfg, init, data)
-            assert np.geterr() == before
-            res = run_chain(cfg, ngd, data, init=init)
-            assert np.geterr() == before
-            rng = np.random.default_rng(7)
-            noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
-            W = init
-            for _ in range(ngd.k_max):
-                W = step(cfg, ngd, W, data,
-                         noise_sd * rng.standard_normal(W.shape))
-        assert np.all(np.isfinite(G))
-        np.testing.assert_array_equal(res.weights, W)
-        np.testing.assert_array_equal(res.kept[-1], W)
+        for schedule in ("small", "committed"):
+            cfg, teacher = chain_schedule(schedule)
+            data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+            ngd = small_ngd(eta=0.5, width=3, k_max=300, burn_in=299, seed=7)
+            a = active_width(cfg, 3)
+            init = np.random.default_rng(5).normal(size=(3, cfg.d + 2))
+            init[:a, :-1] = 1e4 * np.sign(init[:a, :-1])
+            X1 = np.concatenate([data.X, np.ones((data.n, 1))], axis=1)
+            b = cfg.width(np.arange(1, a + 1))
+            u = X1 @ (init[:a, :-1] / b[:, None]).T
+            assert np.any(-u > np.log(np.finfo(float).max))
+            before = np.geterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                G = loss_grad(cfg, init, data)
+                assert np.geterr() == before
+                res = run_chain(cfg, ngd, data, init=init)
+                assert np.geterr() == before
+                rng = np.random.default_rng(7)
+                noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
+                W = init
+                for _ in range(ngd.k_max):
+                    W = step(cfg, ngd, W, data,
+                             noise_sd * rng.standard_normal(W.shape))
+            assert np.all(np.isfinite(G)), schedule
+            np.testing.assert_array_equal(res.weights, W, err_msg=schedule)
+            np.testing.assert_array_equal(res.kept[-1], W, err_msg=schedule)
 
     def test_gradient_free_stationary_variance(self):
         cfg = small_config()

@@ -3,7 +3,6 @@
 import hashlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ngdbench.config import (ConfigError, ExperimentConfig, load_config,
@@ -13,7 +12,6 @@ from ngdbench.ngd import ChainDivergence, NgdConfig
 from ngdbench.risk import RiskRecord, load_records, save_records
 from ngdbench.sweep import (
     RESULTS_NAME,
-    SweepReport,
     cell_name,
     derive_seed,
     load_cell,
