@@ -121,113 +121,49 @@ def apply_shrink(config, eta, lam, W):
     return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
 
 
-class _GradKernel:
-    """The gradient kernel behind loss_grad, step and run_chain, built once
-    per (config, M, data): per-block constants folded and every temporary
-    preallocated.  Only the a = model.active_width live blocks
-    (model.live_blocks) are computed; rows of the gradient past them stay
-    exactly 0.
+def _gradient(config, W, X, y):
+    """The empirical-risk gradient at the current contents of W as a
+    zero-argument closure, the one gradient of loss_grad, step and run_chain.
 
-    bind() is the gradient alone, the reference that loss_grad and step()
-    use.  bind_step() is run_chain's whole update.  With one live block, as
-    on the committed schedule at every n, it works on the 1-D rows of the
-    buffers and folds the block's constants into Python floats, so a step
-    is 18 numpy calls and none broadcasts; otherwise it wraps bind().  Both
-    round every operation as step() does.
+    W is the weight buffer the caller updates in place; per-block constants
+    are folded and every temporary preallocated once.  Only the
+    a = model.active_width live blocks (model.live_blocks) are computed;
+    rows of the gradient past them stay exactly 0.  Each call returns the
+    closure's own gradient buffer, which the next call overwrites.  The
+    caller holds np.errstate(over="ignore") around every call.
+
+    One body per live-width regime: with one live block, as on the committed
+    schedule at every n, 14 numpy calls on 1-D rows, none on a broadcast
+    view; otherwise the same operations on (a, n) blocks.
     """
+    amp, b = live_blocks(config, W.shape[0])
+    with np.errstate(under="ignore"):
+        bs = b**config.s
+        bs1 = b ** (config.s - 1.0)
+    X1, _ = with_ones(X, config.d)
+    X1T = np.ascontiguousarray(X1.T)
+    R = config.R
+    two_n = 2.0 / y.shape[0]
+    a, (n, dp1) = amp.size, X1.shape
+    neg_inv_b = (-1.0 / b)[:, None]
+    out_scale = amp * R * bs
+    w1_scale = two_n * amp * R * bs1
+    w2_scale = two_n * amp * bs
+    sig, dsig, r = np.empty((a, n)), np.empty((a, n)), np.empty(n)
+    V, VT = np.empty((a, dp1)), np.empty((dp1, a))
+    G = np.zeros((W.shape[0], dp1 + 1))
+    dot, multiply, subtract, tanh = np.dot, np.multiply, np.subtract, np.tanh
 
-    def __init__(self, config, M, X, y):
-        amp, b = live_blocks(config, M)
-        with np.errstate(under="ignore"):
-            bs = b**config.s
-            bs1 = b ** (config.s - 1.0)
-        X1, _ = with_ones(X, config.d)
-        self.X1T = np.ascontiguousarray(X1.T)
-        self.y = y
-        self.R = config.R
-        two_n = 2.0 / y.shape[0]
-        a, (n, dp1) = amp.size, X1.shape
-        self.a = a
-        self.neg_inv_b = (-1.0 / b)[:, None]
-        self.out_scale = amp * config.R * bs
-        self.w1_scale = two_n * amp * config.R * bs1
-        self.w2_scale = two_n * amp * bs
-        self.sig = np.empty((a, n))
-        self.dsig = np.empty((a, n))
-        self.r = np.empty(n)
-        self.V = np.empty((a, dp1))
-        self.VT = np.empty((dp1, a))
-        self.G = np.zeros((M, dp1 + 1))
-
-    def bind(self, W):
-        """Gradient at the current contents of W, as a zero-argument closure.
-
-        W is the weight buffer the caller updates in place.  Each call
-        returns the kernel's own gradient buffer, which the next call
-        overwrites.  The caller holds np.errstate(over="ignore") around
-        every call.
-        """
-        a, R, y, G = self.a, self.R, self.y, self.G
-        W1, w2, G1, g2 = W[:a, :-1], W[:a, -1], G[:a, :-1], G[:a, -1]
-        V, X1T, sig, dsig, r, VT = (self.V, self.X1T, self.sig, self.dsig,
-                                    self.r, self.VT)
-        dsigT, VTT = dsig.T, VT.T
-        neg_inv_b, out_scale = self.neg_inv_b, self.out_scale
-        w1_scale, w2_scale = self.w1_scale, self.w2_scale
-        dot, multiply, subtract, tanh = np.dot, np.multiply, np.subtract, np.tanh
-
-        def grad():
-            multiply(W1, neg_inv_b, V)
-            _neg_logistic(dot(V, X1T, sig))
-            t2 = tanh(w2 / R)
-            dot(out_scale * t2, sig, r)
-            subtract(r, y, r)
-            multiply(sig @ r, w2_scale * (1.0 - t2 * t2), g2)
-            subtract(1.0, sig, dsig)
-            multiply(dsig, sig, dsig)
-            multiply(dsig, r, dsig)
-            dot(X1T, dsigT, VT)
-            multiply(VTT, (w1_scale * t2)[:, None], G1)
-            return G
-
-        return grad
-
-    def bind_step(self, W, s_fac, eta):
-        """One whole chain update of W in place, W <- s_fac * (W - eta *
-        grad Lhat(W) + xi), as a closure advance(xi).
-
-        s_fac is the shrink factor of every coordinate, an array of W's
-        shape.  The caller holds np.errstate(over="ignore") around every
-        call.  Rows of W past the live block(s) take the same noise and
-        shrink as in step(): their gradient is exactly 0, and w - 0.0 is w.
-        """
-        add, multiply, subtract = np.add, np.multiply, np.subtract
-        if self.a != 1:
-            grad = self.bind(W)
-
-            def advance(xi):
-                G = grad()
-                multiply(G, eta, G)
-                subtract(W, G, W)
-                add(W, xi, W)
-                multiply(W, s_fac, W)
-
-            return advance
-
-        # one live block: bind()'s (1, k) operands become 1-D rows and its
+    if a == 1:
+        # the (1, k) operands of the block body become 1-D rows and its
         # (1,) constants Python floats, which round as numpy does; the
         # (1,) @ (1, n) residual product, a single term, is one multiply
-        R, y, r, X1T = self.R, self.y, self.r, self.X1T
-        w, g, sig, dsig, v, vt = (W[0], self.G[0], self.sig[0], self.dsig[0],
-                                  self.V[0], self.VT[:, 0])
+        w, g, sig, dsig, v, vt = W[0], G[0], sig[0], dsig[0], V[0], VT[:, 0]
         w1, g1 = w[:-1], g[:-1]
-        neg_inv_b = float(self.neg_inv_b[0, 0])
-        out_scale, w1_scale, w2_scale = (float(self.out_scale[0]),
-                                         float(self.w1_scale[0]),
-                                         float(self.w2_scale[0]))
-        dot, tanh = np.dot, np.tanh
+        neg_inv_b, out_scale, w1_scale, w2_scale = map(float, (
+            neg_inv_b[0, 0], out_scale[0], w1_scale[0], w2_scale[0]))
 
-        def advance(xi):
+        def grad():
             multiply(w1, neg_inv_b, v)
             _neg_logistic(dot(v, X1T, sig))
             t = float(tanh(w[-1] / R))
@@ -239,12 +175,28 @@ class _GradKernel:
             multiply(dsig, r, dsig)
             dot(X1T, dsig, vt)
             multiply(vt, w1_scale * t, g1)
-            multiply(g, eta, g)
-            subtract(w, g, w)
-            add(W, xi, W)
-            multiply(W, s_fac, W)
+            return G
 
-        return advance
+        return grad
+
+    W1, w2, G1, g2 = W[:a, :-1], W[:a, -1], G[:a, :-1], G[:a, -1]
+    dsigT, VTT = dsig.T, VT.T
+
+    def grad():
+        multiply(W1, neg_inv_b, V)
+        _neg_logistic(dot(V, X1T, sig))
+        t2 = tanh(w2 / R)
+        dot(out_scale * t2, sig, r)
+        subtract(r, y, r)
+        multiply(sig @ r, w2_scale * (1.0 - t2 * t2), g2)
+        subtract(1.0, sig, dsig)
+        multiply(dsig, sig, dsig)
+        multiply(dsig, r, dsig)
+        dot(X1T, dsigT, VT)
+        multiply(VTT, (w1_scale * t2)[:, None], G1)
+        return G
+
+    return grad
 
 
 def loss_grad(config, W, data):
@@ -262,10 +214,11 @@ def loss_grad(config, W, data):
     below eps relative to block 1's scale.
 
     The logistic is model._neg_logistic, the kernel of model.sigmoid, so the
-    two agree bitwise.
+    two agree bitwise.  This is one call of the _gradient closure that
+    run_chain calls at every step.
     """
     W = np.asarray(W, dtype=float)
-    grad = _GradKernel(config, W.shape[0], data.X, data.y).bind(W)
+    grad = _gradient(config, W, data.X, data.y)
     with np.errstate(over="ignore"):
         return grad()
 
@@ -353,10 +306,11 @@ def run_chain(config, ngd, data=None, init=None):
     h_norm above 1e6) raises ChainDivergence.
 
     A step is one call of an update closure that writes W in place.  With
-    data it is _GradKernel.bind_step, bound once per chain: 18 numpy calls
-    on 1-D rows when one block is live (model.active_width(config, M) == 1,
-    as on the committed schedule), else the bind() gradient and four
-    in-place updates.  Without data it is the noise add and the shrink.
+    data it calls G = grad(), the _gradient closure bound once per chain
+    (1-D body with one live block, as on the committed schedule, (a, n)-
+    block body otherwise), then W <- s_fac * (W - eta * G + xi) in four
+    in-place calls; G's dead rows are exactly 0, and w - 0.0 is w.  Without
+    data it is the noise add and the shrink.
     The noise is drawn _NOISE_STEPS steps at a time; Generator fills
     sequentially, so the noise stream, and the chain, are bitwise those of
     k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
@@ -385,8 +339,15 @@ def run_chain(config, ngd, data=None, init=None):
             np.add(W, xi, W)
             np.multiply(W, s_fac, W)
     else:
-        advance = _GradKernel(config, M, data.X, data.y).bind_step(
-            W, s_fac, ngd.eta)
+        grad, eta = _gradient(config, W, data.X, data.y), ngd.eta
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+
+        def advance(xi):
+            G = grad()
+            multiply(G, eta, G)
+            subtract(W, G, W)
+            add(W, xi, W)
+            multiply(W, s_fac, W)
     burn_in, thinning = ngd.burn_in, ngd.thinning
     S = (ngd.k_max - burn_in) // thinning
     kept, hn = np.empty((S, M, dp2)), np.empty(S)

@@ -1,13 +1,13 @@
 """Independent reference paths that only the tests use.
 
 Each restates a piece of the program another way (an explicit update
-scheme, a closed-form gradient bound, a one-call kernel gram, the network
-and its tangent and random features summed block by block over every block,
-the zero combination, a zero-padded weight matrix, cross validation by full
-sorts and per-bandwidth grams, the two-sigmoid window and a ridge
-combination summed atom by atom through it), so the tests can check the
-program against it.  `traced_peak` is the memory measurement the tests
-share.
+scheme, a closed-form gradient bound, the gradient on (a, n) blocks, a
+one-call kernel gram, the network and its tangent and random features
+summed block by block over every block, the zero combination, a
+zero-padded weight matrix, cross validation by full sorts and
+per-bandwidth grams, the two-sigmoid window and a ridge combination summed
+atom by atom through it), so the tests can check the program against it.
+`traced_peak` is the memory measurement the tests share.
 """
 
 import tracemalloc
@@ -20,7 +20,7 @@ from scipy.special import expit, zeta
 from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
                              _sq_dists, make_kernel)
 from ngdbench.lowerbound import RidgeApprox
-from ngdbench.model import sigmoid
+from ngdbench.model import _neg_logistic, live_blocks, sigmoid, with_ones
 from ngdbench.ngd import _check_finite, apply_shrink, loss_grad
 
 
@@ -68,6 +68,33 @@ def loss_grad_bound(config, noise_bound):
     return float(np.sqrt(
         4.0 * rbar * (config.R**2 * c_slope**2 * (config.d + 1) + 1.0) * amp_sq_sum
     ))
+
+
+def loss_grad_blocks(config, W, data):
+    """ngd.loss_grad worked on (a, n) blocks with (a, 1) constants whatever
+    the live width a, one live block included, as a plain function.
+
+    Every operation rounds as in ngd._gradient's block body, so the 1-D
+    body it runs with one live block must match this bitwise.
+    """
+    W = np.asarray(W, dtype=float)
+    amp, b = live_blocks(config, W.shape[0])
+    a, R = amp.size, config.R
+    with np.errstate(under="ignore"):
+        bs = b**config.s
+        bs1 = b ** (config.s - 1.0)
+    X1T = np.ascontiguousarray(with_ones(data.X, config.d)[0].T)
+    two_n = 2.0 / data.y.shape[0]
+    G = np.zeros(W.shape)
+    with np.errstate(over="ignore"):
+        sig = _neg_logistic(np.dot(W[:a, :-1] * (-1.0 / b)[:, None], X1T))
+        t2 = np.tanh(W[:a, -1] / R)
+        r = np.dot(amp * R * bs * t2, sig) - data.y
+        G[:a, -1] = (sig @ r) * (two_n * amp * bs * (1.0 - t2 * t2))
+        dsig = (1.0 - sig) * sig * r
+        G[:a, :-1] = (np.dot(X1T, dsig.T).T
+                      * (two_n * amp * R * bs1 * t2)[:, None])
+    return G
 
 
 def kernel_eval(kind, x, z, config=None, **params):

@@ -121,8 +121,8 @@ def test_every_public_name_has_a_caller():
 
 # the functions that may use the in-place logistic kernel: the elementwise
 # logistic, the hidden layer that eval_network and the feature kernels share,
-# and the chain's fused gradient loop
-LOGISTIC_USERS = {"model.sigmoid", "model.hidden_layer", "ngd._GradKernel"}
+# and the one gradient closure of loss_grad, step and run_chain
+LOGISTIC_USERS = {"model.sigmoid", "model.hidden_layer", "ngd._gradient"}
 
 
 def forward_pass_copies(module, source):

@@ -30,8 +30,9 @@ from ngdbench.ngd import (
     step,
 )
 from ngdbench.textio import FLOAT_FMT
-from oracles import (loss_grad_bound, ridge_grad, snapshot_mean_oracle,
-                     step_explicit)
+from ngdbench.sweep import cell_inputs, resolve_teacher
+from oracles import (loss_grad_blocks, loss_grad_bound, ridge_grad,
+                     snapshot_mean_oracle, step_explicit)
 
 
 def small_config(**kw):
@@ -46,16 +47,34 @@ def small_ngd(**kw):
     return NgdConfig(**base)
 
 
+def count_gradients(monkeypatch):
+    """A list that gains one entry per call of ngd._gradient."""
+    calls, gradient = [], ngd_module._gradient
+
+    def counting(*args):
+        calls.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(ngd_module, "_gradient", counting)
+    return calls
+
+
+def committed_config():
+    """The config of the committed comparison sweep."""
+    return load_config(Path(__file__).resolve().parents[1] / "configs"
+                       / "comparison.cfg")
+
+
 def committed_schedule():
     """The schedule of the committed comparison sweep (blocks m >= 2 dead)."""
-    path = Path(__file__).resolve().parents[1] / "configs" / "comparison.cfg"
-    return load_config(path).schedule
+    return committed_config().schedule
 
 
 def chain_schedule(name):
     """A schedule and a teacher for 3-block chain tests: "small" keeps
     several blocks live, "committed" (the committed sweep's) only block 1,
-    so the two run the chain's two update paths."""
+    so the two run the two bodies of the chain's gradient closure, 1-D and
+    (a, n)-block, each followed by the same update."""
     if name == "committed":
         cfg = committed_schedule()
         assert active_width(cfg, 3) == 1
@@ -225,6 +244,47 @@ class TestLossGradient:
             W = rng.normal(scale=rng.uniform(0.1, 30.0), size=(6, 4))
             assert h_norm(loss_grad(cfg, W, data)) <= bound
 
+    @pytest.mark.parametrize("schedule", ["committed", "small"])
+    def test_matches_the_block_oracle_bitwise(self, schedule):
+        # with one live block (committed) loss_grad runs the 1-D body, which
+        # must round as the (a, n)-block form does; with several (small) it
+        # runs the block body itself.  The committed cells' 2/n is a power
+        # of two, so each point is also taken on an n = 12 training set,
+        # where a regrouped product would round differently
+        cfg, teacher = chain_schedule(schedule)
+        if schedule == "committed":
+            full = committed_config()
+            cell = cell_inputs(full, resolve_teacher(full), 64, 0)
+            ngd, data = cell.ngd, cell.data
+        else:
+            ngd = small_ngd(width=3, k_max=1000, seed=7)
+            data = generate_dataset(teacher, n=40, noise_bound=0.2, seed=2)
+        assert (active_width(cfg, ngd.width) == 1) == (schedule == "committed")
+        shape = (ngd.width, cfg.d + 2)
+        rng = np.random.default_rng(17)
+        saturated = rng.standard_normal(shape)
+        saturated[:, :-1] = 1e4 * np.sign(saturated[:, :-1])
+        points = ([np.zeros(shape)]
+                  + [10.0 ** rng.uniform(-3.0, 4.0) * rng.standard_normal(shape)
+                     for _ in range(200)]
+                  + [rng.standard_normal(shape)
+                     * np.sqrt(prior_block_variance(cfg, ngd))[:, None],
+                     saturated, run_chain(cfg, ngd, data).kept[-1]])
+        twelve = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        for i, W in enumerate(points):
+            for train in (data, twelve):
+                np.testing.assert_array_equal(
+                    loss_grad(cfg, W, train), loss_grad_blocks(cfg, W, train),
+                    err_msg=f"point {i}, n = {train.n}")
+
+    def test_builds_one_gradient_per_call(self, monkeypatch):
+        cfg, teacher = chain_schedule("committed")
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        calls = count_gradients(monkeypatch)
+        for k in range(1, 4):
+            loss_grad(cfg, np.ones((3, cfg.d + 2)), data)
+            assert len(calls) == k
+
     def test_bound_requires_unit_widths(self):
         with pytest.raises(ValueError):
             loss_grad_bound(small_config(c_mu=1.0).__class__(
@@ -324,6 +384,19 @@ class TestStep:
                 v = Wm[m][j] - eta * g + mpf(float(noise[m, j]))
                 out[m, j] = float(v / (1 + eta * lam / mu[m]))
         np.testing.assert_allclose(got, out, rtol=1e-12, atol=1e-15)
+
+    def test_builds_one_gradient_per_step_with_data(self, monkeypatch):
+        cfg, teacher = chain_schedule("small")
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        ngd = small_ngd(width=3)
+        W = np.ones((3, cfg.d + 2))
+        calls = count_gradients(monkeypatch)
+        step(cfg, ngd, W)
+        step(cfg, ngd, W, noise=np.ones_like(W))
+        assert calls == []
+        step(cfg, ngd, W, data)
+        step(cfg, ngd, W, data, np.ones_like(W))
+        assert len(calls) == 2
 
     def test_nonfinite_weights_raise(self):
         cfg = small_config()
@@ -431,6 +504,22 @@ class TestChain:
             counts.append(len(entries))
         assert counts[0] >= 1
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("schedule", ["small", "committed"])
+    def test_chain_builds_one_gradient(self, schedule, monkeypatch):
+        # the gradient closure is bound once per chain, whatever k_max is,
+        # and not at all without data
+        cfg, teacher = chain_schedule(schedule)
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        calls = count_gradients(monkeypatch)
+        for k_max in (600, 1200):
+            ngd = small_ngd(width=3, k_max=k_max, burn_in=k_max - 1)
+            calls.clear()
+            run_chain(cfg, ngd, data)
+            assert len(calls) == 1
+            calls.clear()
+            run_chain(cfg, ngd)
+            assert calls == []
 
     def test_saturated_chain_is_repeated_step_bitwise(self):
         # active first-layer weights of +-1e4 put preactivations past exp's
