@@ -16,7 +16,7 @@ from .config import ConfigError, load_config
 from .data import empirical_risk, save_dataset
 from .linear import ESTIMATOR_KINDS, save_estimator
 from .model import active_width, save_teacher, save_weights
-from .ngd import ChainDivergence, save_trace
+from .ngd import save_trace
 from .lowerbound import build_bump_approx, save_approx_csv
 from .sweep import (RESULTS_NAME, cell_inputs, fit_cell, report,
                     resolve_teacher, run_sweep, save_report, student_width)
@@ -209,9 +209,6 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ChainDivergence as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
     except (OSError, RuntimeError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

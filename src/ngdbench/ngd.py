@@ -43,7 +43,7 @@ __all__ = [
     "save_trace",
 ]
 
-# h_norm beyond this is treated as divergence of the chain
+# h_norm bound of run_chain's divergence guard (W at block ends, kept stack)
 DIVERGENCE_NORM = 1e6
 
 
@@ -223,9 +223,12 @@ def loss_grad(config, W, data):
         return grad()
 
 
-def _check_finite(W, where):
+def _check_finite(W, where, norm=0.0):
+    """Raise ChainDivergence unless W is finite and norm <= DIVERGENCE_NORM."""
     if not np.all(np.isfinite(W)):
         raise ChainDivergence(f"non-finite weights {where}")
+    if norm > DIVERGENCE_NORM:
+        raise ChainDivergence(f"h_norm {norm:.3g} {where}")
 
 
 def step(config, ngd, W, data=None, noise=None):
@@ -264,7 +267,7 @@ class MeanPredictor:
 class ChainResult:
     """Final weights, kept snapshots and norm traces of one chain.
 
-    The chain records h_norm, its divergence check, at each kept iterate.
+    hnorm_trace is h_norm of each kept snapshot (run_chain's guard pass);
     kept_steps, the hgamma_norm (g = 1) trace and the empirical-risk trace
     (on `data`, 0 without data) are derived from `kept` on first access.
     """
@@ -302,21 +305,21 @@ def run_chain(config, ngd, data=None, init=None):
 
     init: None starts from zero weights, "prior" draws from the gradient-free
     stationary Gaussian (per-coordinate variance mu(m) / (beta * lam)), or
-    pass an explicit (width, d+2) array.  Divergence (non-finite weights or
-    h_norm above 1e6) raises ChainDivergence.
+    pass an explicit (width, d+2) array.
 
-    A step is one call of an update closure that writes W in place.  With
-    data it calls G = grad(), the _gradient closure bound once per chain
-    (1-D body with one live block, as on the committed schedule, (a, n)-
-    block body otherwise), then W <- s_fac * (W - eta * G + xi) in four
-    in-place calls; G's dead rows are exactly 0, and w - 0.0 is w.  Without
-    data it is the noise add and the shrink.
-    The noise is drawn _NOISE_STEPS steps at a time; Generator fills
-    sequentially, so the noise stream, and the chain, are bitwise those of
+    Each step is G = grad(), then W <- s_fac * (W - eta * G + xi) in four
+    in-place calls; grad is the _gradient closure bound once per chain, or
+    without data a zero buffer (w - 0.0 is w).  Noise is drawn _NOISE_STEPS
+    steps at a time; Generator fills sequentially, so the chain is bitwise
     k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
-    W is checked for non-finite entries at each kept snapshot and at the
-    end of each noise block, so a chain that breaks in burn-in stops within
-    _NOISE_STEPS steps; h_norm is checked at kept snapshots only.
+
+    A kept step only copies W.  The divergence guard (non-finite weights, or
+    h_norm above DIVERGENCE_NORM) runs on W at each noise block's end, so a
+    chain that breaks, in burn-in too, stops within _NOISE_STEPS steps, and
+    on the kept stack after the loop, in one vectorized pass that fills
+    hnorm_trace (rows a divergence leaves unfilled stay 0).  ChainDivergence
+    names the first failing kept snapshot, else the block end: "non-finite
+    weights at step k", else "h_norm x at step k".
     """
     M, dp2 = ngd.width, config.d + 2
     rng = np.random.default_rng(ngd.seed)
@@ -334,23 +337,19 @@ def run_chain(config, ngd, data=None, init=None):
                       dp2, axis=1)
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
     noise = np.empty((min(_NOISE_STEPS, ngd.k_max), M, dp2))
-    if data is None:
-        def advance(xi):
-            np.add(W, xi, W)
-            np.multiply(W, s_fac, W)
-    else:
-        grad, eta = _gradient(config, W, data.X, data.y), ngd.eta
-        add, multiply, subtract = np.add, np.multiply, np.subtract
+    zero = np.zeros((M, dp2))
+    grad = ((lambda: zero) if data is None
+            else _gradient(config, W, data.X, data.y))
+    eta, add, multiply, subtract = ngd.eta, np.add, np.multiply, np.subtract
 
-        def advance(xi):
-            G = grad()
-            multiply(G, eta, G)
-            subtract(W, G, W)
-            add(W, xi, W)
-            multiply(W, s_fac, W)
+    def advance(xi):
+        G = grad()
+        multiply(G, eta, G)
+        subtract(W, G, W)
+        add(W, xi, W)
+        multiply(W, s_fac, W)
     burn_in, thinning = ngd.burn_in, ngd.thinning
-    S = (ngd.k_max - burn_in) // thinning
-    kept, hn = np.empty((S, M, dp2)), np.empty(S)
+    kept = np.zeros(((ngd.k_max - burn_in) // thinning, M, dp2))
 
     k = 0
     with np.errstate(over="ignore"):
@@ -362,13 +361,14 @@ def run_chain(config, ngd, data=None, init=None):
                 k += 1
                 advance(xi)
                 if k > burn_in and (k - burn_in) % thinning == 0:
-                    _check_finite(W, f"at step {k}")
-                    i = (k - burn_in) // thinning - 1
-                    hn[i] = h_norm(W)
-                    if hn[i] > DIVERGENCE_NORM:
-                        raise ChainDivergence(f"h_norm {hn[i]:.3g} at step {k}")
-                    kept[i] = W
-            _check_finite(W, f"at step {k}")
+                    kept[(k - burn_in) // thinning - 1] = W
+            if not h_norm(W) <= DIVERGENCE_NORM:
+                break
+        hn = np.sqrt(np.sum(np.square(kept), axis=(1, 2)))
+        for j in np.flatnonzero(~(hn <= DIVERGENCE_NORM))[:1]:
+            at = burn_in + thinning * (j + 1)
+            _check_finite(kept[j], f"at step {at}", hn[j])
+        _check_finite(W, f"at step {k}", h_norm(W))
 
     return ChainResult(config=config, ngd=ngd, data=data, weights=W, kept=kept,
                        hnorm_trace=hn)

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError
 from .data import Dataset, generate_dataset
 from .linear import ESTIMATOR_KINDS, fit_estimator, tune
@@ -31,8 +33,8 @@ from .risk import (RiskRecord, dominance_condition, excess_risk_mc,
 from .textio import FLOAT_FMT
 
 __all__ = ["derive_seed", "CellInputs", "cell_inputs", "fit_cell",
-           "resolve_teacher", "run_cell", "run_sweep", "SweepReport",
-           "report", "save_report"]
+           "resolve_teacher", "run_cell", "run_sweep", "PairedLevel",
+           "SweepReport", "report", "save_report"]
 
 RESULTS_NAME = "results.csv"
 _FAILED_PREFIX = "# failed: "
@@ -242,6 +244,48 @@ def run_sweep(cfg, out_dir=None, workers=1, progress=None):
 
 
 @dataclass(frozen=True)
+class PairedLevel:
+    """ngd against one baseline on the records paired by (n, seed), the
+    cell's data seed, at the largest n with pairs (None if there are none).
+    """
+
+    baseline: str
+    n: int | None
+    wins: int              # pairs in which ngd's risk is the lower
+    pairs: int
+    median_ratio: float    # median over the pairs of ngd / baseline risk
+
+    @property
+    def won(self):
+        """ngd wins a strict majority of the pairs."""
+        return 2 * self.wins > self.pairs
+
+    def __str__(self):
+        if self.n is None:
+            return f"level vs {self.baseline}: no paired records"
+        return (f"level vs {self.baseline} at n = {self.n}: ngd wins "
+                f"{self.wins}/{self.pairs} pairs, median paired ratio "
+                f"ngd/{self.baseline} {self.median_ratio:.3g}")
+
+
+def _paired_level(ngd_records, baseline, records):
+    """The PairedLevel of ngd's records against one baseline's."""
+    ngd_risk = {(r.n, r.seed): r.excess_risk for r in ngd_records}
+    by_n = {}
+    for r in records:
+        if (r.n, r.seed) in ngd_risk:
+            by_n.setdefault(r.n, []).append((ngd_risk[r.n, r.seed],
+                                             r.excess_risk))
+    if not by_n:
+        return PairedLevel(baseline, None, 0, 0, math.nan)
+    n = max(by_n)
+    pairs = by_n[n]
+    ratio = float(np.median([a / b for a, b in pairs]))
+    return PairedLevel(baseline, n, wins=sum(a < b for a, b in pairs),
+                       pairs=len(pairs), median_ratio=ratio)
+
+
+@dataclass(frozen=True)
 class SweepReport:
     """Rate table plus the theoretical exponents for the configured class."""
 
@@ -249,6 +293,7 @@ class SweepReport:
     nn_exponent: float
     lower_exponents: object   # LowerBoundExponents
     dominance: bool        # smoothness threshold for provable dominance
+    levels: tuple          # PairedLevel per baseline; () without a verdict
     verdict: str | None    # None when only one estimator is present
 
     def table_lines(self):
@@ -260,7 +305,7 @@ class SweepReport:
         return lines
 
     def __str__(self):
-        lines = self.table_lines()
+        lines = self.table_lines() + [str(lv) for lv in self.levels]
         lines.append(f"theoretical sampler exponent (q=0): "
                      f"{self.nn_exponent:.6g}")
         lines.append(str(self.lower_exponents))
@@ -275,9 +320,12 @@ def report(records, cfg):
     """Build the rate-comparison report from sweep records.
 
     Every estimator present must cover at least three sample sizes.  The
-    verdict compares the sampler's fitted decay exponent with each baseline
-    (larger exponent = faster decay); it is omitted when the records hold a
-    single estimator.
+    verdict, omitted when the records hold a single estimator, has two
+    parts.  "rate" compares the sampler's fitted decay exponent with each
+    baseline's (larger exponent = faster decay).  "level" pairs the sampler
+    with each baseline by (n, seed) at the largest paired n and counts a win
+    when the sampler's risk is lower in a strict majority of the pairs.  The
+    sampler dominates only when it wins both parts against every baseline.
     """
     if isinstance(records, (str, Path)):
         records = load_records(records)
@@ -296,22 +344,29 @@ def report(records, cfg):
     nn_exp = nn_upper_exponent(s.alpha1, s.alpha2, s.gamma, q=0.0, s=s.s)
     lower = linear_lower_exponents(s.alpha1, s.alpha2, s.gamma, s.s, s.d)
     dom = dominance_condition(s.alpha1, s.d)
-    verdict = None
+    verdict, levels = None, ()
     if len(fits) > 1:
         named = dict(fits)
         ngd_fit = named.get("ngd")
         if ngd_fit is None:
             verdict = "no sampler records: no dominance verdict"
         else:
-            worse = [name for name, fit in fits
-                     if name != "ngd" and ngd_fit.exponent <= fit.exponent]
-            if worse:
-                verdict = ("sampler does NOT dominate: slower or equal decay"
-                           f" vs {', '.join(sorted(worse))}")
-            else:
-                verdict = "sampler dominates every baseline (faster decay)"
+            slower = [name for name, fit in fits
+                      if name != "ngd" and ngd_fit.exponent <= fit.exponent]
+            levels = tuple(_paired_level(by_est["ngd"], name, by_est[name])
+                           for name in named if name != "ngd")
+            lost = [lv.baseline for lv in levels if not lv.won]
+            rate = ("rate: faster decay than every baseline" if not slower
+                    else f"rate: slower or equal decay vs {', '.join(slower)}")
+            level = ("level: wins most pairs vs every baseline" if not lost
+                     else "level: wins at most half the pairs vs "
+                     + ", ".join(lost))
+            head = ("sampler dominates every baseline" if not slower + lost
+                    else "sampler does NOT dominate")
+            verdict = f"{head} ({rate}; {level})"
     return SweepReport(fits=tuple(fits), nn_exponent=nn_exp,
-                       lower_exponents=lower, dominance=dom, verdict=verdict)
+                       lower_exponents=lower, dominance=dom, levels=levels,
+                       verdict=verdict)
 
 
 def save_report(out_dir, rep):

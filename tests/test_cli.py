@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import ngdbench.ngd as ngd_module
+import ngdbench.sweep as sweep_module
 from ngdbench.cli import main
 from ngdbench.config import load_config
 from ngdbench.data import empirical_risk, save_dataset
@@ -151,6 +152,18 @@ class TestArtifacts:
                             "thinning": cell.ngd.thinning})
         assert wout.read_bytes() == want.read_bytes()
         assert tout.read_text().startswith("k,empirical_risk")
+
+    def test_train_diverged_chain_is_a_runtime_failure(self, cfg_file,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        def diverging(*args, **kwargs):
+            raise ngd_module.ChainDivergence("h_norm 2e+06 at step 512")
+        monkeypatch.setattr(sweep_module, "run_chain", diverging)
+        assert main(["train", str(cfg_file), "--out",
+                     str(tmp_path / "kept.txt"), "--n", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime failure: h_norm 2e+06 at step 512\n"
+        assert not (tmp_path / "kept.txt").exists()
 
     def test_train_without_trace_derives_no_risk_trace(self, cfg_file, tmp_path,
                                                        capsys, monkeypatch):

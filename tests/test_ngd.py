@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -482,6 +483,65 @@ class TestChain:
         with pytest.raises(ChainDivergence, match=f"at step {_NOISE_STEPS}$"):
             run_chain(cfg, ngd, data, init=init)
 
+    def test_finite_runaway_in_burn_in_stops_the_chain(self):
+        # the block-end guard checks h_norm too, so a finite runaway stops
+        # at the first seam rather than at the first kept snapshot
+        cfg = small_config()
+        k_max = 4 * _NOISE_STEPS
+        ngd = NgdConfig(eta=0.1, beta=8.0, lam=1e-9, k_max=k_max, width=2,
+                        burn_in=k_max - 1, seed=0)
+        with pytest.raises(ChainDivergence,
+                           match=f"^h_norm .* at step {_NOISE_STEPS}$"):
+            run_chain(cfg, ngd, init=np.full((2, 3), 1e7))
+
+    @pytest.mark.parametrize("init, message", [
+        pytest.param(math.nan, "non-finite weights", id="nan"),
+        pytest.param(1e7, "h_norm 2.45e\\+07", id="runaway")])
+    def test_divergence_names_the_first_failing_kept_snapshot(self, init,
+                                                                message):
+        # the block end sees the divergence too, but the message names the
+        # first kept step at which it shows
+        cfg = small_config()
+        ngd = NgdConfig(eta=0.1, beta=8.0, lam=1e-9, k_max=2 * _NOISE_STEPS,
+                        width=2, burn_in=0, thinning=1, seed=0)
+        with pytest.raises(ChainDivergence, match=f"^{message} at step 1$"):
+            run_chain(cfg, ngd, init=np.full((2, 3), init))
+
+    def test_runaway_between_block_ends_is_caught_at_its_kept_step(self):
+        # a shrink of 1/11 per step brings 1e9 weights below the bound long
+        # before the first block end, whose check therefore passes; the
+        # pass over the kept stack still names the kept step past the bound
+        cfg = small_config()
+        ngd = NgdConfig(eta=0.1, beta=8.0, lam=100.0, k_max=2 * _NOISE_STEPS,
+                        width=2, burn_in=0, thinning=1, seed=0)
+        init = np.full((2, 3), 1e9)
+        with pytest.raises(ChainDivergence, match=r"^h_norm \S+ at step 1$"):
+            run_chain(cfg, ngd, init=init)
+        late = replace(ngd, burn_in=_NOISE_STEPS)
+        assert run_chain(cfg, late, init=init).hnorm_trace.max() < 1.0
+
+    @pytest.mark.parametrize("with_data", [True, False])
+    def test_step_loop_does_no_per_snapshot_work(self, with_data,
+                                                 monkeypatch):
+        # keeping every step, the guard's calls still grow with the number
+        # of noise blocks, not with the number of kept snapshots
+        cfg, teacher = chain_schedule("small")
+        data = (generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+                if with_data else None)
+        calls = {"h_norm": 0, "_check_finite": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(ngd_module, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(ngd_module, name, counting)
+        for k_max in (600, 1200):
+            calls.update(dict.fromkeys(calls, 0))
+            res = run_chain(cfg, small_ngd(width=3, k_max=k_max, thinning=1),
+                            data)
+            assert len(res.kept) == k_max - k_max // 2
+            blocks = -(-k_max // _NOISE_STEPS)
+            assert max(calls.values()) <= blocks + 1, (k_max, calls)
+
     def test_chain_sets_its_error_state_once(self, monkeypatch):
         # per-step set-up such as an overflow guard entered on every step
         # would make the count grow with k_max; one kept snapshot each
@@ -668,8 +728,8 @@ class TestChain:
         assert path.read_text().splitlines() == want
 
     def test_chain_never_evaluates_the_network(self, monkeypatch):
-        # the kept-step block checks and copies the weights and records
-        # h_norm; the risk and h1 traces are derived from the kept stack
+        # a kept step copies the weights; h_norm is taken on the kept stack
+        # after the loop, and the risk and h1 traces are derived from it
         # when read
         cfg = small_config(d=2, alpha2=4.0)
         teacher = sample_teacher(cfg, width=3, radius=0.9, seed=1)

@@ -1,6 +1,7 @@
 """Deterministic sweep runner: seeding, cells, resume, report."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -333,8 +334,12 @@ class TestReport:
         fits = dict(rep.fits)
         assert abs(fits["ngd"].exponent - 0.8) < 1e-10
         assert abs(fits["knn"].exponent - 0.4) < 1e-10
-        assert rep.verdict == \
-            "sampler dominates every baseline (faster decay)"
+        assert rep.verdict == (
+            "sampler dominates every baseline (rate: faster decay than every"
+            " baseline; level: wins most pairs vs every baseline)")
+        assert [str(lv) for lv in rep.levels] == [
+            "level vs knn at n = 512: ngd wins 3/3 pairs, median paired"
+            f" ratio ngd/knn {512.0 ** -0.4:.3g}"]
 
     def test_theory_numbers_attached(self):
         rep = report(power_law_records({"ngd": 0.8}),
@@ -347,8 +352,46 @@ class TestReport:
     def test_non_dominant_verdict(self):
         rep = report(power_law_records({"ngd": 0.4, "knn": 0.6}),
                      self.comparison_config())
+        assert rep.verdict == (
+            "sampler does NOT dominate (rate: slower or equal decay vs knn;"
+            " level: wins at most half the pairs vs knn)")
+
+    def test_faster_rate_at_a_losing_level_does_not_dominate(self):
+        # scaling ngd's risks leaves its exponent as it is, but at n = 512
+        # it now loses every pair: the rate part holds, the level part not
+        records = [replace(r, excess_risk=100.0 * r.excess_risk)
+                   if r.estimator == "ngd" else r
+                   for r in power_law_records({"ngd": 0.8, "knn": 0.4})]
+        rep = report(records, self.comparison_config())
+        assert abs(dict(rep.fits)["ngd"].exponent - 0.8) < 1e-10
+        assert rep.verdict == (
+            "sampler does NOT dominate (rate: faster decay than every"
+            " baseline; level: wins at most half the pairs vs knn)")
+        assert str(rep.levels[0]) == (
+            "level vs knn at n = 512: ngd wins 0/3 pairs, median paired"
+            f" ratio ngd/knn {100.0 * 512.0 ** -0.4:.3g}")
+        assert "dominates" not in str(rep)
+
+    @pytest.mark.parametrize("lost, won", [(1, True), (2, False)])
+    def test_level_is_a_strict_majority_of_the_largest_n_pairs(self, lost,
+                                                              won):
+        # records pair by (n, seed); only the largest n counts, where ngd
+        # here loses `lost` of its four pairs, so a tie is not a win
+        records = [replace(r, excess_risk=1.0)
+                   if r.estimator == "ngd" and r.n == 512 and r.seed < lost
+                   else r for r in power_law_records({"ngd": 0.8, "knn": 0.4},
+                                                     reps=4)]
+        level = report(records, self.comparison_config()).levels[0]
+        assert (level.n, level.wins, level.pairs) == (512, 4 - lost, 4)
+        assert level.won is won
+
+    def test_unpaired_records_lose_the_level(self):
+        records = [replace(r, seed=r.seed + 10) if r.estimator == "knn"
+                   else r for r in power_law_records({"ngd": 0.8, "knn": 0.4})]
+        rep = report(records, self.comparison_config())
+        assert [str(lv) for lv in rep.levels] == [
+            "level vs knn: no paired records"]
         assert "does NOT dominate" in rep.verdict
-        assert "knn" in rep.verdict
 
     def test_missing_sampler_verdict(self):
         rep = report(power_law_records({"nw": 0.4, "knn": 0.6}),
