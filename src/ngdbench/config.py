@@ -90,6 +90,18 @@ class ExperimentConfig:
             raise ConfigError("sweep.n_values entries must be >= 4")
         if len(set(self.sweep_n_values)) != len(self.sweep_n_values):
             raise ConfigError("sweep.n_values repeats a sample size")
+        if "knn" in self.baselines:
+            # the sweep's smallest cross-validation training fold: n less
+            # np.array_split's largest held-out fold at the smallest n (the
+            # default k grid stops at n // 2, which always fits)
+            n = min(self.sweep_n_values)
+            fold = n - -(-n // min(self.tune_folds, n))
+            for kind, param, values in self.grids:
+                if (kind, param) == ("knn", "k") and max(values) > fold:
+                    raise ConfigError(
+                        f"grid.knn.k value {max(values)} exceeds the smallest"
+                        f" training fold: {fold} points at n = {n} with"
+                        f" tune.folds = {self.tune_folds}")
         if self.sweep_replicates < 1:
             raise ConfigError("sweep.replicates must be >= 1")
         if self.risk_n_test < 2:

@@ -33,7 +33,6 @@ __all__ = [
     "ChainDivergence",
     "MeanPredictor",
     "shrink_factors",
-    "apply_shrink",
     "loss_grad",
     "step",
     "run_chain",
@@ -115,15 +114,9 @@ def shrink_factors(config, eta, lam, width):
     return 1.0 / (1.0 + eta * lam / config.mu(m))
 
 
-def apply_shrink(config, eta, lam, W):
-    """Apply the semi-implicit shrink blockwise."""
-    W = np.asarray(W, dtype=float)
-    return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
-
-
 def _gradient(config, W, X, y):
     """The empirical-risk gradient at the current contents of W as a
-    zero-argument closure, the one gradient of loss_grad, step and run_chain.
+    zero-argument closure, the one gradient of loss_grad and _update.
 
     W is the weight buffer the caller updates in place; per-block constants
     are folded and every temporary preallocated once.  Only the
@@ -214,8 +207,7 @@ def loss_grad(config, W, data):
     below eps relative to block 1's scale.
 
     The logistic is model._neg_logistic, the kernel of model.sigmoid, so the
-    two agree bitwise.  This is one call of the _gradient closure that
-    run_chain calls at every step.
+    two agree bitwise.  This is one call of the chain's _gradient closure.
     """
     W = np.asarray(W, dtype=float)
     grad = _gradient(config, W, data.X, data.y)
@@ -231,20 +223,41 @@ def _check_finite(W, where, norm=0.0):
         raise ChainDivergence(f"h_norm {norm:.3g} {where}")
 
 
-def step(config, ngd, W, data=None, noise=None):
-    """One semi-implicit update; noise is the already-scaled injected term.
+def _update(config, ngd, W, data):
+    """advance(xi): the one update of step and run_chain, on the buffer W.
 
-    With data=None the empirical-risk gradient is identically zero (pure
-    sampling of the ridge Gaussian).  Raises ChainDivergence on non-finite
-    output.
+    G = grad(), then W <- s_fac * (W - eta * G + xi) in four in-place calls,
+    grad being the _gradient closure or without data a zero buffer (w - 0.0
+    is w); xi is the scaled noise.  Callers hold np.errstate(over="ignore").
     """
-    W = np.asarray(W, dtype=float)
-    V = W if data is None else W - ngd.eta * loss_grad(config, W, data)
-    if noise is not None:
-        V = V + noise
-    out = apply_shrink(config, ngd.eta, ngd.lam, V)
-    _check_finite(out, "after step")
-    return out
+    fac = shrink_factors(config, ngd.eta, ngd.lam, len(W))[:, None]
+    s_fac, zero = np.repeat(fac, W.shape[1], axis=1), np.zeros(W.shape)
+    grad = ((lambda: zero) if data is None
+            else _gradient(config, W, data.X, data.y))
+    eta, add, multiply, subtract = ngd.eta, np.add, np.multiply, np.subtract
+
+    def advance(xi):
+        G = grad()
+        multiply(G, eta, G)
+        subtract(W, G, W)
+        add(W, xi, W)
+        multiply(W, s_fac, W)
+    return advance
+
+
+def step(config, ngd, W, data=None, noise=None):
+    """One semi-implicit update: one advance of _update on a copy of W.
+
+    noise is the already-scaled injected term; None feeds -0.0, which keeps
+    every weight bitwise (+0.0 would turn a -0.0 weight into +0.0).  With no
+    data the gradient is zero (pure sampling of the ridge Gaussian).  Raises
+    ChainDivergence on non-finite output.
+    """
+    W = np.array(W, dtype=float)
+    with np.errstate(over="ignore"):
+        _update(config, ngd, W, data)(-0.0 if noise is None else noise)
+    _check_finite(W, "after step")
+    return W
 
 
 # chain steps per block of drawn noise: 144 KiB at M = 3, d = 10
@@ -307,11 +320,10 @@ def run_chain(config, ngd, data=None, init=None):
     stationary Gaussian (per-coordinate variance mu(m) / (beta * lam)), or
     pass an explicit (width, d+2) array.
 
-    Each step is G = grad(), then W <- s_fac * (W - eta * G + xi) in four
-    in-place calls; grad is the _gradient closure bound once per chain, or
-    without data a zero buffer (w - 0.0 is w).  Noise is drawn _NOISE_STEPS
-    steps at a time; Generator fills sequentially, so the chain is bitwise
-    k_max step() calls each fed noise_sd * rng.standard_normal((M, d+2)).
+    Each step is one advance of the _update built once per chain, so the
+    gradient closure is bound once.  Noise is drawn _NOISE_STEPS steps at a
+    time; Generator fills sequentially, so the chain is bitwise k_max step()
+    calls each fed noise_sd * rng.standard_normal((M, d+2)).
 
     A kept step only copies W.  The divergence guard (non-finite weights, or
     h_norm above DIVERGENCE_NORM) runs on W at each noise block's end, so a
@@ -333,21 +345,9 @@ def run_chain(config, ngd, data=None, init=None):
         if W.shape != (M, dp2):
             raise ValueError(f"init must have shape {(M, dp2)}")
 
-    s_fac = np.repeat(shrink_factors(config, ngd.eta, ngd.lam, M)[:, None],
-                      dp2, axis=1)
+    advance = _update(config, ngd, W, data)
     noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
     noise = np.empty((min(_NOISE_STEPS, ngd.k_max), M, dp2))
-    zero = np.zeros((M, dp2))
-    grad = ((lambda: zero) if data is None
-            else _gradient(config, W, data.X, data.y))
-    eta, add, multiply, subtract = ngd.eta, np.add, np.multiply, np.subtract
-
-    def advance(xi):
-        G = grad()
-        multiply(G, eta, G)
-        subtract(W, G, W)
-        add(W, xi, W)
-        multiply(W, s_fac, W)
     burn_in, thinning = ngd.burn_in, ngd.thinning
     kept = np.zeros(((ngd.k_max - burn_in) // thinning, M, dp2))
 

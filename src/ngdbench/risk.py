@@ -132,6 +132,12 @@ class RateFit:
         """Decay exponent rho in risk ~ n^-rho (sign-flipped slope)."""
         return -self.slope
 
+    @property
+    def interval(self):
+        """(low, high) = exponent -+ 2 slope_stderr."""
+        half = 2.0 * self.slope_stderr
+        return self.exponent - half, self.exponent + half
+
 
 def rate_fit(records):
     """Per-n medians across replicates, then OLS on the log-log points.

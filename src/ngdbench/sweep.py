@@ -177,7 +177,10 @@ def _compute_cell(cfg, teacher, estimator, n, replicate, path):
 
 def _computed(jobs, workers):
     """Run _compute_cell on every job, serially or on a pool of workers;
-    yields its results in completion order."""
+    yields its results in completion order.
+
+    A raising cell stops either way: the pool cancels its queued cells and
+    waits only for those already running."""
     if workers <= 1:
         yield from (_compute_cell(*job) for job in jobs)
         return
@@ -186,7 +189,10 @@ def _computed(jobs, workers):
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_compute_cell, *job) for job in jobs]
-        yield from (fut.result() for fut in as_completed(futures))
+        try:
+            yield from (fut.result() for fut in as_completed(futures))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(cfg, out_dir=None, workers=1, progress=None):
@@ -297,11 +303,13 @@ class SweepReport:
     verdict: str | None    # None when only one estimator is present
 
     def table_lines(self):
-        lines = ["estimator        exponent   stderr     n-range"]
+        lines = ["estimator        exponent   stderr     n-range"
+                 "      exponent -+ 2 stderr"]
         for name, fit in self.fits:
+            n_range = f"{fit.n_values[0]}..{fit.n_values[-1]}"
             lines.append(f"{name:<16} {fit.exponent:>8.4f}  "
-                         f"{fit.slope_stderr:>8.4f}   "
-                         f"{fit.n_values[0]}..{fit.n_values[-1]}")
+                         f"{fit.slope_stderr:>8.4f}   {n_range:<12} "
+                         "[{:.4f}, {:.4f}]".format(*fit.interval))
         return lines
 
     def __str__(self):
@@ -322,7 +330,9 @@ def report(records, cfg):
     Every estimator present must cover at least three sample sizes.  The
     verdict, omitted when the records hold a single estimator, has two
     parts.  "rate" compares the sampler's fitted decay exponent with each
-    baseline's (larger exponent = faster decay).  "level" pairs the sampler
+    baseline's (larger exponent = faster decay) through their exponent
+    -+ 2 stderr intervals: faster or slower only when the intervals are
+    disjoint, "not resolved" when they overlap.  "level" pairs the sampler
     with each baseline by (n, seed) at the largest paired n and counts a win
     when the sampler's risk is lower in a strict majority of the pairs.  The
     sampler dominates only when it wins both parts against every baseline.
@@ -351,17 +361,25 @@ def report(records, cfg):
         if ngd_fit is None:
             verdict = "no sampler records: no dominance verdict"
         else:
-            slower = [name for name, fit in fits
-                      if name != "ngd" and ngd_fit.exponent <= fit.exponent]
+            low, high = ngd_fit.interval
+            bases = [(name, *fit.interval) for name, fit in fits
+                     if name != "ngd"]
+            slower = [name for name, b_low, _ in bases if high < b_low]
+            unresolved = [name for name, b_low, b_high in bases
+                          if not (low > b_high or high < b_low)]
             levels = tuple(_paired_level(by_est["ngd"], name, by_est[name])
                            for name in named if name != "ngd")
             lost = [lv.baseline for lv in levels if not lv.won]
-            rate = ("rate: faster decay than every baseline" if not slower
-                    else f"rate: slower or equal decay vs {', '.join(slower)}")
+            parts = [f"{what} vs {', '.join(names)}" for what, names
+                     in (("slower decay", slower),
+                         ("not resolved", unresolved)) if names]
+            rate = "rate: " + (" and ".join(parts) if parts
+                               else "faster decay than every baseline")
             level = ("level: wins most pairs vs every baseline" if not lost
                      else "level: wins at most half the pairs vs "
                      + ", ".join(lost))
-            head = ("sampler dominates every baseline" if not slower + lost
+            head = ("sampler dominates every baseline"
+                    if not slower + unresolved + lost
                     else "sampler does NOT dominate")
             verdict = f"{head} ({rate}; {level})"
     return SweepReport(fits=tuple(fits), nn_exponent=nn_exp,

@@ -1,6 +1,7 @@
 """Independent reference paths that only the tests use.
 
-Each restates a piece of the program another way (an explicit update
+Each restates a piece of the program another way (the update as one
+allocating expression through a blockwise shrink, an explicit update
 scheme, a closed-form gradient bound, the gradient on (a, n) blocks, a
 one-call kernel gram, the network and its tangent and random features
 summed block by block over every block, the zero combination, a
@@ -21,7 +22,7 @@ from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
                              _sq_dists, make_kernel)
 from ngdbench.lowerbound import RidgeApprox
 from ngdbench.model import _neg_logistic, live_blocks, sigmoid, with_ones
-from ngdbench.ngd import _check_finite, apply_shrink, loss_grad
+from ngdbench.ngd import _check_finite, loss_grad, shrink_factors
 
 
 def ridge_grad(config, lam, W):
@@ -29,6 +30,28 @@ def ridge_grad(config, lam, W):
     W = np.asarray(W, dtype=float)
     m = np.arange(1, W.shape[0] + 1)
     return (lam / config.mu(m))[:, None] * W
+
+
+def apply_shrink(config, eta, lam, W):
+    """Apply the semi-implicit shrink blockwise."""
+    W = np.asarray(W, dtype=float)
+    return shrink_factors(config, eta, lam, W.shape[0])[:, None] * W
+
+
+def step_reference(config, ngd, W, data=None, noise=None):
+    """ngd.step as one allocating expression: s_fac * (W - eta * G + noise),
+    the gradient from loss_grad and the shrink from apply_shrink.
+
+    Rounds as the chain's in-place update does, so step() must match it
+    bitwise, signed zeros included.
+    """
+    W = np.asarray(W, dtype=float)
+    V = W if data is None else W - ngd.eta * loss_grad(config, W, data)
+    if noise is not None:
+        V = V + noise
+    out = apply_shrink(config, ngd.eta, ngd.lam, V)
+    _check_finite(out, "after step")
+    return out
 
 
 def step_explicit(config, ngd, W, data=None, noise=None):

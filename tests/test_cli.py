@@ -66,6 +66,16 @@ class TestCheck:
         path.write_text(CFG_TEXT + "schedule.c_mu = 2\n")
         assert main(["check", str(path)]) == 1
 
+    def test_knn_grid_past_the_training_fold(self, tmp_path, capsys):
+        # n = 8 with 4 folds leaves 6 training points: the sweep could
+        # not tune k = 7, so check fails before any cell runs
+        path = tmp_path / "knn.cfg"
+        path.write_text(CFG_TEXT.replace("grid.knn.k = 1, 2",
+                                         "grid.knn.k = 1, 7"))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "grid.knn.k value 7" in err and "n = 8" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -166,6 +166,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="repeats"):
             parse_config("sweep.n_values = 64, 64\n")
 
+    def test_knn_grid_must_fit_the_smallest_training_fold(self):
+        # at n = 16 with 5 folds np.array_split holds out up to 4 points,
+        # so the sweep's smallest knn training fold has 12
+        text = "baselines = knn\nsweep.n_values = 32, 16, 64\n"
+        with pytest.raises(ConfigError, match=(
+                r"grid.knn.k value 40 exceeds the smallest training fold:"
+                r" 12 points at n = 16 with tune.folds = 5$")):
+            parse_config(text + "grid.knn.k = 1, 4, 40\n")
+        with pytest.raises(ConfigError, match="grid.knn.k value 13 "):
+            parse_config(text + "grid.knn.k = 13\n")
+        assert parse_config(text + "grid.knn.k = 1, 12\n").grids == (
+            ("knn", "k", (1, 12)),)
+        # folds are capped at n: at n = 4 with 5 folds one point is held out
+        assert parse_config("baselines = knn\nsweep.n_values = 4\n"
+                            "grid.knn.k = 3\n").sweep_n_values == (4,)
+        # a grid of an estimator the sweep does not run is never tuned
+        assert parse_config("baselines = krr-rbf\nsweep.n_values = 16\n"
+                            "grid.knn.k = 40\n").baselines == ("krr-rbf",)
+
     def test_removed_keys_unknown(self):
         for line in ("output.timing = none", "sweep.include_last = false"):
             with pytest.raises(ConfigError, match=r"<config>:1: unknown key"):

@@ -20,7 +20,6 @@ from ngdbench.ngd import (
     ChainDivergence,
     MeanPredictor,
     NgdConfig,
-    apply_shrink,
     loss_grad,
     mixing_diagnostic,
     ou_block_variance,
@@ -32,8 +31,9 @@ from ngdbench.ngd import (
 )
 from ngdbench.textio import FLOAT_FMT
 from ngdbench.sweep import cell_inputs, resolve_teacher
-from oracles import (loss_grad_blocks, loss_grad_bound, ridge_grad,
-                     snapshot_mean_oracle, step_explicit)
+from oracles import (apply_shrink, loss_grad_blocks, loss_grad_bound,
+                     ridge_grad, snapshot_mean_oracle, step_explicit,
+                     step_reference)
 
 
 def small_config(**kw):
@@ -405,6 +405,60 @@ class TestStep:
         W = np.full((2, 3), np.inf)
         with pytest.raises(ChainDivergence):
             step(cfg, ngd, W)
+
+    @pytest.mark.parametrize("with_noise", [True, False],
+                             ids=["noise", "no-noise"])
+    @pytest.mark.parametrize("with_data", [True, False],
+                             ids=["data", "no-data"])
+    @pytest.mark.parametrize("schedule", ["small", "committed"])
+    def test_step_is_the_reference_update_bitwise(self, schedule, with_data,
+                                                  with_noise):
+        # three chained steps from weights holding -0.0 agree bit for bit,
+        # signed zeros included, with the allocating expression; absent
+        # noise fed as +0.0 would turn the -0.0 weights of a step without
+        # data or noise into +0.0
+        cfg, teacher = chain_schedule(schedule)
+        data = (generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+                if with_data else None)
+        ngd = small_ngd(eta=0.5, width=3)
+        rng = np.random.default_rng(11)
+        W = rng.normal(size=(3, cfg.d + 2))
+        W.flat[::3] = -0.0
+        got = want = W
+        noise_sd = math.sqrt(2.0 * ngd.eta / ngd.beta)
+        for k in range(3):
+            noise = (noise_sd * rng.standard_normal(W.shape) if with_noise
+                     else None)
+            got = step(cfg, ngd, got, data, noise)
+            want = step_reference(cfg, ngd, want, data, noise)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64),
+                                          err_msg=f"step {k + 1}")
+        if not (with_data or with_noise):
+            assert np.all(np.signbit(got.flat[::3]))
+
+    def test_step_and_chain_share_one_update(self, monkeypatch):
+        # the update's in-place calls are written once, in _update's
+        # advance; step() and run_chain each build it once per call, and
+        # the blockwise shrink lives only in the test oracles
+        source = Path(ngd_module.__file__).read_text()
+        assert source.count("def advance") == 1
+        assert "apply_shrink" not in ngd_module.__all__
+        assert not hasattr(ngd_module, "apply_shrink")
+        cfg, teacher = chain_schedule("small")
+        data = generate_dataset(teacher, n=12, noise_bound=0.2, seed=2)
+        ngd = small_ngd(width=3)
+        calls, update = [], ngd_module._update
+
+        def counting(*args):
+            calls.append(args)
+            return update(*args)
+
+        monkeypatch.setattr(ngd_module, "_update", counting)
+        step(cfg, ngd, np.ones((3, cfg.d + 2)), data)
+        assert len(calls) == 1
+        run_chain(cfg, ngd, data)
+        assert len(calls) == 2
 
 
 class TestChain:

@@ -1,11 +1,14 @@
 """Deterministic sweep runner: seeding, cells, resume, report."""
 
 import hashlib
+import multiprocessing
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import ngdbench.sweep as sweep_module
 from ngdbench.config import (ConfigError, ExperimentConfig, load_config,
                              parse_config)
 from ngdbench.model import ScheduleConfig
@@ -244,6 +247,27 @@ class TestRunSweep:
                   progress=lambda name, failed: resumed.append(name))
         assert sorted(resumed) == sorted(victims)
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched run_cell by fork")
+    def test_raising_cell_stops_a_pooled_sweep(self, tmp_path, monkeypatch):
+        # as a serial sweep stops at its first error, the pool cancels its
+        # queued cells once one raises; without that it still wrote 47 of
+        # these 48 cells before raising
+        cfg = tiny_config(**{"sweep.n_values": "8, 16, 32, 64",
+                             "sweep.replicates": 6})
+
+        def run_cell(cfg, teacher, estimator, n, replicate):
+            if (estimator, n, replicate) == ("ngd", 8, 0):
+                raise RuntimeError("cell went sideways")
+            time.sleep(0.02)
+            return [], None
+
+        monkeypatch.setattr(sweep_module, "run_cell", run_cell)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="cell went sideways"):
+            run_sweep(cfg, out_dir=out, workers=2)
+        assert len(list((out / "cells").iterdir())) <= 24
+
     def test_partial_resume_fills_missing_cells(self, tmp_path):
         cfg = tiny_config()
         full = tmp_path / "full"
@@ -353,8 +377,43 @@ class TestReport:
         rep = report(power_law_records({"ngd": 0.4, "knn": 0.6}),
                      self.comparison_config())
         assert rep.verdict == (
-            "sampler does NOT dominate (rate: slower or equal decay vs knn;"
+            "sampler does NOT dominate (rate: slower decay vs knn;"
             " level: wins at most half the pairs vs knn)")
+
+    def test_overlapping_exponent_intervals_leave_the_rate_unresolved(self):
+        # jitter at n = 128 and 256 lifts ngd's exponent above knn's but
+        # widens its -+ 2 stderr interval over knn's: not a faster rate,
+        # though ngd wins every pair at n = 512; krr-rbf's interval lies
+        # wholly above ngd's
+        jitter = {128: 1.3, 256: 0.8}
+        records = [replace(r, excess_risk=jitter.get(r.n, 1.0) * r.excess_risk)
+                   if r.estimator == "ngd" else r
+                   for r in power_law_records({"ngd": 0.8, "knn": 0.7})]
+        rep = report(records, self.comparison_config())
+        fits = dict(rep.fits)
+        assert fits["ngd"].exponent > fits["knn"].exponent
+        low, high = fits["ngd"].interval
+        assert low < 0.7 < high
+        assert rep.verdict == (
+            "sampler does NOT dominate (rate: not resolved vs knn;"
+            " level: wins most pairs vs every baseline)")
+        rep = report(records + power_law_records({"krr-rbf": 1.5}),
+                     self.comparison_config())
+        assert high < dict(rep.fits)["krr-rbf"].interval[0]
+        assert rep.verdict == (
+            "sampler does NOT dominate (rate: slower decay vs krr-rbf and not"
+            " resolved vs knn; level: wins at most half the pairs vs krr-rbf)")
+
+    def test_rate_table_rows_end_with_the_interval(self):
+        # the first three tokens of a row stay name, exponent and stderr
+        rep = report(power_law_records({"ngd": 0.8, "knn": 0.4}),
+                     self.comparison_config())
+        rows = rep.table_lines()[1:]
+        assert [row.split()[:3] for row in rows] == [
+            ["knn", "0.4000", "0.0000"], ["ngd", "0.8000", "0.0000"]]
+        assert [row.split()[3:] for row in rows] == [
+            ["64..512", "[0.4000,", "0.4000]"],
+            ["64..512", "[0.8000,", "0.8000]"]]
 
     def test_faster_rate_at_a_losing_level_does_not_dominate(self):
         # scaling ngd's risks leaves its exponent as it is, but at n = 512
