@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .data import NOISE_KINDS
-from .linear import ESTIMATOR_KINDS, default_grid
+from .linear import ESTIMATOR_KINDS, check_grid, default_grid
 from .lowerbound import BumpApproxConfig
 from .model import SCHEDULE_FIELDS, ScheduleConfig
 from .textio import format_text, parse_text
@@ -22,9 +22,6 @@ from .textio import format_text, parse_text
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 TEACHER_KINDS = ("gaussian", "bump")
-
-# tunable parameters of each estimator: the keys of its default grid
-_GRID_PARAMS = {kind: tuple(default_grid(kind)) for kind in ESTIMATOR_KINDS}
 
 
 class ConfigError(ValueError):
@@ -73,15 +70,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown baseline {kind!r}")
         if len(set(self.baselines)) != len(self.baselines):
             raise ConfigError("baselines repeats an estimator")
-        for kind, param, values in self.grids:
-            if kind not in _GRID_PARAMS or param not in _GRID_PARAMS[kind]:
-                raise ConfigError(f"no grid parameter {kind}.{param}")
-            if not values:
-                raise ConfigError(f"grid.{kind}.{param} must be non-empty")
-            if param == "k" and min(values) < 1:
-                raise ConfigError(f"grid.{kind}.k values must be >= 1")
-            if param != "k" and not all(v > 0 for v in values):
-                raise ConfigError(f"grid.{kind}.{param} values must be > 0")
         if self.tune_folds < 2:
             raise ConfigError("tune.folds must be >= 2")
         if not self.sweep_n_values:
@@ -90,18 +78,14 @@ class ExperimentConfig:
             raise ConfigError("sweep.n_values entries must be >= 4")
         if len(set(self.sweep_n_values)) != len(self.sweep_n_values):
             raise ConfigError("sweep.n_values repeats a sample size")
-        if "knn" in self.baselines:
-            # the sweep's smallest cross-validation training fold: n less
-            # np.array_split's largest held-out fold at the smallest n (the
-            # default k grid stops at n // 2, which always fits)
-            n = min(self.sweep_n_values)
-            fold = n - -(-n // min(self.tune_folds, n))
-            for kind, param, values in self.grids:
-                if (kind, param) == ("knn", "k") and max(values) > fold:
-                    raise ConfigError(
-                        f"grid.knn.k value {max(values)} exceeds the smallest"
-                        f" training fold: {fold} points at n = {n} with"
-                        f" tune.folds = {self.tune_folds}")
+        # the sweep tunes only its baselines, on as few as min(n) points
+        at_n = (min(self.sweep_n_values), self.tune_folds)
+        for kind, param, values in self.grids:
+            try:
+                check_grid(kind, {param: values},
+                           *(at_n if kind in self.baselines else ()))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.sweep_replicates < 1:
             raise ConfigError("sweep.replicates must be >= 1")
         if self.risk_n_test < 2:
@@ -155,7 +139,7 @@ _NESTED = ("schedule", "lemma")
 # Every key with its parser, in canonical to_text() order.  A key outside
 # _NESTED sets the ExperimentConfig attribute key.replace(".", "_"); a key
 # left out of the text keeps that attribute's default.  grid.<kind>.<param>
-# keys are checked against _GRID_PARAMS instead.
+# keys name a parameter of the estimator's default_grid instead.
 _KEYS = {
     **{f"schedule.{name}": parse for name, parse in SCHEDULE_FIELDS.items()},
     "teacher.radius": float,
@@ -188,7 +172,7 @@ def _parser(key):
     """The value parser for a key, None for an unknown key."""
     parts = key.split(".")
     if len(parts) == 3 and parts[0] == "grid":
-        if parts[2] not in _GRID_PARAMS.get(parts[1], ()):
+        if parts[1] not in ESTIMATOR_KINDS or parts[2] not in default_grid(parts[1]):
             return None
         return _parse_int_list if parts[2] == "k" else _parse_float_list
     return _KEYS.get(key)

@@ -388,6 +388,26 @@ def default_grid(kind, data=None):
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
+def check_grid(kind, grid, n=None, folds=None):
+    """Raise ValueError naming grid.<kind>.<param> unless tune can score
+    every value: kind's parameters, each non-empty, k >= 1 and all else > 0
+    (so NaN fails), and, given n and folds (capped at n), no k above the
+    smallest training fold that _fold_indices leaves."""
+    fold = None if n is None else n - -(-n // min(folds, n))
+    for param, values in grid.items():
+        key, rule = f"grid.{kind}.{param}", ">= 1" if param == "k" else "> 0"
+        if param not in default_grid(kind):
+            raise ValueError(f"{key} is not a tuning parameter of {kind}")
+        if not len(values):
+            raise ValueError(f"{key} must be non-empty")
+        if not all(v >= 1 if param == "k" else v > 0 for v in values):
+            raise ValueError(f"{key} values must be {rule}")
+        if param == "k" and fold is not None and max(values) > fold:
+            raise ValueError(
+                f"{key} value {max(values)} exceeds the smallest training"
+                f" fold: {fold} points at n = {n} with tune.folds = {folds}")
+
+
 @dataclass(frozen=True)
 class TuneResult:
     kind: str
@@ -428,7 +448,8 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
 
     Folds are a seeded permutation split, so the selection is a deterministic
     function of (data, grid, folds, seed).  Score ties go to the smallest
-    parameter combination in sorted key order.
+    parameter combination in sorted key order.  check_grid(kind, grid, n,
+    folds) runs first, so a grid that cannot be tuned fails before any work.
 
     Kernel ridge keeps one n x n array, the squared distances (krr-rbf) or
     the gram (feature kernels).  Each fold's training gram and validation
@@ -446,6 +467,7 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     if data.n < folds or folds < 2:
         raise ValueError("need folds >= 2 and n >= folds")
     grid = grid if grid else default_grid(kind, data)
+    check_grid(kind, grid, data.n, folds)
     masks = [(np.setdiff1d(np.arange(data.n), va), va)
              for va in _fold_indices(data.n, folds, seed)]
     combos = list(_combo_iter(grid))
@@ -488,8 +510,6 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     elif kind == "knn":
         kmax = max(c["k"] for c in combos)
         for tr, va in masks:
-            if kmax > tr.size:
-                raise ValueError("k grid exceeds training fold size")
             D = _sq_dists(data.X[va], data.X[tr])
             # the kmax nearest by the prediction tie rule, then ordered by
             # (distance, index): the head of a stable argsort of each row

@@ -164,12 +164,8 @@ def rate_fit(records):
     slope = float(((x - xbar) @ (yv - yv.mean())) / sxx)
     intercept = float(yv.mean() - slope * xbar) + math.log(mref)
     resid = yv - ((intercept - math.log(mref)) + slope * x)
-    dof = len(ns) - 2
-    if dof > 0:
-        s2 = float(resid @ resid) / dof
-        stderr = math.sqrt(s2 / sxx)
-    else:
-        stderr = 0.0
+    s2 = float(resid @ resid) / (len(ns) - 2)  # >= 3 distinct n
+    stderr = math.sqrt(s2 / sxx)
     return RateFit(slope=slope, intercept=intercept, slope_stderr=stderr,
                    n_values=tuple(ns), medians=tuple(medians))
 

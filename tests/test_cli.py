@@ -210,6 +210,23 @@ class TestArtifacts:
         save_estimator(want, est)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_fit_below_the_sweep_names_the_knn_fold(self, tmp_path, capsys):
+        # the config is checked at the sweep's smallest n (64), but fit runs
+        # at any n: at n = 16 with 5 folds the smallest training fold has 12
+        path = tmp_path / "knn.cfg"
+        path.write_text(CFG_TEXT.replace("grid.knn.k = 1, 2", "grid.knn.k = 1, 40")
+                        .replace("tune.folds = 4\n", "")
+                        .replace("8, 16, 32", "64, 128, 256"))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "e.txt"
+        assert main(["fit", str(path), "--out", str(out), "--estimator", "knn",
+                     "--n", "16"]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid.knn.k value 40 exceeds the smallest training fold:"
+            " 12 points at n = 16 with tune.folds = 5\n")
+        assert not out.exists()
+
     def test_fit_unknown_estimator(self, cfg_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["fit", str(cfg_file), "--out", str(tmp_path / "e.txt"),

@@ -8,6 +8,7 @@ from ngdbench.config import (
     load_config,
     parse_config,
 )
+from ngdbench.linear import check_grid
 from ngdbench.lowerbound import BumpApproxConfig
 from ngdbench.model import ScheduleConfig
 
@@ -206,6 +207,40 @@ class TestValidation:
         key = line.partition(" =")[0]
         with pytest.raises(ConfigError, match=rf"<config>: {key} values"):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("base, line", [
+        *(("", line) for line in (
+            "grid.krr-rbf.ridge = -1e-3, 0",
+            "grid.krr-rbf.bandwidth = 0.5, nan",
+            "grid.krr-ntk.ridge = 0",
+            "grid.krr-rf.ridge = -1",
+            "grid.knn.k = 0, 2",
+            "grid.nw.bandwidth = 0.1, -0.2")),
+        *(("baselines = knn\nsweep.n_values = 32, 16, 64\n", line)
+          for line in ("grid.knn.k = 1, 4, 40", "grid.knn.k = 13",
+                       "grid.knn.k = 1, 12")),
+        ("baselines = knn\nsweep.n_values = 4\n", "grid.knn.k = 3"),
+        ("baselines = krr-rbf\nsweep.n_values = 16\n", "grid.knn.k = 40")])
+    def test_grid_errors_are_check_grid_errors(self, base, line):
+        # config load runs linear.check_grid, the rule tune runs: a
+        # baseline's grid at the smallest sweep n and tune.folds, any other
+        # grid on its values alone
+        key, _, text = line.partition(" = ")
+        _, kind, param = key.split(".")
+        values = tuple((int if param == "k" else float)(v)
+                       for v in text.split(","))
+        cfg = parse_config(base)
+        at_n = (min(cfg.sweep_n_values), cfg.tune_folds)
+        try:
+            check_grid(kind, {param: values},
+                       *(at_n if kind in cfg.baselines else ()))
+        except ValueError as exc:
+            with pytest.raises(ConfigError) as info:
+                parse_config(base + line + "\n")
+            assert str(info.value) == f"<config>: {exc}"
+        else:
+            assert parse_config(base + line + "\n").grids == (
+                (kind, param, values),)
 
     def test_n_test_needs_two_points(self):
         # the Monte Carlo standard error needs two test points

@@ -16,6 +16,7 @@ from ngdbench.linear import (
     NtkKernel,
     RandomFeatureKernel,
     RbfKernel,
+    check_grid,
     default_grid,
     fit_estimator,
     knn_predict,
@@ -382,6 +383,54 @@ class TestTuning:
             tune("knn", data, folds=1)
         with pytest.raises(ValueError):
             tune("knn", data, folds=4)  # n < folds
+
+    @pytest.mark.parametrize("kind, grid, key", [
+        ("krr-rbf", {"bandwidth": [1.0], "ridge": [-1e-3, 1e-3]},
+         "grid.krr-rbf.ridge"),
+        ("knn", {"k": [0, 2]}, "grid.knn.k"),
+        ("knn", {"k": [-3, 2]}, "grid.knn.k"),
+        ("krr-rbf", {"bandwidth": [1.0, np.nan], "ridge": [1e-3]},
+         "grid.krr-rbf.bandwidth"),
+        ("nw", {"bandwidth": [np.nan]}, "grid.nw.bandwidth")],
+        ids=["negative-ridge", "k-zero", "k-negative", "nan-bandwidth",
+             "nw-nan-bandwidth"])
+    def test_untunable_grid_raises_before_any_work(self, monkeypatch, kind,
+                                                   grid, key):
+        rng = np.random.default_rng(5)
+        data = dataset(rng.random((20, 2)), rng.normal(size=20))
+        calls = [counting(monkeypatch, linear, name)
+                 for name in ("_sq_dists", "_solve_regularized")]
+        with pytest.raises(ValueError, match=rf"^{key} values must be "):
+            tune(kind, data, grid=grid, folds=4, seed=1)
+        assert calls == [[], []]
+
+    def test_grid_names_a_nonempty_parameter_list(self):
+        with pytest.raises(ValueError, match=(
+                r"^grid.knn.bandwidth is not a tuning parameter of knn$")):
+            check_grid("knn", {"bandwidth": [0.5]})
+        with pytest.raises(ValueError,
+                           match=r"^grid.nw.bandwidth must be non-empty$"):
+            tune("nw", dataset(np.zeros((8, 1)), np.zeros(8)),
+                 grid={"bandwidth": np.array([])}, folds=4)
+
+    def test_k_bound_is_the_splits_smallest_training_fold(self):
+        # check_grid's bound and tune's agree with _fold_indices itself at
+        # every (n, folds), folds capped at n as the sweep caps them
+        from ngdbench.linear import _fold_indices
+        for n in range(4, 61):
+            data = dataset(np.linspace(0.0, 1.0, n)[:, None],
+                           np.cos(np.arange(n)))
+            for folds in range(2, 11):
+                f = min(folds, n)
+                bound = min(n - va.size for va in _fold_indices(n, f, seed=n))
+                check_grid("knn", {"k": [1, bound]}, n, folds)
+                tune("knn", data, grid={"k": [1, bound]}, folds=f, seed=n)
+                past = (rf"^grid.knn.k value {bound + 1} exceeds the smallest"
+                        rf" training fold: {bound} points at n = {n} ")
+                with pytest.raises(ValueError, match=past):
+                    check_grid("knn", {"k": [bound + 1]}, n, folds)
+                with pytest.raises(ValueError, match=past):
+                    tune("knn", data, grid={"k": [bound + 1]}, folds=f, seed=n)
 
     def test_default_grids(self):
         assert default_grid("knn", dataset(np.zeros((10, 1)), np.zeros(10))) \
