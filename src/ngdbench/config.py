@@ -11,6 +11,7 @@ key table (_KEYS) drives parsing, defaults and to_text().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .data import NOISE_KINDS
@@ -59,12 +60,14 @@ class ExperimentConfig:
             raise ConfigError(f"teacher.kind must be one of {TEACHER_KINDS}")
         if self.teacher_width is not None and self.teacher_width < 1:
             raise ConfigError("teacher.width must be >= 1 or auto")
-        if self.noise_bound < 0:
-            raise ConfigError("noise.bound must be >= 0")
+        if not 0 <= self.noise_bound < math.inf:
+            raise ConfigError("noise.bound must be finite and >= 0")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"noise.kind must be one of {NOISE_KINDS}")
-        if self.ngd_eta <= 0 or self.ngd_budget <= 0:
-            raise ConfigError("ngd.eta and ngd.budget must be > 0")
+        for key, value in (("ngd.eta", self.ngd_eta),
+                           ("ngd.budget", self.ngd_budget)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0")
         for kind in self.baselines:
             if kind not in ESTIMATOR_KINDS:
                 raise ConfigError(f"unknown baseline {kind!r}")
@@ -92,14 +95,6 @@ class ExperimentConfig:
             raise ConfigError("risk.n_test must be >= 2")
         object.__setattr__(self, "sweep_n_values",
                            tuple(sorted(self.sweep_n_values)))
-
-    def grid_for(self, kind, data=None):
-        """Hyperparameter grid for an estimator: defaults plus overrides."""
-        grid = default_grid(kind, data)
-        for gkind, param, values in self.grids:
-            if gkind == kind:
-                grid[param] = list(values)
-        return grid
 
     def to_text(self):
         """Canonical text form; parse_config(to_text()) round-trips."""

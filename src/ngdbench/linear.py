@@ -35,7 +35,6 @@ __all__ = [
     "NtkKernel",
     "RandomFeatureKernel",
     "make_kernel",
-    "krr_fit",
     "knn_predict",
     "nw_predict",
     "tune",
@@ -168,20 +167,31 @@ class RandomFeatureKernel(_FrozenLayerKernel):
         return amp * b**cfg.s * hidden_layer(X1, VT)
 
 
+_FEATURE_KERNELS = {"krr-ntk": NtkKernel, "krr-rf": RandomFeatureKernel}
+
+
 def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
     """Kernel factory for the three krr variants."""
     if kind == "krr-rbf":
         if bandwidth is None or bandwidth <= 0:
             raise ValueError("krr-rbf needs a positive bandwidth")
         return RbfKernel(bandwidth=float(bandwidth))
-    if kind in ("krr-ntk", "krr-rf"):
+    if kind in _FEATURE_KERNELS:
         if config is None or width is None:
             raise ValueError(f"{kind} needs a ScheduleConfig and a width")
         if width < 1:
             raise ValueError(f"{kind} needs a width >= 1")
-        cls = NtkKernel if kind == "krr-ntk" else RandomFeatureKernel
-        return cls(config=config, width=int(width), seed=int(seed))
+        return _FEATURE_KERNELS[kind](config=config, width=int(width),
+                                      seed=int(seed))
     raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+def _kernel(kind, params, data, config, kernel_seed):
+    """The kernel krr `kind` fits at params on data (tune, fit_estimator)."""
+    if kind == "krr-rbf":
+        return make_kernel(kind, bandwidth=params["bandwidth"])
+    return make_kernel(kind, config=config, width=max(8, data.n // 4),
+                       seed=kernel_seed)
 
 
 def _check_finite(*arrays):
@@ -279,11 +289,10 @@ class KrrEstimator:
         return out
 
 
-def krr_fit(kind, data, ridge, config=None, **params):
-    """Solve (K + ridge I) c = y on the training gram."""
+def _krr_fit(kind, kernel, data, ridge):
+    """Solve (K + ridge I) c = y on kernel's training gram."""
     if ridge <= 0:
         raise ValueError("ridge must be > 0")
-    kernel = make_kernel(kind, config=config, **params)
     X = np.asarray(data.X, dtype=float)
     if isinstance(kernel, RbfKernel):
         F, G = None, kernel.gram(X, X)
@@ -320,8 +329,8 @@ def _k_smallest_sets(D, k):
 
 def knn_predict(data, k, x):
     """k nearest neighbor mean; distance ties resolved by lowest index."""
-    if not 1 <= k <= data.n:
-        raise ValueError("k must lie in [1, n]")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= data.n):
+        raise ValueError("k must lie in {1, ..., n}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0])
     for sl, sq in _dist_blocks(x, data.X):
@@ -374,10 +383,10 @@ class LocalEstimator:
 
 
 def default_grid(kind, data=None):
-    """Log-spaced hyperparameter grids used when the caller gives none."""
+    """Log-spaced hyperparameter grids, each kept by tune unless replaced."""
     if kind == "krr-rbf":
         return {"bandwidth": [0.25, 0.5, 1.0, 2.0], "ridge": [1e-7, 1e-5, 1e-3, 1e-1]}
-    if kind in ("krr-ntk", "krr-rf"):
+    if kind in _FEATURE_KERNELS:
         return {"ridge": [1e-9, 1e-7, 1e-5, 1e-3, 1e-1]}
     if kind == "knn":
         top = 64 if data is None else max(1, data.n // 2)
@@ -390,19 +399,22 @@ def default_grid(kind, data=None):
 
 def check_grid(kind, grid, n=None, folds=None):
     """Raise ValueError naming grid.<kind>.<param> unless tune can score
-    every value: kind's parameters, each non-empty, k >= 1 and all else > 0
-    (so NaN fails), and, given n and folds (capped at n), no k above the
-    smallest training fold that _fold_indices leaves."""
+    every value: kind's parameters, each non-empty, k an integer >= 1 (not
+    2.0: knn_predict and config load agree), all else finite and > 0, and,
+    given n and folds (capped at n), no k above the smallest training fold
+    that _fold_indices leaves."""
     fold = None if n is None else n - -(-n // min(folds, n))
     for param, values in grid.items():
-        key, rule = f"grid.{kind}.{param}", ">= 1" if param == "k" else "> 0"
+        key, is_k = f"grid.{kind}.{param}", param == "k"
         if param not in default_grid(kind):
             raise ValueError(f"{key} is not a tuning parameter of {kind}")
         if not len(values):
             raise ValueError(f"{key} must be non-empty")
-        if not all(v >= 1 if param == "k" else v > 0 for v in values):
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 if is_k
+                   else 0 < v < math.inf for v in values):
+            rule = "integers >= 1" if is_k else "finite and > 0"
             raise ValueError(f"{key} values must be {rule}")
-        if param == "k" and fold is not None and max(values) > fold:
+        if is_k and fold is not None and max(values) > fold:
             raise ValueError(
                 f"{key} value {max(values)} exceeds the smallest training"
                 f" fold: {fold} points at n = {n} with tune.folds = {folds}")
@@ -438,18 +450,14 @@ def _combo_iter(grid):
         yield dict(zip(keys, combo))
 
 
-def _kernel_width(data):
-    """Network width of the tangent and random-feature kernels at n points."""
-    return max(8, data.n // 4)
-
-
 def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     """Pick hyperparameters by k-fold cross validation (pooled squared error).
 
-    Folds are a seeded permutation split, so the selection is a deterministic
-    function of (data, grid, folds, seed).  Score ties go to the smallest
-    parameter combination in sorted key order.  check_grid(kind, grid, n,
-    folds) runs first, so a grid that cannot be tuned fails before any work.
+    The caller's grid overlays default_grid(kind, data), so a parameter it
+    leaves out keeps its default list, and check_grid(kind, grid, n, folds)
+    runs on the result first.  Folds are a seeded permutation split, so the
+    selection is a deterministic function of (data, grid, folds, seed).
+    Score ties go to the smallest parameter combination in sorted key order.
 
     Kernel ridge keeps one n x n array, the squared distances (krr-rbf) or
     the gram (feature kernels).  Each fold's training gram and validation
@@ -462,11 +470,9 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     (distance, index), whose first k are the neighbours `knn_predict`
     would average.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
+    grid = {**default_grid(kind, data), **(grid or {})}
     if data.n < folds or folds < 2:
         raise ValueError("need folds >= 2 and n >= folds")
-    grid = grid if grid else default_grid(kind, data)
     check_grid(kind, grid, data.n, folds)
     masks = [(np.setdiff1d(np.arange(data.n), va), va)
              for va in _fold_indices(data.n, folds, seed)]
@@ -474,17 +480,14 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     sq_err = [0.0] * len(combos)
 
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
-        bandwidths = sorted(set(c.get("bandwidth", None) for c in combos))
+        # krr-rbf's kernel per bandwidth, or the one feature kernel (None)
+        kernels = {c.get("bandwidth"): _kernel(kind, c, data, config,
+                                               kernel_seed) for c in combos}
+        rbf = kind == "krr-rbf"
         _check_finite(data.y)
         # squared distances (krr-rbf) or the gram (feature kernels), from
         # which each fold's blocks are gathered
-        if kind == "krr-rbf":
-            kernels = [make_kernel(kind, bandwidth=bw) for bw in bandwidths]
-            D = _sq_dists(data.X, data.X)
-        else:
-            kernels = [None] * len(bandwidths)
-            D = make_kernel(kind, config=config, width=_kernel_width(data),
-                            seed=kernel_seed).gram(data.X, data.X)
+        D = (_sq_dists if rbf else kernels[None].gram)(data.X, data.X)
         # one fold gram, validation block and factor buffer for every fold
         m_max = max(tr.size for tr, _ in masks)
         gram_buf, work_buf = np.empty(m_max**2), np.empty(m_max**2)
@@ -493,10 +496,10 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
             m = tr.size
             Ktr, work = (b[:m * m].reshape(m, m) for b in (gram_buf, work_buf))
             Kva = val_buf[:va.size * m].reshape(va.size, m)
-            for bw, kern in zip(bandwidths, kernels):
+            for bw, kern in kernels.items():
                 _gather(D, tr, tr, out=Ktr)
                 _gather(D, va, tr, out=Kva)
-                if kern is not None:
+                if rbf:
                     kern.from_sq_dists(Ktr, out=Ktr)
                     kern.from_sq_dists(Kva, out=Kva)
                 _check_finite(Ktr, Kva)
@@ -540,17 +543,13 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
 
 def fit_estimator(kind, data, params, config=None, kernel_seed=0):
     """Fit one baseline with explicit hyperparameters; returns a predictor."""
-    if kind == "krr-rbf":
-        return krr_fit(kind, data, params["ridge"], bandwidth=params["bandwidth"])
-    if kind in ("krr-ntk", "krr-rf"):
-        return krr_fit(kind, data, params["ridge"], config=config,
-                       width=_kernel_width(data), seed=kernel_seed)
     if kind == "knn":
-        return LocalEstimator(kind, data, {"k": int(params["k"])})
+        return LocalEstimator(kind, data, {"k": params["k"]})
     if kind == "nw":
         return LocalEstimator(kind, data,
                               {"bandwidth": float(params["bandwidth"])})
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    return _krr_fit(kind, _kernel(kind, params, data, config, kernel_seed),
+                    data, params["ridge"])
 
 
 # -- serialization -----------------------------------------------------------

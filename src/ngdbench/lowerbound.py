@@ -141,21 +141,21 @@ class BumpApproxConfig:
     def __post_init__(self):
         if not 1 <= self.d <= 3:
             raise ValueError("d must be 1, 2 or 3")
-        if self.h <= 0:
-            raise ValueError("h must be > 0")
+        if not 0 < self.h < math.inf:
+            raise ValueError("h must be finite and > 0")
         c = tuple(float(v) for v in np.atleast_1d(self.center))
-        if len(c) != self.d:
-            raise ValueError("center must be a d-vector")
+        if len(c) != self.d or not all(map(math.isfinite, c)):
+            raise ValueError("center must be a finite d-vector")
         object.__setattr__(self, "center", c)
-        if self.direction_radius <= 0:
-            raise ValueError("direction_radius must be > 0")
+        if not 0 < self.direction_radius < math.inf:
+            raise ValueError("direction_radius must be finite and > 0")
         if self.quad_a < 2 or self.quad_b < 2 or self.grid < 2:
             raise ValueError("quadrature and grid sizes must be >= 2")
         if self.offset_factor is None:
             object.__setattr__(self, "offset_factor",
                                math.sqrt(2.0 * self.d) + 1.0)
-        if self.offset_factor <= 0:
-            raise ValueError("offset_factor must be > 0")
+        if not 0 < self.offset_factor < math.inf:
+            raise ValueError("offset_factor must be finite and > 0")
 
     @property
     def offset_radius(self):
@@ -352,11 +352,12 @@ class RidgeApprox:
     def check_atoms(self, tol=1e-9):
         """Assert the sigma-atom constraints; returns the checked values."""
         dir_norm, off_max, mass = self._atom_bounds
-        if dir_norm > 1.0 + tol:
+        # each test is written to fail on NaN
+        if not dir_norm <= 1.0 + tol:
             raise AssertionError(f"atom direction norm {dir_norm} > 1")
-        if off_max > 2.0 + tol:
+        if not off_max <= 2.0 + tol:
             raise AssertionError(f"atom offset {off_max} > 2")
-        if mass > self.coef_budget * (1.0 + tol):
+        if not mass <= self.coef_budget * (1.0 + tol):
             raise AssertionError(f"atom mass {mass} > budget {self.coef_budget}")
         return dir_norm, off_max, mass
 

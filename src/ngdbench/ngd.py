@@ -71,12 +71,12 @@ class NgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.beta <= self.eta:
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and > 0")
+        if not self.beta > self.eta:
             raise ValueError("beta must exceed eta")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and > 0")
         if self.k_max < 1 or self.width < 1:
             raise ValueError("k_max and width must be >= 1")
         if self.burn_in is None:

@@ -103,7 +103,7 @@ def fit_cell(cfg, cell, estimator):
         fitted = run_chain(cfg.schedule, cell.ngd, cell.data)
         predictor = fitted.averaged_predictor()
     else:
-        grid = cfg.grid_for(estimator, cell.data)  # rejects unknown kinds
+        grid = {p: v for kind, p, v in cfg.grids if kind == estimator}
         cv_seed, kernel_seed = cell.baseline_seeds[estimator]
         fitted = tune(estimator, cell.data, grid=grid,
                       folds=min(cfg.tune_folds, cell.data.n), seed=cv_seed,

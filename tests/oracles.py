@@ -8,7 +8,8 @@ summed block by block over every block, the zero combination, a
 zero-padded weight matrix, cross validation by full sorts and
 per-bandwidth grams, the two-sigmoid window and a ridge combination summed
 atom by atom through it), so the tests can check the program against it.
-`traced_peak` is the memory measurement the tests share.
+`traced_peak` is the memory measurement the tests share, and `krr_fit` the
+kernel ridge fit they name by make_kernel's arguments.
 """
 
 import tracemalloc
@@ -19,7 +20,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit, zeta
 
 from ngdbench.linear import (RbfKernel, _combo_iter, _fold_indices,
-                             _sq_dists, make_kernel)
+                             _krr_fit, _sq_dists, make_kernel)
 from ngdbench.lowerbound import RidgeApprox
 from ngdbench.model import _neg_logistic, live_blocks, sigmoid, with_ones
 from ngdbench.ngd import _check_finite, loss_grad, shrink_factors
@@ -118,6 +119,13 @@ def loss_grad_blocks(config, W, data):
         G[:a, :-1] = (np.dot(X1T, dsig.T).T
                       * (two_n * amp * R * bs1 * t2)[:, None])
     return G
+
+
+def krr_fit(kind, data, ridge, config=None, **params):
+    """Kernel ridge fit of ridge on the kernel make_kernel(kind, config,
+    **params)."""
+    return _krr_fit(kind, make_kernel(kind, config=config, **params), data,
+                    ridge)
 
 
 def kernel_eval(kind, x, z, config=None, **params):
@@ -230,29 +238,37 @@ def _solve_c_order(K, ridge, y):
         return scipy.linalg.solve(A, y, assume_a="sym")
 
 
-def cv_table(kind, data, grid, folds, seed):
-    """The (params, score) table of linear.tune for knn or krr-rbf, by passes
-    that do more work: a full stable argsort of every validation row for knn,
-    and for krr-rbf a fresh RbfKernel.gram for every combination, np.ix_ fold
-    blocks and a C-ordered Cholesky factorization."""
+def cv_table(kind, data, grid, folds, seed, config=None, kernel_seed=0):
+    """The (params, score) table of linear.tune, by passes that do more
+    work: a full stable argsort of every validation row for knn, one
+    unblocked weight matrix per bandwidth and fold for nw, and for kernel
+    ridge a fresh gram of all n points for every combination (krr-rbf's
+    bandwidth, or the feature kernel of width max(8, n // 4) at
+    kernel_seed), np.ix_ fold blocks and a C-ordered Cholesky
+    factorization."""
     combos = list(_combo_iter(grid))
     sq_err = [0.0] * len(combos)
     for va in _fold_indices(data.n, folds, seed):
         tr = np.setdiff1d(np.arange(data.n), va)
+        D = _sq_dists(data.X[va], data.X[tr])
         if kind == "knn":
-            D = _sq_dists(data.X[va], data.X[tr])
             order = np.argsort(D, axis=1, kind="stable")
             csum = np.cumsum(data.y[tr][order], axis=1)
         for i, combo in enumerate(combos):
             if kind == "knn":
                 pred = csum[:, combo["k"] - 1] / combo["k"]
-            elif kind == "krr-rbf":
-                G = RbfKernel(bandwidth=combo["bandwidth"]).gram(data.X, data.X)
+            elif kind == "nw":
+                w = RbfKernel(bandwidth=combo["bandwidth"]).from_sq_dists(D)
+                # every weight row has a positive sum on these data
+                pred = (w @ data.y[tr]) / w.sum(axis=1)
+            else:
+                params = ({"bandwidth": combo["bandwidth"]}
+                          if kind == "krr-rbf" else
+                          {"width": max(8, data.n // 4), "seed": kernel_seed})
+                G = kernel_eval(kind, data.X, data.X, config=config, **params)
                 coef = _solve_c_order(G[np.ix_(tr, tr)], combo["ridge"],
                                       data.y[tr])
                 pred = G[np.ix_(va, tr)] @ coef
-            else:
-                raise ValueError(f"no reference table for {kind!r}")
             resid = pred - data.y[va]
             sq_err[i] += float(resid @ resid)
     return tuple((combo, err / data.n) for combo, err in zip(combos, sq_err))

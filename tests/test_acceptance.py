@@ -16,7 +16,7 @@ import pytest
 
 from ngdbench.config import load_config, parse_config
 from ngdbench.data import Dataset
-from ngdbench.linear import krr_fit, make_kernel
+from ngdbench.linear import make_kernel
 from ngdbench.lowerbound import BumpApproxConfig, build_bump_approx
 from ngdbench.model import ScheduleConfig, eval_network, sample_teacher
 from ngdbench.ngd import (
@@ -36,6 +36,7 @@ from ngdbench.risk import (
     rate_fit,
 )
 from ngdbench.sweep import report, run_sweep
+from oracles import krr_fit
 
 REPO = Path(__file__).resolve().parents[1]
 

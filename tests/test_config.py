@@ -11,6 +11,7 @@ from ngdbench.config import (
 from ngdbench.linear import check_grid
 from ngdbench.lowerbound import BumpApproxConfig
 from ngdbench.model import ScheduleConfig
+from ngdbench.sweep import cell_inputs, fit_cell, resolve_teacher
 
 FULL_TEXT = """\
 # sweep setup
@@ -242,6 +243,24 @@ class TestValidation:
             assert parse_config(base + line + "\n").grids == (
                 (kind, param, values),)
 
+    @pytest.mark.parametrize("line, message", [
+        ("noise.bound = nan", "noise.bound must be finite and >= 0"),
+        ("noise.bound = inf", "noise.bound must be finite and >= 0"),
+        ("ngd.eta = nan", "ngd.eta must be finite and > 0"),
+        ("ngd.budget = nan", "ngd.budget must be finite and > 0"),
+        ("ngd.budget = inf", "ngd.budget must be finite and > 0"),
+        ("teacher.radius = nan", "teacher.radius must lie in (0, 1]"),
+        ("lemma.h = nan", "lemma.*: h must be finite and > 0"),
+        ("lemma.center = nan", "lemma.*: center must be a finite d-vector"),
+        ("lemma.direction_radius = nan",
+         "lemma.*: direction_radius must be finite and > 0"),
+        ("lemma.offset_factor = inf",
+         "lemma.*: offset_factor must be finite and > 0")])
+    def test_non_finite_values_fail_naming_the_key(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(line + "\n")
+        assert str(info.value) == f"<config>: {message}"
+
     def test_n_test_needs_two_points(self):
         # the Monte Carlo standard error needs two test points
         with pytest.raises(ConfigError, match="risk.n_test"):
@@ -250,20 +269,28 @@ class TestValidation:
 
 
 class TestGridFor:
-    """Tuning grids: defaults overridden per estimator parameter."""
+    """The grid a sweep cell tunes for an estimator: tune's defaults, each
+    parameter overridden by the config's grid.<estimator>.<param> key."""
+
+    @staticmethod
+    def tuned(text, kind):
+        """The parameter combinations sweep.fit_cell scores for kind on the
+        n = 16 cell of a config with the given extra lines."""
+        cfg = parse_config(text + "sweep.n_values = 16, 32, 64\n"
+                           "risk.n_test = 2\n")
+        cell = cell_inputs(cfg, resolve_teacher(cfg), 16, 0)
+        return [params for params, _ in fit_cell(cfg, cell, kind)[0].table]
 
     def test_defaults_without_overrides(self):
-        cfg = ExperimentConfig()
-        grid = cfg.grid_for("nw")
-        assert grid == {"bandwidth": [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]}
+        assert self.tuned("", "nw") == [
+            {"bandwidth": h} for h in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)]
 
     def test_override_replaces_only_named_param(self):
-        cfg = parse_config("grid.krr-rbf.bandwidth = 0.3, 0.6\n")
-        grid = cfg.grid_for("krr-rbf")
-        assert grid["bandwidth"] == [0.3, 0.6]
-        assert grid["ridge"] == [1e-7, 1e-5, 1e-3, 1e-1]
+        combos = self.tuned("grid.krr-rbf.bandwidth = 0.3, 0.6\n", "krr-rbf")
+        assert combos == [{"bandwidth": h, "ridge": r} for h in (0.3, 0.6)
+                          for r in (1e-7, 1e-5, 1e-3, 1e-1)]
 
     def test_other_estimators_untouched(self):
-        cfg = parse_config("grid.knn.k = 1, 2\n")
-        assert cfg.grid_for("nw") == ExperimentConfig().grid_for("nw")
-        assert cfg.grid_for("knn") == {"k": [1, 2]}
+        text = "grid.knn.k = 1, 2\n"
+        assert self.tuned(text, "nw") == self.tuned("", "nw")
+        assert self.tuned(text, "knn") == [{"k": 1}, {"k": 2}]

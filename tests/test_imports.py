@@ -234,6 +234,61 @@ def test_one_cell_fit(path):
     assert cell_fit_copies(path.stem, path.read_text()) == []
 
 
+# the one caller that completes a grid from a dataset's defaults: tune lays
+# the caller's grid over default_grid(kind, data), so no other code builds
+# the grid tune scores
+GRID_COMPLETER = "linear.tune"
+
+
+def grid_completions(module, source):
+    """(line, top-level definition) of each default_grid call outside
+    GRID_COMPLETER that passes a dataset (a second argument or data=), in
+    the source of package module `module`."""
+    found = []
+    for top in ast.parse(source).body:
+        where = module
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{module}.{top.name}"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call) or where == GRID_COMPLETER:
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            with_data = len(node.args) > 1 or any(kw.arg == "data"
+                                                  for kw in node.keywords)
+            if name == "default_grid" and with_data:
+                found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_grid_completion_checker_flags_every_other_caller():
+    # config's grid_for before tune completed its own grid, and a sweep
+    # that completes the grid itself
+    config = ("class ExperimentConfig:\n"
+              "    def grid_for(self, kind, data=None):\n"
+              "        grid = default_grid(kind, data)\n"
+              "def _parser(key):\n"
+              "    return key in default_grid(key)\n")
+    assert grid_completions("config", config) == [
+        (3, "config.ExperimentConfig")]
+    sweep = ("GRID = linear.default_grid('knn', data=None)\n"
+             "def fit_cell(cfg, cell, estimator):\n"
+             "    return tune(estimator, cell.data, default_grid(estimator,"
+             " cell.data))\n")
+    assert grid_completions("sweep", sweep) == [(1, "sweep"),
+                                                (3, "sweep.fit_cell")]
+    linear = ("def tune(kind, data, grid=None):\n"
+              "    grid = {**default_grid(kind, data), **(grid or {})}\n"
+              "def check_grid(kind, grid):\n"
+              "    return default_grid(kind)\n")
+    assert grid_completions("linear", linear) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_grid_completion(path):
+    assert grid_completions(path.stem, path.read_text()) == []
+
+
 def fresh_run(code):
     """stdout of `code` run by a fresh interpreter that imports the package
     from this checkout."""

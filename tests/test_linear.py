@@ -20,17 +20,16 @@ from ngdbench.linear import (
     default_grid,
     fit_estimator,
     knn_predict,
-    krr_fit,
     make_kernel,
     nw_predict,
     save_estimator,
     tune,
 )
-from ngdbench.config import load_config
+from ngdbench.config import ConfigError, load_config, parse_config
 from ngdbench.model import (ScheduleConfig, active_width, eval_network,
                             sample_teacher)
 from oracles import (block_activation, cv_table, feature_oracle, kernel_eval,
-                     traced_peak)
+                     krr_fit, traced_peak)
 
 
 def dataset(X, y):
@@ -391,9 +390,11 @@ class TestTuning:
         ("knn", {"k": [-3, 2]}, "grid.knn.k"),
         ("krr-rbf", {"bandwidth": [1.0, np.nan], "ridge": [1e-3]},
          "grid.krr-rbf.bandwidth"),
-        ("nw", {"bandwidth": [np.nan]}, "grid.nw.bandwidth")],
+        ("nw", {"bandwidth": [np.nan]}, "grid.nw.bandwidth"),
+        ("knn", {"k": [1, 2.0]}, "grid.knn.k"),
+        ("krr-rbf", {"ridge": [1e-3, np.inf]}, "grid.krr-rbf.ridge")],
         ids=["negative-ridge", "k-zero", "k-negative", "nan-bandwidth",
-             "nw-nan-bandwidth"])
+             "nw-nan-bandwidth", "k-float", "infinite-ridge"])
     def test_untunable_grid_raises_before_any_work(self, monkeypatch, kind,
                                                    grid, key):
         rng = np.random.default_rng(5)
@@ -403,6 +404,32 @@ class TestTuning:
         with pytest.raises(ValueError, match=rf"^{key} values must be "):
             tune(kind, data, grid=grid, folds=4, seed=1)
         assert calls == [[], []]
+
+    def test_grid_naming_some_parameters_tunes_the_rest_on_defaults(self):
+        rng = np.random.default_rng(6)
+        data = dataset(rng.random((20, 2)), rng.normal(size=20))
+        full = {"bandwidth": [1.0], "ridge": default_grid("krr-rbf")["ridge"]}
+        part = tune("krr-rbf", data, grid={"bandwidth": [1.0]}, folds=4, seed=1)
+        assert part == tune("krr-rbf", data, grid=full, folds=4, seed=1)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5])
+    def test_knn_k_is_an_integer_on_every_path(self, k):
+        # tune, fit_estimator and config load each refuse a float k by a
+        # ValueError naming k: none truncates it, none fails in the search
+        rng = np.random.default_rng(6)
+        data = dataset(rng.random((20, 2)), rng.normal(size=20))
+        with pytest.raises(ValueError,
+                           match=r"^grid.knn.k values must be integers >= 1$"):
+            tune("knn", data, grid={"k": [k]}, folds=4)
+        with pytest.raises(ValueError,
+                           match=r"^k must lie in \{1, \.\.\., n\}$"):
+            fit_estimator("knn", data, {"k": k})
+        with pytest.raises(ConfigError, match=r"bad value for 'grid.knn.k'"):
+            parse_config(f"grid.knn.k = {k}\n")
+        # an integer k of any integer type fits the same estimator
+        want = fit_estimator("knn", data, {"k": 2})(data.X)
+        np.testing.assert_array_equal(
+            fit_estimator("knn", data, {"k": np.int64(2)})(data.X), want)
 
     def test_grid_names_a_nonempty_parameter_list(self):
         with pytest.raises(ValueError, match=(
@@ -519,7 +546,7 @@ class TestSinglePass:
         for predict in (lambda: knn_predict(data, 16, x), lambda: est(x)):
             assert traced_peak(predict) < bound
 
-    @pytest.mark.parametrize("kind", ["knn", "krr-rbf"])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_cv_table_matches_reference_bitwise(self, kind):
         teacher = sample_teacher(schedule(d=3), 3, radius=0.9, seed=0)
         data = generate_dataset(teacher, n=128, noise_bound=0.1, seed=6)
@@ -529,8 +556,11 @@ class TestSinglePass:
             assert np.any(D[:, k - 1] == D[:, k])  # ties at the k-th distance
         for d in (data, ties):
             grid = default_grid(kind, d)
-            res = tune(kind, d, grid=grid, folds=5, seed=8)
-            assert res.table == cv_table(kind, d, grid, folds=5, seed=8)
+            cfg = schedule(d=d.d)
+            res = tune(kind, d, grid=grid, folds=5, seed=8, config=cfg,
+                       kernel_seed=3)
+            assert res.table == cv_table(kind, d, grid, folds=5, seed=8,
+                                         config=cfg, kernel_seed=3)
 
     def test_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(9)

@@ -146,6 +146,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             quick_cfg(offset_factor=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", math.nan), ("h", math.inf), ("center", (math.nan,)),
+        ("direction_radius", math.nan), ("direction_radius", math.inf),
+        ("offset_factor", math.nan), ("offset_factor", math.inf)])
+    def test_non_finite_values_fail(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a? ?finite"):
+            quick_cfg(**{field: value})
+
 
 class TestBuild:
     """Quadrature assembly, accuracy, and the sigma-atom certificate."""
@@ -193,6 +201,17 @@ class TestBuild:
         manual = sigmoid(ap.tau * (x @ dirs.T + offs[None, :])) @ coef
         np.testing.assert_allclose(manual, ap(x), rtol=0,
                                    atol=1e-11 * ap.scale)
+
+    @pytest.mark.parametrize("atom", [
+        ([math.nan], 0.0, 1.0), ([0.5], math.nan, 1.0), ([0.5], 0.0, math.nan)],
+        ids=["direction", "offset", "coefficient"])
+    def test_nan_atom_is_not_certified(self, atom):
+        # NaN compares False against every bound, so each check must be
+        # written to fail on it rather than to pass
+        direction, offset, coef = atom
+        ap = hand_built([[0.25], direction], [0.0, offset], [1.0, coef])
+        with pytest.raises(AssertionError, match="nan"):
+            ap.check_atoms()
 
     def test_empty_combination(self):
         ap = empty_approx(quick_cfg())

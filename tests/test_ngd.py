@@ -130,6 +130,16 @@ class TestAutoHyperparameters:
         with pytest.raises(ValueError):
             small_ngd(burn_in=96, thinning=5)  # keeps no snapshot
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta", math.nan, "eta must be finite"),
+        ("eta", math.inf, "eta must be finite"),
+        ("beta", math.nan, "beta must exceed eta"),
+        ("lam", math.nan, "lam must be finite"),
+        ("lam", math.inf, "lam must be finite")])
+    def test_non_finite_values_fail(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            small_ngd(**{field: value})
+
 
 class TestRidgeOperator:
     """The weighted ridge gradient and its semi-implicit inverse."""
