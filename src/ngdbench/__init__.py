@@ -13,7 +13,6 @@ from .data import Dataset, generate_dataset, empirical_risk
 from .ngd import NgdConfig, run_chain, mixing_diagnostic
 from .linear import tune, fit_estimator, knn_predict, nw_predict
 from .risk import (
-    RiskRecord,
     excess_risk_mc,
     rate_fit,
     linear_lower_exponents,
@@ -22,6 +21,6 @@ from .risk import (
 )
 from .lowerbound import BumpApproxConfig, build_bump_approx, gauss_bump, sup_error
 from .config import ExperimentConfig, parse_config, ConfigError
-from .sweep import run_sweep, report
+from .sweep import RiskRecord, run_sweep, report
 
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class Dataset:
             raise ValueError(f"inconsistent shapes X {X.shape}, y {y.shape}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        if self.noise_bound < 0:
-            raise ValueError("noise bound must be >= 0")
+        if not 0 <= self.noise_bound < math.inf:
+            raise ValueError("noise bound must be finite and >= 0")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)

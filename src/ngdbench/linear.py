@@ -173,8 +173,8 @@ _FEATURE_KERNELS = {"krr-ntk": NtkKernel, "krr-rf": RandomFeatureKernel}
 def make_kernel(kind, config=None, bandwidth=None, width=None, seed=0):
     """Kernel factory for the three krr variants."""
     if kind == "krr-rbf":
-        if bandwidth is None or bandwidth <= 0:
-            raise ValueError("krr-rbf needs a positive bandwidth")
+        if bandwidth is None or not 0 < bandwidth < math.inf:
+            raise ValueError("krr-rbf needs a finite positive bandwidth")
         return RbfKernel(bandwidth=float(bandwidth))
     if kind in _FEATURE_KERNELS:
         if config is None or width is None:

@@ -85,6 +85,10 @@ def soft_clip_deriv(w, R):
 
 # admissibility clauses a ScheduleConfig must satisfy, checked on construction
 _ASSUMPTION_CLAUSES = (
+    # an infinite R passes R >= 1 and overflows the chain; an infinite s or
+    # alpha2 makes every block scale b_m^s 0, so every network is 0
+    ("all parameters finite",
+     lambda c: all(math.isfinite(getattr(c, f.name)) for f in fields(c))),
     ("d >= 1", lambda c: c.d >= 1),
     ("R >= 1", lambda c: c.R >= 1.0),
     ("gamma > 0", lambda c: c.gamma > 0.0),

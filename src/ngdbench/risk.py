@@ -6,7 +6,8 @@ decay exponents come from ordinary least squares on (log n, log median
 risk).  The theoretical calculators return the convergence exponent the
 noisy-gradient estimator attains and the exponent no linear estimator can
 beat, including the two published variants of the latter's smoothness
-index (they disagree; both are reported, flagged).
+index (they disagree; both are reported, flagged).  rate_fit takes the
+sweep's records (sweep.RiskRecord); the sweep owns their files.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import FLOAT_FMT
-
 __all__ = [
     "MonteCarloRisk",
     "excess_risk_mc",
-    "RiskRecord",
-    "records_csv",
-    "save_records",
-    "load_records",
     "RateFit",
     "rate_fit",
     "beta_tilde",
@@ -64,57 +59,6 @@ def excess_risk_mc(teacher, predictor, n_test=100_000, seed=0):
     value = float(sq.mean())
     stderr = float(sq.std(ddof=1) / math.sqrt(n_test))
     return MonteCarloRisk(value=value, stderr=stderr, n_test=n_test, seed=seed)
-
-
-@dataclass(frozen=True)
-class RiskRecord:
-    """One sweep cell: estimator tag, training size, replicate seed, result."""
-
-    estimator: str
-    n: int
-    seed: int
-    excess_risk: float
-    stderr: float
-
-    def csv_row(self):
-        return (f"{self.estimator},{self.n},{self.seed},"
-                f"{FLOAT_FMT % self.excess_risk},{FLOAT_FMT % self.stderr},0")
-
-
-# the last column is a reserved 0, kept for readers of the 6-column files
-CSV_HEADER = "estimator,n,seed,excess_risk,stderr,wall_ms"
-
-
-def records_csv(records):
-    """Canonical CSV: sorted by (estimator, n, seed), 17 significant digits."""
-    ordered = sorted(records, key=lambda r: (r.estimator, r.n, r.seed))
-    return "".join(f"{row}\n" for row in
-                   [CSV_HEADER] + [rec.csv_row() for rec in ordered])
-
-
-def save_records(path, records):
-    with open(path, "w") as fh:
-        fh.write(records_csv(records))
-
-
-def load_records(path):
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                est, n, seed, risk, err, _ = line.split(",")
-                records.append(RiskRecord(
-                    estimator=est, n=int(n), seed=int(seed),
-                    excess_risk=float(risk), stderr=float(err)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return records
 
 
 @dataclass(frozen=True)

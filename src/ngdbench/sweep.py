@@ -11,6 +11,9 @@ at cell granularity.
 Per cell, the training set is drawn fresh (tag "data") and every estimator
 for the same (n, replicate) is scored on a shared test stream (tag "test")
 so estimator comparisons are paired.
+
+Cell files and results.csv share one record format: only write_records
+writes it and only read_records reads it.
 """
 
 from __future__ import annotations
@@ -27,16 +30,18 @@ from .data import Dataset, generate_dataset
 from .linear import ESTIMATOR_KINDS, fit_estimator, tune
 from .model import TeacherSpec, bump_teacher, sample_teacher
 from .ngd import ChainDivergence, NgdConfig, run_chain
-from .risk import (RiskRecord, dominance_condition, excess_risk_mc,
-                   linear_lower_exponents, load_records, nn_upper_exponent,
-                   rate_fit, records_csv, save_records)
+from .risk import (dominance_condition, excess_risk_mc,
+                   linear_lower_exponents, nn_upper_exponent, rate_fit)
 from .textio import FLOAT_FMT
 
 __all__ = ["derive_seed", "CellInputs", "cell_inputs", "fit_cell",
-           "resolve_teacher", "run_cell", "run_sweep", "PairedLevel",
-           "SweepReport", "report", "save_report"]
+           "resolve_teacher", "RiskRecord", "write_records", "read_records",
+           "run_cell", "run_sweep", "PairedLevel", "SweepReport", "report",
+           "save_report"]
 
 RESULTS_NAME = "results.csv"
+# the last column is a reserved 0, kept for readers of the 6-column files
+_HEADER = "estimator,n,seed,excess_risk,stderr,wall_ms"
 _FAILED_PREFIX = "# failed: "
 
 
@@ -131,22 +136,62 @@ def cell_name(estimator, n, replicate):
     return f"{estimator}-n{n:06d}-r{replicate:04d}.csv"
 
 
-def _write_cell(path, records=None, failed=None):
+@dataclass(frozen=True)
+class RiskRecord:
+    """One sweep cell: estimator tag, training size, replicate seed, result."""
+
+    estimator: str
+    n: int
+    seed: int
+    excess_risk: float
+    stderr: float
+
+
+def write_records(path, records, failed=None):
+    """Write a record file: a `# failed: ` line when failed is given, the
+    header, then one row per record sorted by (estimator, n, seed) with
+    floats at 17 significant digits, so every value reads back exactly.
+
+    The text is formatted in full, written to path.tmp and renamed over
+    path, so a write that fails (on a record that is not a number, say)
+    leaves path as it was.
+    """
+    lines = [] if failed is None else [
+        _FAILED_PREFIX + failed.replace("\n", " ")]
+    lines.append(_HEADER)
+    lines += [f"{r.estimator},{r.n},{r.seed},{FLOAT_FMT % r.excess_risk},"
+              f"{FLOAT_FMT % r.stderr},0" for r in
+              sorted(records, key=lambda r: (r.estimator, r.n, r.seed))]
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w") as fh:
-        if failed is not None:
-            fh.write(_FAILED_PREFIX + failed.replace("\n", " ") + "\n")
-        fh.write(records_csv(records or []))
+    tmp.write_text("\n".join(lines) + "\n")
     tmp.replace(path)
 
 
-def load_cell(path):
-    """Returns (records, failure message or None) for one cell file."""
+def read_records(path):
+    """Returns (records, failure message or None) for one record file, read
+    in one pass.  A failed cell's file yields no records.  A header other
+    than write_records' and a row that does not parse raise ValueError, the
+    latter naming path and line."""
     with open(path) as fh:
-        first = fh.readline()
-    if first.startswith(_FAILED_PREFIX):
-        return [], first[len(_FAILED_PREFIX):].strip()
-    return load_records(path), None
+        header = fh.readline()
+        if header.startswith(_FAILED_PREFIX):
+            return [], header[len(_FAILED_PREFIX):].strip()
+        header = header.strip()
+        if header != _HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        records = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                est, n, seed, risk, err, _ = line.split(",")
+                records.append(RiskRecord(
+                    estimator=est, n=int(n), seed=int(seed),
+                    excess_risk=float(risk), stderr=float(err)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return records, None
 
 
 def run_cell(cfg, teacher, estimator, n, replicate):
@@ -171,7 +216,7 @@ def _compute_cell(cfg, teacher, estimator, n, replicate, path):
     pool pickles its arguments (frozen dataclasses) into each task.
     """
     records, failed = run_cell(cfg, teacher, estimator, n, replicate)
-    _write_cell(path, records, failed)
+    write_records(path, records, failed)
     return path.name, failed
 
 
@@ -234,11 +279,11 @@ def run_sweep(cfg, out_dir=None, workers=1, progress=None):
     all_records = []
     failures = []
     for est, n, rep in tasks:
-        records, failed = load_cell(cells / cell_name(est, n, rep))
+        records, failed = read_records(cells / cell_name(est, n, rep))
         all_records.extend(records)
         if failed is not None:
             failures.append((cell_name(est, n, rep), failed))
-    save_records(out / RESULTS_NAME, all_records)
+    write_records(out / RESULTS_NAME, all_records)
     failed_path = out / "failed.txt"
     if failures:
         with open(failed_path, "w") as fh:
@@ -338,7 +383,7 @@ def report(records, cfg):
     sampler dominates only when it wins both parts against every baseline.
     """
     if isinstance(records, (str, Path)):
-        records = load_records(records)
+        records = read_records(records)[0]
     if not records:
         raise ValueError("no records to report on")
     by_est = {}

@@ -28,14 +28,13 @@ from ngdbench.ngd import (
     step,
 )
 from ngdbench.risk import (
-    RiskRecord,
     dominance_condition,
     excess_risk_mc,
     linear_lower_exponents,
     nn_upper_exponent,
     rate_fit,
 )
-from ngdbench.sweep import report, run_sweep
+from ngdbench.sweep import RiskRecord, report, run_sweep
 from oracles import krr_fit
 
 REPO = Path(__file__).resolve().parents[1]

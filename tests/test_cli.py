@@ -11,8 +11,7 @@ from ngdbench.config import load_config
 from ngdbench.data import empirical_risk, save_dataset
 from ngdbench.linear import save_estimator
 from ngdbench.model import save_teacher, save_weights
-from ngdbench.risk import load_records
-from ngdbench.sweep import (cell_inputs, derive_seed, fit_cell,
+from ngdbench.sweep import (cell_inputs, derive_seed, fit_cell, read_records,
                             resolve_teacher, run_cell)
 
 CFG_TEXT = """\
@@ -65,6 +64,13 @@ class TestCheck:
         path = tmp_path / "bad.cfg"
         path.write_text(CFG_TEXT + "schedule.c_mu = 2\n")
         assert main(["check", str(path)]) == 1
+
+    @pytest.mark.parametrize("key", ["R", "s", "alpha1", "alpha2"])
+    def test_infinite_schedule_value(self, tmp_path, capsys, key):
+        path = tmp_path / "inf.cfg"
+        path.write_text(f"schedule.{key} = inf\n")
+        assert main(["check", str(path)]) == 1
+        assert "all parameters finite" in capsys.readouterr().err
 
     def test_knn_grid_past_the_training_fold(self, tmp_path, capsys):
         # n = 8 with 4 folds leaves 6 training points: the sweep could
@@ -269,7 +275,7 @@ class TestSweepAndReport:
         assert main(["sweep", str(cfg_file), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "records ->" in stdout
-        records = load_records(out / "results.csv")
+        records, _ = read_records(out / "results.csv")
         assert len(records) == 6  # (ngd + knn) x 3 sizes x 1 replicate
 
         assert main(["report", str(cfg_file), "--out", str(out)]) == 0
@@ -285,11 +291,11 @@ class TestSweepAndReport:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_report_too_few_sizes(self, cfg_file, tmp_path, capsys):
-        from ngdbench.risk import RiskRecord, save_records
+        from ngdbench.sweep import RiskRecord, write_records
         out = tmp_path / "short"
         out.mkdir()
         records = [RiskRecord(estimator="ngd", n=n, seed=0, excess_risk=0.1,
                               stderr=0.0) for n in (8, 16)]
-        save_records(out / "results.csv", records)
+        write_records(out / "results.csv", records)
         assert main(["report", str(cfg_file), "--out", str(out)]) == 1
         assert "'ngd'" in capsys.readouterr().err

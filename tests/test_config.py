@@ -255,7 +255,9 @@ class TestValidation:
         ("lemma.direction_radius = nan",
          "lemma.*: direction_radius must be finite and > 0"),
         ("lemma.offset_factor = inf",
-         "lemma.*: offset_factor must be finite and > 0")])
+         "lemma.*: offset_factor must be finite and > 0"),
+        *((f"schedule.{key} = inf", "schedule.*: inadmissible schedule:"
+           " all parameters finite") for key in ("R", "s", "alpha1", "alpha2"))])
     def test_non_finite_values_fail_naming_the_key(self, line, message):
         with pytest.raises(ConfigError) as info:
             parse_config(line + "\n")

@@ -74,6 +74,10 @@ class TestGenerate:
             generate_dataset(t, n=0, noise_bound=0.1)
         with pytest.raises(ValueError):
             generate_dataset(t, n=8, noise_bound=-0.5)
+        # "none" draws no noise, so only Dataset's own check sees the bound
+        for bound in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise bound"):
+                generate_dataset(t, n=8, noise_bound=bound, noise_kind="none")
         with pytest.raises(ValueError):
             generate_dataset(t, n=8, noise_bound=0.1, noise_kind="cauchy")
 

@@ -1,7 +1,8 @@
 """Import hygiene: no package or test module imports a name it never uses,
 every public name has a caller outside tests, no process loads scipy until
-it solves a kernel-ridge system, and the network's forward pass and a
-cell's fit-and-score each have one home."""
+it solves a kernel-ridge system, and the network's forward pass, a cell's
+fit-and-score, a tuning grid's completion and the record CSV each have one
+home."""
 
 import ast
 import importlib
@@ -287,6 +288,41 @@ def test_grid_completion_checker_flags_every_other_caller():
                          ids=lambda p: p.name)
 def test_one_grid_completion(path):
     assert grid_completions(path.stem, path.read_text()) == []
+
+
+# the record CSV of cell files and results.csv has one home: only sweep
+# spells its header or its failure line, so one writer and one reader serve
+# both kinds of file
+RECORD_FORMAT_HOME = "sweep"
+RECORD_FORMAT_MARKS = ("estimator,n,seed", "# failed: ")
+
+
+def record_format_copies(module, source):
+    """(line, mark) of each RECORD_FORMAT_MARKS string in the source of
+    package module `module`, unless it is RECORD_FORMAT_HOME."""
+    if module == RECORD_FORMAT_HOME:
+        return []
+    return [(lineno, mark)
+            for lineno, line in enumerate(source.splitlines(), start=1)
+            for mark in RECORD_FORMAT_MARKS if mark in line]
+
+
+def test_record_format_checker_flags_copies():
+    # risk's CSV functions and a second failed-cell reader
+    risk = ('CSV_HEADER = "estimator,n,seed,excess_risk,stderr,wall_ms"\n'
+            "def load_records(path):\n"
+            "    return path\n")
+    assert record_format_copies("risk", risk) == [(1, "estimator,n,seed")]
+    cli = ("def failed_cells(path):\n"
+           "    return path.read_text().startswith('# failed: ')\n")
+    assert record_format_copies("cli", cli) == [(2, "# failed: ")]
+    assert record_format_copies("sweep", risk + cli) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_record_format(path):
+    assert record_format_copies(path.stem, path.read_text()) == []
 
 
 def fresh_run(code):

@@ -147,8 +147,9 @@ class TestKernels:
         assert not np.array_equal(a, c)
 
     def test_factory_validation(self):
-        with pytest.raises(ValueError):
-            make_kernel("krr-rbf", bandwidth=0.0)
+        for bandwidth in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                make_kernel("krr-rbf", bandwidth=bandwidth)
         with pytest.raises(ValueError):
             make_kernel("krr-ntk", config=None, width=4)
         with pytest.raises(ValueError):

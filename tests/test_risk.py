@@ -9,18 +9,15 @@ import pytest
 from ngdbench.model import ScheduleConfig, sample_teacher
 from ngdbench.risk import (
     QUOTED_BETA_TILDE,
-    RiskRecord,
     beta_tilde,
     beta_tilde_quoted,
     dominance_condition,
     excess_risk_mc,
     linear_lower_exponents,
-    load_records,
     nn_upper_exponent,
     rate_fit,
-    records_csv,
-    save_records,
 )
+from ngdbench.sweep import RiskRecord, read_records, write_records
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -166,30 +163,45 @@ class TestRecordsIo:
                               stderr=float(rng.random() * 1e-3))
                    for est in ("ngd", "knn") for n in (8, 16) for s in (0, 1)]
         path = tmp_path / "records.csv"
-        save_records(path, records[::-1])  # scrambled input order
-        back = load_records(path)
+        write_records(path, records[::-1])  # scrambled input order
+        back, failed = read_records(path)
+        assert failed is None
         assert back == sorted(records, key=lambda r: (r.estimator, r.n, r.seed))
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "records.csv"
-        save_records(path, [record()])
+        write_records(path, [record()])
         first = path.read_text().splitlines()[0]
         assert first == "estimator,n,seed,excess_risk,stderr,wall_ms"
 
-    def test_reserved_last_column_is_zero(self):
-        assert record(risk=0.5).csv_row().split(",")[-1] == "0"
+    def test_reserved_last_column_is_zero(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(path, [record(risk=0.5)])
+        assert path.read_text().splitlines()[-1].split(",")[-1] == "0"
 
-    def test_committed_results_roundtrip(self):
+    def test_committed_results_roundtrip(self, tmp_path):
         path = REPO / "results" / "comparison" / "results.csv"
-        records = load_records(path)
+        records, failed = read_records(path)
+        assert failed is None
         assert len(records) == 180
-        assert records_csv(records) == path.read_text()
+        write_records(tmp_path / "results.csv", records)
+        assert (tmp_path / "results.csv").read_text() == path.read_text()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # every row is formatted before the file is touched
+        path = tmp_path / "results.csv"
+        write_records(path, [record(n=8), record(n=16)])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_records(path, [record(n=8), record(n=16, risk="lost")])
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError):
-            load_records(path)
+            read_records(path)
 
     @pytest.mark.parametrize("row, message", [
         ("ngd,8,0,0.5", r"not enough values to unpack"),
@@ -200,7 +212,7 @@ class TestRecordsIo:
         path.write_text("estimator,n,seed,excess_risk,stderr,wall_ms\n"
                         "ngd,4,0,0.5,0.01,0\n\n" + row + "\n")
         with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}"):
-            load_records(path)
+            read_records(path)
 
 
 class TestExponentCalculators:

@@ -13,18 +13,19 @@ from ngdbench.config import (ConfigError, ExperimentConfig, load_config,
                              parse_config)
 from ngdbench.model import ScheduleConfig
 from ngdbench.ngd import ChainDivergence, NgdConfig
-from ngdbench.risk import RiskRecord, load_records, save_records
 from ngdbench.sweep import (
     RESULTS_NAME,
+    RiskRecord,
     cell_name,
     derive_seed,
-    load_cell,
+    read_records,
     report,
     resolve_teacher,
     run_cell,
     run_sweep,
     save_report,
     student_width,
+    write_records,
 )
 
 TINY_TEXT = """\
@@ -140,7 +141,8 @@ class TestCommittedDrift:
         records, failed = run_cell(cfg, resolve_teacher(cfg), est, n, replicate)
         assert failed is None
         (got,) = records
-        committed = load_records(repo / "results" / "comparison" / RESULTS_NAME)
+        committed, _ = read_records(
+            repo / "results" / "comparison" / RESULTS_NAME)
         (want,) = [r for r in committed
                    if (r.estimator, r.n, r.seed) == (est, n, got.seed)]
         assert got.excess_risk == pytest.approx(want.excess_risk, rel=1e-9)
@@ -170,7 +172,7 @@ class TestRunSweep:
         assert sorted(p.name for p in (out / "cells").iterdir()) == sorted(
             cell_name(est, n, rep)
             for est in ("ngd", "knn") for n in (8, 16, 32) for rep in (0, 1))
-        on_disk = load_records(out / RESULTS_NAME)
+        on_disk, _ = read_records(out / RESULTS_NAME)
         assert on_disk == sorted(records,
                                  key=lambda r: (r.estimator, r.n, r.seed))
         assert not (out / "failed.txt").exists()
@@ -315,20 +317,18 @@ class TestCellFiles:
         assert cell_name("krr-rbf", 64, 3) == "krr-rbf-n000064-r0003.csv"
 
     def test_failed_cell_roundtrip(self, tmp_path):
-        from ngdbench.sweep import _write_cell
         path = tmp_path / "cell.csv"
-        _write_cell(path, records=[], failed="went sideways")
-        records, failed = load_cell(path)
+        write_records(path, records=[], failed="went sideways")
+        records, failed = read_records(path)
         assert records == []
         assert failed == "went sideways"
 
     def test_record_cell_roundtrip(self, tmp_path):
-        from ngdbench.sweep import _write_cell
         rec = RiskRecord(estimator="ngd", n=8, seed=5, excess_risk=0.25,
                          stderr=0.01)
         path = tmp_path / "cell.csv"
-        _write_cell(path, records=[rec])
-        records, failed = load_cell(path)
+        write_records(path, records=[rec])
+        records, failed = read_records(path)
         assert failed is None
         assert records == [rec]
 
@@ -465,7 +465,7 @@ class TestReport:
     def test_report_from_path(self, tmp_path):
         records = power_law_records({"ngd": 0.7})
         path = tmp_path / "records.csv"
-        save_records(path, records)
+        write_records(path, records)
         rep = report(path, self.comparison_config())
         assert abs(dict(rep.fits)["ngd"].exponent - 0.7) < 1e-10
 
