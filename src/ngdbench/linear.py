@@ -195,7 +195,7 @@ def _kernel(kind, params, data, config, kernel_seed):
 
 
 def _check_finite(*arrays):
-    """The ValueError scipy.linalg raises, checked once per gram (per fold
+    """The ValueError scipy.linalg raises, checked once per gram (per gram
     block in tuning) so the solves below can skip it."""
     for a in arrays:
         # NaN propagates through both reductions and an inf is an extreme,
@@ -344,8 +344,8 @@ def knn_predict(data, k, x):
 def nw_predict(data, bandwidth, x):
     """Gaussian-kernel local average; rows whose weights all underflow fall
     back to the 1-nearest-neighbor value."""
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be > 0")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be finite and > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0])
     tiny = np.finfo(float).tiny
@@ -450,6 +450,158 @@ def _combo_iter(grid):
         yield dict(zip(keys, combo))
 
 
+def _halves(lo, hi):
+    """The two (kept, eliminated) splits of folds lo..hi-1 at their middle."""
+    mid = (lo + hi) // 2
+    return ((lo, mid), (mid, hi)), ((mid, hi), (lo, mid))
+
+
+def _schur_buffers(offsets):
+    """Flat buffers for each recursion depth of _schur_sq_err, sized once
+    for the largest node at that depth: the square buffer (each factor,
+    then the kept half's Schur complement), the coupling block (eliminated
+    points x kept points and y) and the kept half's y."""
+    sizes = []
+
+    def walk(lo, hi, depth):
+        if hi - lo < 2:
+            return
+        if len(sizes) == depth:
+            sizes.append([0, 0, 0])
+        for (k0, k1), (x0, x1) in _halves(lo, hi):
+            kept, gone = offsets[k1] - offsets[k0], offsets[x1] - offsets[x0]
+            need = (max(gone, kept) ** 2, gone * (kept + 1), kept)
+            sizes[depth] = [max(pair) for pair in zip(sizes[depth], need)]
+            walk(k0, k1, depth + 1)
+
+    walk(0, len(offsets) - 1, 0)
+    return [[np.empty(size) for size in depth] for depth in sizes]
+
+
+def _fortran(buf, rows, cols):
+    """The leading rows * cols doubles of buf as a Fortran-ordered array."""
+    return buf[:rows * cols].reshape((rows, cols), order="F")
+
+
+def _gram_block(D, kern, ridge):
+    """Block writer (see _schur_sq_err) of K + ridge I from D, which holds
+    the gram (kern None) or krr-rbf's squared distances, exactly symmetric;
+    every block is checked finite."""
+    def block(r0, r1, c0, c1, out):
+        # out.T is C-ordered, and D[c0:c1, r0:r1] is D[r0:r1, c0:c1]^T
+        if kern is None:
+            np.copyto(out.T, D[c0:c1, r0:r1])
+        else:
+            kern.from_sq_dists(D[c0:c1, r0:r1], out=out.T)
+        if r0 == c0:
+            out.T.flat[::out.shape[0] + 1] += ridge
+        _check_finite(out)
+    return block
+
+
+def _stored_block(S):
+    """Block writer (see _schur_sq_err) of a Schur complement S whose lower
+    triangle is current: dsyrk leaves the upper one stale."""
+    def block(r0, r1, c0, c1, out):
+        out[...] = S[r0:r1, c0:c1] if r0 >= c0 else S[c0:c1, r0:r1].T
+    return block
+
+
+def _schur_sq_err(block, y, offsets, lo, hi, buffers, depth=0):
+    """Summed squared held-out residuals of folds lo..hi-1 of one node.
+
+    A node is a symmetric positive definite system over its folds' points
+    in fold order: block(r0, r1, c0, c1, out) writes its rows r0:r1 and
+    columns c0:c1 (counted from the node's first point) into the Fortran
+    array out, and y is its right-hand side.  Each half of the folds is
+    eliminated from the other in turn: dpotrf on the eliminated half's
+    block, dtrsm on the coupling block with y as one more column, dsyrk on
+    the kept half's block and the same update of its y.  The kept half
+    recurses on the Schur complement.  When one fold V is left, its y is
+    y_V - K_VT (K_TT + ridge I)^{-1} y_T for the other points T, V's
+    held-out residual, so 2 (folds - 1) factorizations score all folds.
+    Every operand is Fortran-contiguous, so the f2py wrappers copy none.
+    Raises LinAlgError when a factorization meets a non-positive pivot.
+    """
+    if hi - lo == 1:
+        return float(y @ y)
+    from scipy.linalg.blas import dsyrk, dtrsm
+    from scipy.linalg.lapack import dpotrf
+
+    square, coupling, kept_y = buffers[depth]
+    err = 0.0
+    for (k_lo, k_hi), (x_lo, x_hi) in _halves(lo, hi):
+        k0, k1, x0, x1 = (offsets[f] - offsets[lo]
+                          for f in (k_lo, k_hi, x_lo, x_hi))
+        kept, gone = k1 - k0, x1 - x0
+        L = _fortran(square, gone, gone)
+        block(x0, x1, x0, x1, L)
+        if dpotrf(L, lower=1, clean=0, overwrite_a=1)[1]:
+            raise np.linalg.LinAlgError("non-positive pivot in a CV node")
+        # [W | z] = L^-1 [A_XK | y_X], so W^T W = A_KX A_XX^-1 A_XK and
+        # W^T z = A_KX A_XX^-1 y_X
+        C = _fortran(coupling, gone, kept + 1)
+        block(x0, x1, k0, k1, C[:, :kept])
+        C[:, kept] = y[x0:x1]
+        dtrsm(1.0, L, C, lower=1, overwrite_b=1)
+        W, S = C[:, :kept], _fortran(square, kept, kept)
+        block(k0, k1, k0, k1, S)
+        dsyrk(-1.0, W, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
+        y_kept = kept_y[:kept]
+        np.subtract(y[k0:k1], W.T @ C[:, kept], out=y_kept)
+        err += _schur_sq_err(_stored_block(S), y_kept, offsets, k_lo, k_hi,
+                             buffers, depth + 1)
+    return err
+
+
+def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
+    """Summed squared held-out residuals of kernel ridge per combination,
+    each from one _schur_sq_err over one array of all points in fold order.
+    A combination whose recursion meets a non-positive pivot is scored per
+    (training, validation) mask through _solve_regularized instead."""
+    # krr-rbf's kernel per bandwidth, or the one feature kernel (None)
+    kernels = {c.get("bandwidth"): _kernel(kind, c, data, config, kernel_seed)
+               for c in combos}
+    rbf = kind == "krr-rbf"
+    _check_finite(data.y)
+    order = np.concatenate([va for _, va in masks])
+    offsets = np.cumsum([0] + [va.size for _, va in masks])
+    X, y = data.X[order], data.y[order]
+    # squared distances (krr-rbf) or the gram (feature kernels) in fold
+    # order, from which every gram block is filled
+    D = (_sq_dists if rbf else kernels[None].gram)(X, X)
+    buffers = _schur_buffers(offsets)
+    sq_err = []
+    for combo in combos:
+        kern = kernels[combo.get("bandwidth")] if rbf else None
+        try:
+            sq_err.append(_schur_sq_err(_gram_block(D, kern, combo["ridge"]),
+                                        y, offsets, 0, len(masks), buffers))
+        except np.linalg.LinAlgError:
+            sq_err.append(_fold_sq_err(D, np.argsort(order), kern,
+                                       combo["ridge"], data, masks))
+    return sq_err
+
+
+def _fold_sq_err(D, position, kern, ridge, data, masks):
+    """Summed squared held-out residuals of one combination by one
+    _solve_regularized per mask, on blocks of D (point i in row
+    position[i]) gathered in data order; kern applies krr-rbf's exp."""
+    sq_err = 0.0
+    for tr, va in masks:
+        Ktr, Kva = np.empty((tr.size, tr.size)), np.empty((va.size, tr.size))
+        _gather(D, position[tr], position[tr], out=Ktr)
+        _gather(D, position[va], position[tr], out=Kva)
+        if kern is not None:
+            kern.from_sq_dists(Ktr, out=Ktr)
+            kern.from_sq_dists(Kva, out=Kva)
+        _check_finite(Ktr, Kva)
+        coef = _solve_regularized(Ktr, ridge, data.y[tr], np.empty_like(Ktr))
+        resid = Kva @ coef - data.y[va]
+        sq_err += float(resid @ resid)
+    return sq_err
+
+
 def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     """Pick hyperparameters by k-fold cross validation (pooled squared error).
 
@@ -459,12 +611,22 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     selection is a deterministic function of (data, grid, folds, seed).
     Score ties go to the smallest parameter combination in sorted key order.
 
-    Kernel ridge keeps one n x n array, the squared distances (krr-rbf) or
-    the gram (feature kernels).  Each fold's training gram and validation
-    block are gathered from it into buffers sized once for the largest
-    fold, krr-rbf applying each bandwidth's exp to them in place, and every
-    solve factors in one more buffer of the fold gram's size: about
-    8 (n^2 + 2 m^2 + m (n - m)) bytes for a largest training fold of m.
+    Kernel ridge orders the points fold by fold and keeps one n x n array
+    in that order, the squared distances (krr-rbf) or the gram (feature
+    kernels).  Each combination runs one recursive Schur elimination
+    (_schur_sq_err): the folds split in two halves, each half is
+    eliminated from the other, and the kept half recurses until one fold
+    is left, whose carried y is its held-out residual.  That is
+    2 (folds - 1) Cholesky factorizations, none over more than
+    ceil(folds / 2) folds' points, and no solve.  The gram blocks are filled straight from the one array,
+    krr-rbf's exp in place, with the ridge on the diagonal blocks.  Each
+    recursion depth has one square buffer (each factor, then the kept
+    half's Schur complement) and one coupling buffer, sized once for its
+    largest node: at five folds 0.6 n^2 doubles at the top depth and
+    0.92 n^2 over all depths, so tuning holds about 8 * 1.92 n^2 bytes
+    (62 MiB under tracemalloc at n = 2048).  A combination whose recursion
+    meets a non-positive pivot is scored fold by fold through
+    _solve_regularized, the solve fit_estimator uses.
 
     k-NN scores every k from one list per validation point, ordered by
     (distance, index), whose first k are the neighbours `knn_predict`
@@ -480,36 +642,8 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     sq_err = [0.0] * len(combos)
 
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
-        # krr-rbf's kernel per bandwidth, or the one feature kernel (None)
-        kernels = {c.get("bandwidth"): _kernel(kind, c, data, config,
-                                               kernel_seed) for c in combos}
-        rbf = kind == "krr-rbf"
-        _check_finite(data.y)
-        # squared distances (krr-rbf) or the gram (feature kernels), from
-        # which each fold's blocks are gathered
-        D = (_sq_dists if rbf else kernels[None].gram)(data.X, data.X)
-        # one fold gram, validation block and factor buffer for every fold
-        m_max = max(tr.size for tr, _ in masks)
-        gram_buf, work_buf = np.empty(m_max**2), np.empty(m_max**2)
-        val_buf = np.empty(max(tr.size * va.size for tr, va in masks))
-        for tr, va in masks:
-            m = tr.size
-            Ktr, work = (b[:m * m].reshape(m, m) for b in (gram_buf, work_buf))
-            Kva = val_buf[:va.size * m].reshape(va.size, m)
-            for bw, kern in kernels.items():
-                _gather(D, tr, tr, out=Ktr)
-                _gather(D, va, tr, out=Kva)
-                if rbf:
-                    kern.from_sq_dists(Ktr, out=Ktr)
-                    kern.from_sq_dists(Kva, out=Kva)
-                _check_finite(Ktr, Kva)
-                for i, combo in enumerate(combos):
-                    if combo.get("bandwidth", None) != bw:
-                        continue
-                    coef = _solve_regularized(Ktr, combo["ridge"], data.y[tr],
-                                              work)
-                    resid = Kva @ coef - data.y[va]
-                    sq_err[i] += float(resid @ resid)
+        sq_err = _krr_cv_sq_err(kind, data, masks, combos, config,
+                                kernel_seed)
     elif kind == "knn":
         kmax = max(c["k"] for c in combos)
         for tr, va in masks:
