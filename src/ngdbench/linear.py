@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, asdict, dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, asdict, dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
-from .data import Dataset
 from .model import (
     ScheduleConfig,
     hidden_layer,
@@ -204,19 +203,19 @@ def _check_finite(*arrays):
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _solve_regularized(K, ridge, y, work):
+def _solve_regularized(K, ridge, y):
     """(K + ridge I)^{-1} y; K and y must already be checked finite.
 
     K's diagonal is shifted by the ridge in place and restored on return,
     so K comes back bitwise unchanged, also when the solve raises.  The
-    shifted K is copied into `work`, a C-ordered array of K's shape that the
-    caller owns, and factored there: K must be exactly symmetric, as every
-    gram here is, since Cholesky reads the upper triangle through work's
-    Fortran-ordered transpose.  When the factorization fails (a
-    semi-definite gram plus a tiny ridge can lose positivity to roundoff)
-    the solve falls back to scipy's symmetric-indefinite solver.
+    shifted K is copied into one C-ordered factor buffer and factored
+    there: K must be exactly symmetric, as every gram here is, since
+    Cholesky reads the upper triangle through the buffer's Fortran-ordered
+    transpose.  When the factorization fails (a semi-definite gram plus a
+    tiny ridge can lose positivity to roundoff) the solve falls back to
+    scipy's symmetric-indefinite solver.
 
-    scipy.linalg is imported here, its only use in the package, so a
+    scipy.linalg is imported on first use, here and in _schur_sq_err, so a
     process that solves no kernel system never loads scipy.
     """
     from scipy.linalg import cho_factor, cho_solve, solve
@@ -224,7 +223,7 @@ def _solve_regularized(K, ridge, y, work):
     diagonal = K.diagonal().copy()
     K.flat[::K.shape[0] + 1] += ridge
     try:
-        np.copyto(work, K)
+        work = K.copy()
         try:
             factor = cho_factor(work.T, lower=True, overwrite_a=True,
                                 check_finite=False)
@@ -301,7 +300,7 @@ def _krr_fit(kind, kernel, data, ridge):
         F = kernel.features(X)
         G = F @ F.T
     _check_finite(G, data.y)
-    coef = _solve_regularized(G, ridge, data.y, np.empty_like(G))
+    coef = _solve_regularized(G, ridge, data.y)
     return KrrEstimator(kind=kind, kernel=kernel, ridge=float(ridge),
                         X=X, dual_coef=coef, train_features=F)
 
@@ -430,13 +429,6 @@ class TuneResult:
     seed: int
 
 
-def _gather(D, rows, cols, out):
-    """D[np.ix_(rows, cols)] written into out, through one row block of D
-    at a time."""
-    for sl in _row_blocks(rows.size, D.shape[1]):
-        np.take(D[rows[sl]], cols, axis=1, out=out[sl], mode="clip")
-
-
 def _fold_indices(n, folds, seed):
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
@@ -554,11 +546,24 @@ def _schur_sq_err(block, y, offsets, lo, hi, buffers, depth=0):
     return err
 
 
+def _refit_sq_err(fit, data, masks):
+    """Summed squared held-out residuals of one combination, folds in mask
+    order: fit(training points) returns the predictor of the validation
+    points of each (training, validation) mask."""
+    sq_err = 0.0
+    for tr, va in masks:
+        train = replace(data, X=data.X[tr], y=data.y[tr], seed=None)
+        resid = fit(train)(data.X[va]) - data.y[va]
+        sq_err += float(resid @ resid)
+    return sq_err
+
+
 def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
     """Summed squared held-out residuals of kernel ridge per combination,
     each from one _schur_sq_err over one array of all points in fold order.
-    A combination whose recursion meets a non-positive pivot is scored per
-    (training, validation) mask through _solve_regularized instead."""
+    A combination whose recursion meets a non-positive pivot is refit per
+    fold by _refit_sq_err through _krr_fit, on the combination's kernel:
+    a feature kernel keeps the width drawn for all n points."""
     # krr-rbf's kernel per bandwidth, or the one feature kernel (None)
     kernels = {c.get("bandwidth"): _kernel(kind, c, data, config, kernel_seed)
                for c in combos}
@@ -573,32 +578,14 @@ def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
     buffers = _schur_buffers(offsets)
     sq_err = []
     for combo in combos:
-        kern = kernels[combo.get("bandwidth")] if rbf else None
+        kern, ridge = kernels[combo.get("bandwidth")], combo["ridge"]
         try:
-            sq_err.append(_schur_sq_err(_gram_block(D, kern, combo["ridge"]),
-                                        y, offsets, 0, len(masks), buffers))
+            sq_err.append(_schur_sq_err(
+                _gram_block(D, kern if rbf else None, ridge), y, offsets, 0,
+                len(masks), buffers))
         except np.linalg.LinAlgError:
-            sq_err.append(_fold_sq_err(D, np.argsort(order), kern,
-                                       combo["ridge"], data, masks))
-    return sq_err
-
-
-def _fold_sq_err(D, position, kern, ridge, data, masks):
-    """Summed squared held-out residuals of one combination by one
-    _solve_regularized per mask, on blocks of D (point i in row
-    position[i]) gathered in data order; kern applies krr-rbf's exp."""
-    sq_err = 0.0
-    for tr, va in masks:
-        Ktr, Kva = np.empty((tr.size, tr.size)), np.empty((va.size, tr.size))
-        _gather(D, position[tr], position[tr], out=Ktr)
-        _gather(D, position[va], position[tr], out=Kva)
-        if kern is not None:
-            kern.from_sq_dists(Ktr, out=Ktr)
-            kern.from_sq_dists(Kva, out=Kva)
-        _check_finite(Ktr, Kva)
-        coef = _solve_regularized(Ktr, ridge, data.y[tr], np.empty_like(Ktr))
-        resid = Kva @ coef - data.y[va]
-        sq_err += float(resid @ resid)
+            sq_err.append(_refit_sq_err(
+                partial(_krr_fit, kind, kern, ridge=ridge), data, masks))
     return sq_err
 
 
@@ -618,15 +605,20 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     eliminated from the other, and the kept half recurses until one fold
     is left, whose carried y is its held-out residual.  That is
     2 (folds - 1) Cholesky factorizations, none over more than
-    ceil(folds / 2) folds' points, and no solve.  The gram blocks are filled straight from the one array,
-    krr-rbf's exp in place, with the ridge on the diagonal blocks.  Each
-    recursion depth has one square buffer (each factor, then the kept
-    half's Schur complement) and one coupling buffer, sized once for its
-    largest node: at five folds 0.6 n^2 doubles at the top depth and
-    0.92 n^2 over all depths, so tuning holds about 8 * 1.92 n^2 bytes
-    (62 MiB under tracemalloc at n = 2048).  A combination whose recursion
-    meets a non-positive pivot is scored fold by fold through
-    _solve_regularized, the solve fit_estimator uses.
+    ceil(folds / 2) folds' points, and no solve.  The gram blocks are
+    filled straight from the one array, krr-rbf's exp in place, with the
+    ridge on the diagonal blocks.  Each recursion depth has one square
+    buffer (each factor, then the kept half's Schur complement) and one
+    coupling buffer, sized once for its largest node: at five folds
+    0.6 n^2 doubles at the top depth and 0.92 n^2 over all depths, so
+    tuning holds about 8 * 1.92 n^2 bytes (62 MiB under tracemalloc at
+    n = 2048).  A combination whose recursion meets a non-positive pivot
+    is refit on each training fold by _krr_fit, the fit fit_estimator
+    runs, which adds one training-fold gram and its factor buffer.
+
+    Nadaraya-Watson takes the same refit path, _refit_sq_err: each
+    training fold is fit by fit_estimator and predicts its validation
+    points.
 
     k-NN scores every k from one list per validation point, ordered by
     (distance, index), whose first k are the neighbours `knn_predict`
@@ -639,13 +631,13 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     masks = [(np.setdiff1d(np.arange(data.n), va), va)
              for va in _fold_indices(data.n, folds, seed)]
     combos = list(_combo_iter(grid))
-    sq_err = [0.0] * len(combos)
 
     if kind in ("krr-rbf", "krr-ntk", "krr-rf"):
         sq_err = _krr_cv_sq_err(kind, data, masks, combos, config,
                                 kernel_seed)
     elif kind == "knn":
         kmax = max(c["k"] for c in combos)
+        sq_err = [0.0] * len(combos)
         for tr, va in masks:
             D = _sq_dists(data.X[va], data.X[tr])
             # the kmax nearest by the prediction tie rule, then ordered by
@@ -661,13 +653,8 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
                 resid = csum[:, k - 1] / k - data.y[va]
                 sq_err[i] += float(resid @ resid)
     else:  # nw
-        for tr, va in masks:
-            sub = Dataset(X=data.X[tr], y=data.y[tr],
-                          noise_bound=data.noise_bound,
-                          noise_kind=data.noise_kind, seed=None)
-            for i, combo in enumerate(combos):
-                resid = nw_predict(sub, combo["bandwidth"], data.X[va]) - data.y[va]
-                sq_err[i] += float(resid @ resid)
+        sq_err = [_refit_sq_err(partial(fit_estimator, kind, params=combo),
+                                data, masks) for combo in combos]
 
     table = tuple((combo, err / data.n) for combo, err in zip(combos, sq_err))
     best, score = min(table, key=lambda row: row[1])  # first of equal scores

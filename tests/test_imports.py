@@ -1,8 +1,8 @@
 """Import hygiene: no package or test module imports a name it never uses,
 every public name has a caller outside tests, no process loads scipy until
 it solves a kernel-ridge system, and the network's forward pass, a cell's
-fit-and-score, a tuning grid's completion and the record CSV each have one
-home."""
+fit-and-score, a tuning grid's completion, the record CSV and the
+kernel-ridge solve each have one home."""
 
 import ast
 import importlib
@@ -323,6 +323,54 @@ def test_record_format_checker_flags_copies():
                          ids=lambda p: p.name)
 def test_one_record_format(path):
     assert record_format_copies(path.stem, path.read_text()) == []
+
+
+# the kernel-ridge solve has one caller: _krr_fit, the fit that
+# fit_estimator and tune's per-fold refit share, so no CV path solves a
+# training fold of its own
+SOLVE_CALLER = "linear._krr_fit"
+
+
+def solve_copies(module, source):
+    """(line, top-level definition) of each read of `_solve_regularized`
+    (a call, or the name passed on) outside SOLVE_CALLER, in the source of
+    package module `module`."""
+    found = []
+    for top in ast.parse(source).body:
+        where = module
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{module}.{top.name}"
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (name == "_solve_regularized" and where != SOLVE_CALLER
+                    and isinstance(node, (ast.Name, ast.Attribute))):
+                found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_solve_checker_flags_every_other_caller():
+    # the per-fold CV scorer before tune refit folds through _krr_fit, and
+    # a solve handed on by name
+    linear = ("def _solve_regularized(K, ridge, y):\n"
+              "    return K\n"
+              "def _krr_fit(kind, kernel, data, ridge):\n"
+              "    coef = _solve_regularized(G, ridge, data.y)\n"
+              "def _fold_sq_err(D, position, kern, ridge, data, masks):\n"
+              "    for tr, va in masks:\n"
+              "        coef = _solve_regularized(Ktr, ridge, data.y[tr],\n"
+              "                                  np.empty_like(Ktr))\n"
+              "SOLVE = linear._solve_regularized\n")
+    assert solve_copies("linear", linear) == [(7, "linear._fold_sq_err"),
+                                              (9, "linear")]
+    sweep = ("def fit_cell(cfg, cell, estimator):\n"
+             "    return partial(_solve_regularized, ridge=1e-3)\n")
+    assert solve_copies("sweep", sweep) == [(2, "sweep.fit_cell")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_solve_caller(path):
+    assert solve_copies(path.stem, path.read_text()) == []
 
 
 def fresh_run(code):

@@ -644,6 +644,29 @@ class TestSinglePass:
         assert_tables_close(res.table,
                             cv_table("krr-rbf", data, grid, folds=3, seed=1))
 
+    @pytest.mark.parametrize("kind", ["krr-rbf", "krr-ntk", "krr-rf"])
+    def test_forced_fallback_refits_every_fold(self, monkeypatch, kind):
+        # every node factorization reports a non-positive pivot (info = 1),
+        # so each combination is refit on every training fold by _krr_fit.
+        # cho_factor does not reach lapack.dpotrf by that name, so the fits
+        # factor for real.  Well-conditioned data and ridges >= 1e-3 hold
+        # the refits to CV_RTOL of the per-fold solves; the oracle's feature
+        # kernel has width max(8, 37 // 4) = 9, and a width derived from a
+        # training fold's n (8) would fit another model
+        from scipy.linalg import lapack
+        monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        teacher = sample_teacher(schedule(d=3), 3, radius=0.9, seed=0)
+        data = generate_dataset(teacher, n=37, noise_bound=0.1, seed=12)
+        cfg, grid = schedule(d=3), {"ridge": [1e-3, 1e-1]}
+        if kind == "krr-rbf":
+            grid["bandwidth"] = [0.5, 1.0]
+        fits = counting(monkeypatch, linear, "_krr_fit")
+        res = tune(kind, data, grid=grid, folds=5, seed=4, config=cfg,
+                   kernel_seed=5)
+        assert len(fits) == 5 * len(res.table)
+        assert_tables_close(res.table, cv_table(
+            kind, data, grid, folds=5, seed=4, config=cfg, kernel_seed=5))
+
     def test_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(9)
         n = 200
@@ -698,38 +721,60 @@ class TestSinglePass:
 
 class TestKrrMemory:
     """Kernel ridge holds a fixed set of dense arrays: tuning keeps the
-    n x n distances (or gram), one training-fold gram, one factor buffer and
-    one validation block; a fit keeps the gram and one factor buffer.  Each
-    solve shifts the gram's diagonal in place and restores it."""
+    n x n distances (or gram) in fold order and one set of buffers per
+    recursion depth, and a combination refit fold by fold adds one
+    training-fold gram and its factor buffer; a fit keeps the gram and one
+    factor buffer.  Each solve shifts the gram's diagonal in place and
+    restores it."""
 
     n = 1000
-    # bound slack, stated before measuring: two 1 MiB row blocks (the
-    # distance rows and a gathered block), the fold's finiteness mask
-    # (m^2 bytes, 0.6 MiB here) and the vectors, 3 MiB in all.  One more
-    # m x m array (4.9 MiB) does not fit
-    slack = 3 * 2**20
+    # bound slack, stated before measuring: the vectors of n or m entries
+    # (the masks, the fold-ordered X and y, a solve's diagonal and
+    # right-hand sides, under 0.2 MiB here) and scipy's small wrappers,
+    # 0.5 MiB in all.  The 1 MiB row block of a distance pass is never
+    # live with the largest set of arrays.  One more validation block
+    # (m x (n - m), 1.2 MiB) does not fit
+    slack = 2**19
+    # the recursion's buffers at n = 1000 and five folds of 200: at each
+    # depth one square, one coupling block and one kept y, sized for the
+    # depth's largest node, 600^2 + 600 * 401 + 600 at the top,
+    # 400^2 + 400 * 201 + 400 below it and 200^2 + 200 * 201 + 200 last
+    schur = 922_400
 
     def data(self, seed):
         rng = np.random.default_rng(seed)
         return dataset(rng.random((self.n, 3)), rng.normal(size=self.n))
 
-    def tune_bound(self, folds):
-        # 8 (n^2 + 2 m^2 + m (n - m)) bytes, m the largest training fold
-        n = self.n
-        m = n - n // folds
-        return 8 * (n * n + 2 * m * m + m * (n - m)) + self.slack
+    def tune_bound(self, refit=False):
+        # 8 (n^2 + schur) bytes, 1.92 n^2 doubles; a refit adds 2 m^2, m
+        # the training fold
+        n, m = self.n, self.n - self.n // 5
+        return 8 * (n * n + self.schur + (2 * m * m if refit else 0)) \
+            + self.slack
 
     def test_rbf_tune_memory_is_bounded(self):
         data = self.data(12)
         grid = {"bandwidth": [0.5, 1.0], "ridge": [1e-3, 1e-1]}
         peak = traced_peak(lambda: tune("krr-rbf", data, grid=grid, folds=5))
-        assert peak < self.tune_bound(5)
+        assert peak < self.tune_bound()
 
     def test_feature_tune_memory_is_bounded(self):
         data = self.data(13)
         peak = traced_peak(lambda: tune("krr-rf", data, grid={"ridge": [1e-3]},
                                         folds=5, config=schedule(d=3)))
-        assert peak < self.tune_bound(5)
+        assert peak < self.tune_bound()
+
+    def test_refit_tune_memory_is_bounded(self, monkeypatch):
+        # every node factorization reports a non-positive pivot, so the
+        # combination is refit on each training fold
+        from scipy.linalg import lapack
+        monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        data = self.data(16)
+        fits = counting(monkeypatch, linear, "_krr_fit")
+        grid = {"bandwidth": [1.0], "ridge": [1e-3]}
+        peak = traced_peak(lambda: tune("krr-rbf", data, grid=grid, folds=5))
+        assert len(fits) == 5
+        assert peak < self.tune_bound(refit=True)
 
     def test_fit_memory_is_bounded(self):
         # 16 n^2 bytes: the gram and one factor buffer
@@ -749,7 +794,7 @@ class TestKrrMemory:
     def test_solve_leaves_gram_unchanged(self):
         K, y = self.gram()
         before = K.copy()
-        coef = linear._solve_regularized(K, 1e-3, y, np.empty_like(K))
+        coef = linear._solve_regularized(K, 1e-3, y)
         np.testing.assert_array_equal(K, before)
         np.testing.assert_allclose(
             (before + 1e-3 * np.eye(40)) @ coef, y, rtol=0, atol=1e-10)
@@ -761,7 +806,7 @@ class TestKrrMemory:
         K, y = self.gram(rank=3)
         before = K.copy()
         calls = counting(monkeypatch, scipy.linalg, "solve")
-        linear._solve_regularized(K, 1e-30, y, np.empty_like(K))
+        linear._solve_regularized(K, 1e-30, y)
         assert len(calls) == 1
         np.testing.assert_array_equal(K, before)
 
@@ -774,7 +819,7 @@ class TestKrrMemory:
 
         monkeypatch.setattr(scipy.linalg, "cho_solve", broken)
         with pytest.raises(RuntimeError, match="solve failed"):
-            linear._solve_regularized(K, 1e-3, y, np.empty_like(K))
+            linear._solve_regularized(K, 1e-3, y)
         np.testing.assert_array_equal(K, before)
 
 
