@@ -194,8 +194,8 @@ def _kernel(kind, params, data, config, kernel_seed):
 
 
 def _check_finite(*arrays):
-    """The ValueError scipy.linalg raises, checked once per gram (per gram
-    block in tuning) so the solves below can skip it."""
+    """The ValueError scipy.linalg raises, checked once per gram so the
+    solves below can skip it."""
     for a in arrays:
         # NaN propagates through both reductions and an inf is an extreme,
         # so no bool mask of a's size is needed
@@ -290,8 +290,8 @@ class KrrEstimator:
 
 def _krr_fit(kind, kernel, data, ridge):
     """Solve (K + ridge I) c = y on kernel's training gram."""
-    if ridge <= 0:
-        raise ValueError("ridge must be > 0")
+    if not 0 < ridge < math.inf:
+        raise ValueError("ridge must be finite and > 0")
     X = np.asarray(data.X, dtype=float)
     if isinstance(kernel, RbfKernel):
         F, G = None, kernel.gram(X, X)
@@ -475,41 +475,18 @@ def _fortran(buf, rows, cols):
     return buf[:rows * cols].reshape((rows, cols), order="F")
 
 
-def _gram_block(D, kern, ridge):
-    """Block writer (see _schur_sq_err) of K + ridge I from D, which holds
-    the gram (kern None) or krr-rbf's squared distances, exactly symmetric;
-    every block is checked finite."""
-    def block(r0, r1, c0, c1, out):
-        # out.T is C-ordered, and D[c0:c1, r0:r1] is D[r0:r1, c0:c1]^T
-        if kern is None:
-            np.copyto(out.T, D[c0:c1, r0:r1])
-        else:
-            kern.from_sq_dists(D[c0:c1, r0:r1], out=out.T)
-        if r0 == c0:
-            out.T.flat[::out.shape[0] + 1] += ridge
-        _check_finite(out)
-    return block
-
-
-def _stored_block(S):
-    """Block writer (see _schur_sq_err) of a Schur complement S whose lower
-    triangle is current: dsyrk leaves the upper one stale."""
-    def block(r0, r1, c0, c1, out):
-        out[...] = S[r0:r1, c0:c1] if r0 >= c0 else S[c0:c1, r0:r1].T
-    return block
-
-
-def _schur_sq_err(block, y, offsets, lo, hi, buffers, depth=0):
+def _schur_sq_err(A, y, offsets, lo, hi, buffers, depth=0):
     """Summed squared held-out residuals of folds lo..hi-1 of one node.
 
     A node is a symmetric positive definite system over its folds' points
-    in fold order: block(r0, r1, c0, c1, out) writes its rows r0:r1 and
-    columns c0:c1 (counted from the node's first point) into the Fortran
-    array out, and y is its right-hand side.  Each half of the folds is
-    eliminated from the other in turn: dpotrf on the eliminated half's
-    block, dtrsm on the coupling block with y as one more column, dsyrk on
-    the kept half's block and the same update of its y.  The kept half
-    recurses on the Schur complement.  When one fold V is left, its y is
+    in fold order: A is a Fortran-ordered array whose lower triangle holds
+    it, and y is its right-hand side.  Each half of the folds is eliminated
+    from the other in turn: dpotrf on the eliminated half's block, dtrsm on
+    the coupling block with y as one more column, dsyrk on the kept half's
+    block and the same update of its y.  A coupling block above the
+    diagonal is read as the transpose of the one below.  The kept half
+    recurses on the Schur complement, whose upper triangle dsyrk leaves
+    stale.  When one fold V is left, its y is
     y_V - K_VT (K_TT + ridge I)^{-1} y_T for the other points T, V's
     held-out residual, so 2 (folds - 1) factorizations score all folds.
     Every operand is Fortran-contiguous, so the f2py wrappers copy none.
@@ -527,22 +504,26 @@ def _schur_sq_err(block, y, offsets, lo, hi, buffers, depth=0):
                           for f in (k_lo, k_hi, x_lo, x_hi))
         kept, gone = k1 - k0, x1 - x0
         L = _fortran(square, gone, gone)
-        block(x0, x1, x0, x1, L)
+        L[...] = A[x0:x1, x0:x1]
         if dpotrf(L, lower=1, clean=0, overwrite_a=1)[1]:
             raise np.linalg.LinAlgError("non-positive pivot in a CV node")
         # [W | z] = L^-1 [A_XK | y_X], so W^T W = A_KX A_XX^-1 A_XK and
         # W^T z = A_KX A_XX^-1 y_X
         C = _fortran(coupling, gone, kept + 1)
-        block(x0, x1, k0, k1, C[:, :kept])
+        # 64 rows at a time, so a read above the diagonal (a transpose)
+        # spans few enough pages of A to stay in the TLB
+        for i in range(0, gone, 64):
+            r = slice(x0 + i, min(x1, x0 + i + 64))
+            C[i:i + 64, :kept] = A[r, k0:k1] if x0 > k0 else A[k0:k1, r].T
         C[:, kept] = y[x0:x1]
         dtrsm(1.0, L, C, lower=1, overwrite_b=1)
         W, S = C[:, :kept], _fortran(square, kept, kept)
-        block(k0, k1, k0, k1, S)
+        S[...] = A[k0:k1, k0:k1]
         dsyrk(-1.0, W, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
         y_kept = kept_y[:kept]
         np.subtract(y[k0:k1], W.T @ C[:, kept], out=y_kept)
-        err += _schur_sq_err(_stored_block(S), y_kept, offsets, k_lo, k_hi,
-                             buffers, depth + 1)
+        err += _schur_sq_err(S, y_kept, offsets, k_lo, k_hi, buffers,
+                             depth + 1)
     return err
 
 
@@ -559,33 +540,39 @@ def _refit_sq_err(fit, data, masks):
 
 
 def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
-    """Summed squared held-out residuals of kernel ridge per combination,
-    each from one _schur_sq_err over one array of all points in fold order.
+    """Summed squared held-out residuals of kernel ridge per combination.
+
+    Each kernel's gram over all points in fold order is formed once by its
+    gram method: one per krr-rbf bandwidth, as _combo_iter groups the
+    combinations by bandwidth, and one for a feature kernel.  Each ridge
+    is written onto the gram's diagonal and scored by one _schur_sq_err.
     A combination whose recursion meets a non-positive pivot is refit per
     fold by _refit_sq_err through _krr_fit, on the combination's kernel:
     a feature kernel keeps the width drawn for all n points."""
-    # krr-rbf's kernel per bandwidth, or the one feature kernel (None)
-    kernels = {c.get("bandwidth"): _kernel(kind, c, data, config, kernel_seed)
-               for c in combos}
-    rbf = kind == "krr-rbf"
     _check_finite(data.y)
     order = np.concatenate([va for _, va in masks])
     offsets = np.cumsum([0] + [va.size for _, va in masks])
     X, y = data.X[order], data.y[order]
-    # squared distances (krr-rbf) or the gram (feature kernels) in fold
-    # order, from which every gram block is filled
-    D = (_sq_dists if rbf else kernels[None].gram)(X, X)
-    buffers = _schur_buffers(offsets)
     sq_err = []
-    for combo in combos:
-        kern, ridge = kernels[combo.get("bandwidth")], combo["ridge"]
-        try:
-            sq_err.append(_schur_sq_err(
-                _gram_block(D, kern if rbf else None, ridge), y, offsets, 0,
-                len(masks), buffers))
-        except np.linalg.LinAlgError:
-            sq_err.append(_refit_sq_err(
-                partial(_krr_fit, kind, kern, ridge=ridge), data, masks))
+    # kernels compare by their parameters, so each group shares one kernel
+    for kern, group in itertools.groupby(
+            combos, lambda c: _kernel(kind, c, data, config, kernel_seed)):
+        # the last gram and buffers are freed first: one of each is held
+        K = buffers = None
+        K = kern.gram(X, X)
+        _check_finite(K)
+        buffers = _schur_buffers(offsets)
+        diagonal = K.diagonal().copy()
+        for combo in group:
+            K.flat[::K.shape[0] + 1] = diagonal + combo["ridge"]
+            try:
+                # K is exactly symmetric, so K.T is it in Fortran order
+                sq_err.append(_schur_sq_err(K.T, y, offsets, 0, len(masks),
+                                            buffers))
+            except np.linalg.LinAlgError:
+                sq_err.append(_refit_sq_err(
+                    partial(_krr_fit, kind, kern, ridge=combo["ridge"]),
+                    data, masks))
     return sq_err
 
 
@@ -598,19 +585,19 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     selection is a deterministic function of (data, grid, folds, seed).
     Score ties go to the smallest parameter combination in sorted key order.
 
-    Kernel ridge orders the points fold by fold and keeps one n x n array
-    in that order, the squared distances (krr-rbf) or the gram (feature
-    kernels).  Each combination runs one recursive Schur elimination
-    (_schur_sq_err): the folds split in two halves, each half is
-    eliminated from the other, and the kept half recurses until one fold
-    is left, whose carried y is its held-out residual.  That is
+    Kernel ridge orders the points fold by fold and forms each kernel's
+    gram in that order once, through the kernel's gram: one per krr-rbf
+    bandwidth, one for a feature kernel.  Each combination writes its
+    ridge onto the gram's diagonal and runs one recursive Schur
+    elimination (_schur_sq_err): the folds split in two halves, each half
+    is eliminated from the other, and the kept half recurses until one
+    fold is left, whose carried y is its held-out residual.  That is
     2 (folds - 1) Cholesky factorizations, none over more than
-    ceil(folds / 2) folds' points, and no solve.  The gram blocks are
-    filled straight from the one array, krr-rbf's exp in place, with the
-    ridge on the diagonal blocks.  Each recursion depth has one square
-    buffer (each factor, then the kept half's Schur complement) and one
-    coupling buffer, sized once for its largest node: at five folds
-    0.6 n^2 doubles at the top depth and 0.92 n^2 over all depths, so
+    ceil(folds / 2) folds' points, and no solve.  Each recursion depth has
+    one square buffer (each factor, then the kept half's Schur complement)
+    and one coupling buffer, sized once for its largest node: at five
+    folds 0.6 n^2 doubles at the top depth and 0.92 n^2 over all depths.
+    The last gram and buffers are freed before the next gram is formed, so
     tuning holds about 8 * 1.92 n^2 bytes (62 MiB under tracemalloc at
     n = 2048).  A combination whose recursion meets a non-positive pivot
     is refit on each training fold by _krr_fit, the fit fit_estimator

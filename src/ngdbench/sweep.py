@@ -162,8 +162,14 @@ def write_records(path, records, failed=None):
     lines += [f"{r.estimator},{r.n},{r.seed},{FLOAT_FMT % r.excess_risk},"
               f"{FLOAT_FMT % r.stderr},0" for r in
               sorted(records, key=lambda r: (r.estimator, r.n, r.seed))]
+    _replace_text(path, "\n".join(lines) + "\n")
+
+
+def _replace_text(path, text):
+    """Write text to path.tmp and rename it over path, so a write that is
+    interrupted or fails leaves path as it was."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
+    tmp.write_text(text)
     tmp.replace(path)
 
 
@@ -244,7 +250,8 @@ def run_sweep(cfg, out_dir=None, workers=1, progress=None):
     """Run (or resume) the sweep; returns the full sorted record list.
 
     Writes out_dir/cells/<cell>.csv per cell, the canonical sorted
-    results.csv, and a copy of the canonical config text.  Already-present
+    results.csv, and, when absent, config.txt: the canonical config text,
+    which every later resume checks and leaves alone.  Already-present
     cell files (including failed ones) are kept as-is, so a completed sweep
     reruns with zero new computation and byte-identical results.  A resume
     into a directory whose config.txt differs from cfg.to_text() raises
@@ -259,7 +266,8 @@ def run_sweep(cfg, out_dir=None, workers=1, progress=None):
                           " its cells were computed under it, so refusing"
                           " to resume (use a fresh output directory)")
     cells.mkdir(parents=True, exist_ok=True)
-    config_path.write_text(cfg_text)
+    if not config_path.exists():
+        _replace_text(config_path, cfg_text)
 
     tasks = [(est, n, rep)
              for n in cfg.sweep_n_values

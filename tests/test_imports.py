@@ -1,8 +1,8 @@
 """Import hygiene: no package or test module imports a name it never uses,
 every public name has a caller outside tests, no process loads scipy until
 it solves a kernel-ridge system, and the network's forward pass, a cell's
-fit-and-score, a tuning grid's completion, the record CSV and the
-kernel-ridge solve each have one home."""
+fit-and-score, a tuning grid's completion, the record CSV, the
+kernel-ridge solve and the RBF kernel's exp each have one home."""
 
 import ast
 import importlib
@@ -371,6 +371,61 @@ def test_solve_checker_flags_every_other_caller():
                          ids=lambda p: p.name)
 def test_one_solve_caller(path):
     assert solve_copies(path.stem, path.read_text()) == []
+
+
+# the RBF kernel's exp of squared distances has three readers: the kernel's
+# own gram, through which every fit and tune's CV form their grams, and
+# the two predictors that exp one block of distances at a time
+EXP_READERS = {"linear.RbfKernel.gram", "linear.KrrEstimator._blocks",
+               "linear.nw_predict"}
+
+
+def exp_copies(module, source):
+    """(line, definition) of each read of `from_sq_dists` outside
+    EXP_READERS, in the source of package module `module`.  A definition
+    is a top-level function, a class's method (`Class.method`) or, for any
+    other statement, the class or the module."""
+    found = []
+    for top in ast.parse(source).body:
+        for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+            where = ".".join([module] + [
+                n.name for n in ((top,) if member is top else (top, member))
+                if hasattr(n, "name")])
+            for node in ast.walk(member):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if (name == "from_sq_dists" and where not in EXP_READERS
+                        and isinstance(node, (ast.Name, ast.Attribute))):
+                    found.append((node.lineno, where))
+    return sorted(found)
+
+
+def test_exp_checker_flags_every_other_reader():
+    # the CV's block writer before each gram was formed by the kernel's
+    # gram, and an exp handed on by name
+    linear = ("class RbfKernel:\n"
+              "    def from_sq_dists(self, sq, out=None):\n"
+              "        return sq\n"
+              "    def gram(self, X, Z):\n"
+              "        return self.from_sq_dists(_sq_dists(X, Z))\n"
+              "def _gram_block(D, kern, ridge):\n"
+              "    def block(r0, r1, c0, c1, out):\n"
+              "        kern.from_sq_dists(D[c0:c1, r0:r1], out=out.T)\n"
+              "    return block\n"
+              "def nw_predict(data, bandwidth, x):\n"
+              "    return kern.from_sq_dists(sq)\n"
+              "EXP = RbfKernel.from_sq_dists\n")
+    assert exp_copies("linear", linear) == [(8, "linear._gram_block"),
+                                            (12, "linear")]
+    risk = ("class Mc:\n"
+            "    def __call__(self, kern, sq):\n"
+            "        return kern.from_sq_dists(sq)\n")
+    assert exp_copies("risk", risk) == [(3, "risk.Mc.__call__")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_exp_home(path):
+    assert exp_copies(path.stem, path.read_text()) == []
 
 
 def fresh_run(code):

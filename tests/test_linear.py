@@ -208,9 +208,14 @@ class TestKrr:
         np.testing.assert_allclose(est(X), y, atol=1e-6)
 
     def test_ridge_must_be_positive(self):
-        X = np.zeros((2, 1))
-        with pytest.raises(ValueError):
-            krr_fit("krr-rbf", dataset(X, [0.0, 1.0]), 0.0, bandwidth=1.0)
+        # check_grid's rule: an infinite or NaN ridge would solve to NaN
+        # coefficients
+        data = dataset(np.zeros((2, 1)), [0.0, 1.0])
+        for ridge in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                krr_fit("krr-rbf", data, ridge, bandwidth=1.0)
+            with pytest.raises(ValueError, match="finite and > 0"):
+                krr_fit("krr-ntk", data, ridge, config=schedule(d=1), width=4)
 
     @staticmethod
     def assert_nonfinite_raises(data, bandwidth):
@@ -495,13 +500,17 @@ class TestSinglePass:
         tune("knn", data, folds=4, seed=0)
         assert len(calls) == 4
 
-    def test_rbf_tune_computes_distances_once(self, monkeypatch):
+    def test_rbf_tune_forms_one_gram_per_bandwidth(self, monkeypatch):
+        # 4 bandwidths x 4 ridges: each bandwidth's gram is formed once, by
+        # RbfKernel.gram, and every ridge is scored on it
         rng = np.random.default_rng(2)
         data = dataset(rng.random((40, 3)), rng.normal(size=40))
         assert len(default_grid("krr-rbf")["bandwidth"]) == 4
-        calls = counting(monkeypatch, linear, "_sq_dists")
+        dists = counting(monkeypatch, linear, "_sq_dists")
+        exps = counting(monkeypatch, RbfKernel, "from_sq_dists")
         tune("krr-rbf", data, folds=5, seed=0)
-        assert len(calls) == 1
+        assert len(dists) == 4
+        assert len(exps) == 4
 
     def test_cholesky_sees_fortran_arrays_only(self, monkeypatch):
         # every LAPACK/BLAS operand of the CV recursion is Fortran-contiguous,

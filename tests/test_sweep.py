@@ -186,6 +186,10 @@ class TestRunSweep:
         before = (out / RESULTS_NAME).read_bytes()
         stamps = {p.name: p.stat().st_mtime_ns
                   for p in (out / "cells").iterdir()}
+        # config.txt is written once: a resume interrupted in a rewrite
+        # would leave the guard truncated and refuse every later resume
+        config = out / "config.txt"
+        config_before = (config.read_bytes(), config.stat().st_mtime_ns)
         names = []
         run_sweep(cfg, out_dir=out, progress=lambda name, failed:
                   names.append(name))
@@ -194,6 +198,8 @@ class TestRunSweep:
         after = {p.name: p.stat().st_mtime_ns
                  for p in (out / "cells").iterdir()}
         assert after == stamps
+        assert (config.read_bytes(), config.stat().st_mtime_ns) == \
+            config_before
 
     def test_resume_refuses_changed_config(self, tmp_path):
         out = tmp_path / "run"
