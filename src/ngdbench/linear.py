@@ -442,40 +442,7 @@ def _combo_iter(grid):
         yield dict(zip(keys, combo))
 
 
-def _halves(lo, hi):
-    """The two (kept, eliminated) splits of folds lo..hi-1 at their middle."""
-    mid = (lo + hi) // 2
-    return ((lo, mid), (mid, hi)), ((mid, hi), (lo, mid))
-
-
-def _schur_buffers(offsets):
-    """Flat buffers for each recursion depth of _schur_sq_err, sized once
-    for the largest node at that depth: the square buffer (each factor,
-    then the kept half's Schur complement), the coupling block (eliminated
-    points x kept points and y) and the kept half's y."""
-    sizes = []
-
-    def walk(lo, hi, depth):
-        if hi - lo < 2:
-            return
-        if len(sizes) == depth:
-            sizes.append([0, 0, 0])
-        for (k0, k1), (x0, x1) in _halves(lo, hi):
-            kept, gone = offsets[k1] - offsets[k0], offsets[x1] - offsets[x0]
-            need = (max(gone, kept) ** 2, gone * (kept + 1), kept)
-            sizes[depth] = [max(pair) for pair in zip(sizes[depth], need)]
-            walk(k0, k1, depth + 1)
-
-    walk(0, len(offsets) - 1, 0)
-    return [[np.empty(size) for size in depth] for depth in sizes]
-
-
-def _fortran(buf, rows, cols):
-    """The leading rows * cols doubles of buf as a Fortran-ordered array."""
-    return buf[:rows * cols].reshape((rows, cols), order="F")
-
-
-def _schur_sq_err(A, y, offsets, lo, hi, buffers, depth=0):
+def _schur_sq_err(A, y, offsets, lo, hi):
     """Summed squared held-out residuals of folds lo..hi-1 of one node.
 
     A node is a symmetric positive definite system over its folds' points
@@ -489,7 +456,11 @@ def _schur_sq_err(A, y, offsets, lo, hi, buffers, depth=0):
     stale.  When one fold V is left, its y is
     y_V - K_VT (K_TT + ridge I)^{-1} y_T for the other points T, V's
     held-out residual, so 2 (folds - 1) factorizations score all folds.
-    Every operand is Fortran-contiguous, so the f2py wrappers copy none.
+
+    Each node allocates its arrays, all Fortran-ordered so the f2py
+    wrappers copy no operand, and drops each after its last use: the
+    factor before the Schur complement is formed, the coupling block
+    before the recursion, the complement when the recursion returns.
     Raises LinAlgError when a factorization meets a non-positive pivot.
     """
     if hi - lo == 1:
@@ -497,19 +468,19 @@ def _schur_sq_err(A, y, offsets, lo, hi, buffers, depth=0):
     from scipy.linalg.blas import dsyrk, dtrsm
     from scipy.linalg.lapack import dpotrf
 
-    square, coupling, kept_y = buffers[depth]
+    mid = (lo + hi) // 2
     err = 0.0
-    for (k_lo, k_hi), (x_lo, x_hi) in _halves(lo, hi):
+    for (k_lo, k_hi), (x_lo, x_hi) in (((lo, mid), (mid, hi)),
+                                       ((mid, hi), (lo, mid))):
         k0, k1, x0, x1 = (offsets[f] - offsets[lo]
                           for f in (k_lo, k_hi, x_lo, x_hi))
         kept, gone = k1 - k0, x1 - x0
-        L = _fortran(square, gone, gone)
-        L[...] = A[x0:x1, x0:x1]
+        L = np.array(A[x0:x1, x0:x1], order="F")
         if dpotrf(L, lower=1, clean=0, overwrite_a=1)[1]:
             raise np.linalg.LinAlgError("non-positive pivot in a CV node")
         # [W | z] = L^-1 [A_XK | y_X], so W^T W = A_KX A_XX^-1 A_XK and
         # W^T z = A_KX A_XX^-1 y_X
-        C = _fortran(coupling, gone, kept + 1)
+        C = np.empty((gone, kept + 1), order="F")
         # 64 rows at a time, so a read above the diagonal (a transpose)
         # spans few enough pages of A to stay in the TLB
         for i in range(0, gone, 64):
@@ -517,13 +488,13 @@ def _schur_sq_err(A, y, offsets, lo, hi, buffers, depth=0):
             C[i:i + 64, :kept] = A[r, k0:k1] if x0 > k0 else A[k0:k1, r].T
         C[:, kept] = y[x0:x1]
         dtrsm(1.0, L, C, lower=1, overwrite_b=1)
-        W, S = C[:, :kept], _fortran(square, kept, kept)
-        S[...] = A[k0:k1, k0:k1]
+        del L
+        W, S = C[:, :kept], np.array(A[k0:k1, k0:k1], order="F")
         dsyrk(-1.0, W, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
-        y_kept = kept_y[:kept]
-        np.subtract(y[k0:k1], W.T @ C[:, kept], out=y_kept)
-        err += _schur_sq_err(S, y_kept, offsets, k_lo, k_hi, buffers,
-                             depth + 1)
+        y_kept = y[k0:k1] - W.T @ C[:, kept]
+        del W, C
+        err += _schur_sq_err(S, y_kept, offsets, k_lo, k_hi)
+        del S
     return err
 
 
@@ -548,7 +519,8 @@ def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
     is written onto the gram's diagonal and scored by one _schur_sq_err.
     A combination whose recursion meets a non-positive pivot is refit per
     fold by _refit_sq_err through _krr_fit, on the combination's kernel:
-    a feature kernel keeps the width drawn for all n points."""
+    a feature kernel keeps the width drawn for all n points.  The refit
+    runs once the failed recursion's arrays are freed."""
     _check_finite(data.y)
     order = np.concatenate([va for _, va in masks])
     offsets = np.cumsum([0] + [va.size for _, va in masks])
@@ -557,22 +529,25 @@ def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
     # kernels compare by their parameters, so each group shares one kernel
     for kern, group in itertools.groupby(
             combos, lambda c: _kernel(kind, c, data, config, kernel_seed)):
-        # the last gram and buffers are freed first: one of each is held
-        K = buffers = None
+        # the last gram is freed first: one is held
+        K = None
         K = kern.gram(X, X)
         _check_finite(K)
-        buffers = _schur_buffers(offsets)
         diagonal = K.diagonal().copy()
         for combo in group:
             K.flat[::K.shape[0] + 1] = diagonal + combo["ridge"]
             try:
                 # K is exactly symmetric, so K.T is it in Fortran order
-                sq_err.append(_schur_sq_err(K.T, y, offsets, 0, len(masks),
-                                            buffers))
+                err = _schur_sq_err(K.T, y, offsets, 0, len(masks))
             except np.linalg.LinAlgError:
-                sq_err.append(_refit_sq_err(
+                err = None
+            # refit outside the except block, whose traceback holds the
+            # failed recursion's frames and their arrays
+            if err is None:
+                err = _refit_sq_err(
                     partial(_krr_fit, kind, kern, ridge=combo["ridge"]),
-                    data, masks))
+                    data, masks)
+            sq_err.append(err)
     return sq_err
 
 
@@ -593,15 +568,16 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     is eliminated from the other, and the kept half recurses until one
     fold is left, whose carried y is its held-out residual.  That is
     2 (folds - 1) Cholesky factorizations, none over more than
-    ceil(folds / 2) folds' points, and no solve.  Each recursion depth has
-    one square buffer (each factor, then the kept half's Schur complement)
-    and one coupling buffer, sized once for its largest node: at five
-    folds 0.6 n^2 doubles at the top depth and 0.92 n^2 over all depths.
-    The last gram and buffers are freed before the next gram is formed, so
-    tuning holds about 8 * 1.92 n^2 bytes (62 MiB under tracemalloc at
-    n = 2048).  A combination whose recursion meets a non-positive pivot
-    is refit on each training fold by _krr_fit, the fit fit_estimator
-    runs, which adds one training-fold gram and its factor buffer.
+    ceil(folds / 2) folds' points, and no solve.  Each node allocates its
+    factor, coupling block and Schur complement and frees each after its
+    last use, so at five folds the recursion holds at most 0.6 n^2
+    doubles, the top node's factor and coupling block.  The last gram is
+    freed before the next is formed, so tuning holds about 8 * 1.6 n^2
+    bytes (52 MiB under tracemalloc at n = 2048).  A combination whose
+    recursion meets a non-positive pivot is refit on each training fold by
+    _krr_fit, the fit fit_estimator runs, which holds one training-fold
+    gram and its factor buffer beside the gram, and none of the
+    recursion's arrays.
 
     Nadaraya-Watson takes the same refit path, _refit_sq_err: each
     training fold is fit by fit_estimator and predicts its validation

@@ -227,11 +227,13 @@ def _compute_cell(cfg, teacher, estimator, n, replicate, path):
 
 
 def _computed(jobs, workers):
-    """Run _compute_cell on every job, serially or on a pool of workers;
-    yields its results in completion order.
+    """Run _compute_cell on every job, serially or on a pool of at most one
+    worker per job; yields its results in completion order.
 
     A raising cell stops either way: the pool cancels its queued cells and
     waits only for those already running."""
+    # a fork pool starts all its workers at the first submit
+    workers = min(workers, len(jobs))
     if workers <= 1:
         yield from (_compute_cell(*job) for job in jobs)
         return
@@ -294,9 +296,8 @@ def run_sweep(cfg, out_dir=None, workers=1, progress=None):
     write_records(out / RESULTS_NAME, all_records)
     failed_path = out / "failed.txt"
     if failures:
-        with open(failed_path, "w") as fh:
-            for name, msg in sorted(failures):
-                fh.write(f"{name}: {msg}\n")
+        _replace_text(failed_path, "".join(
+            f"{name}: {msg}\n" for name, msg in sorted(failures)))
     elif failed_path.exists():
         failed_path.unlink()
     return all_records

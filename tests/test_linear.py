@@ -729,12 +729,12 @@ class TestSinglePass:
 
 
 class TestKrrMemory:
-    """Kernel ridge holds a fixed set of dense arrays: tuning keeps the
-    n x n distances (or gram) in fold order and one set of buffers per
-    recursion depth, and a combination refit fold by fold adds one
-    training-fold gram and its factor buffer; a fit keeps the gram and one
-    factor buffer.  Each solve shifts the gram's diagonal in place and
-    restores it."""
+    """Kernel ridge holds a fixed set of dense arrays: tuning keeps one
+    n x n gram in fold order and, beside it, the arrays of the Schur nodes
+    on one recursion path, each freed after its last use; a combination
+    refit fold by fold holds none of them, only one training-fold gram and
+    its factor buffer; a fit keeps the gram and one factor buffer.  Each
+    solve shifts the gram's diagonal in place and restores it."""
 
     n = 1000
     # bound slack, stated before measuring: the vectors of n or m entries
@@ -744,21 +744,20 @@ class TestKrrMemory:
     # live with the largest set of arrays.  One more validation block
     # (m x (n - m), 1.2 MiB) does not fit
     slack = 2**19
-    # the recursion's buffers at n = 1000 and five folds of 200: at each
-    # depth one square, one coupling block and one kept y, sized for the
-    # depth's largest node, 600^2 + 600 * 401 + 600 at the top,
-    # 400^2 + 400 * 201 + 400 below it and 200^2 + 200 * 201 + 200 last
-    schur = 922_400
+    # the largest live set of Schur arrays at n = 1000 and five folds of
+    # 200: the top node's factor of the 600 eliminated points and its
+    # coupling block with the 400 kept ones and y, 600^2 + 600 * 401
+    schur = 600_600
 
     def data(self, seed):
         rng = np.random.default_rng(seed)
         return dataset(rng.random((self.n, 3)), rng.normal(size=self.n))
 
     def tune_bound(self, refit=False):
-        # 8 (n^2 + schur) bytes, 1.92 n^2 doubles; a refit adds 2 m^2, m
-        # the training fold
+        # 8 (n^2 + schur) bytes, 1.6 n^2 doubles; a refit holds 2 m^2, m
+        # the training fold, in place of the Schur arrays
         n, m = self.n, self.n - self.n // 5
-        return 8 * (n * n + self.schur + (2 * m * m if refit else 0)) \
+        return 8 * (n * n + (2 * m * m if refit else self.schur)) \
             + self.slack
 
     def test_rbf_tune_memory_is_bounded(self):

@@ -257,6 +257,51 @@ class TestRunSweep:
                   progress=lambda name, failed: resumed.append(name))
         assert sorted(resumed) == sorted(victims)
 
+    def test_worker_pool_is_capped_at_pending_cells(self, tmp_path,
+                                                    monkeypatch):
+        # a fork pool starts all max_workers processes at its first submit,
+        # so a resume of 2 cells with workers=8 forked 8 processes.  The
+        # fake pool runs each task in-process: no process is started
+        import concurrent.futures
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        run_sweep(cfg, out_dir=out)
+        victims = [cell_name("ngd", 8, 1), cell_name("knn", 32, 0)]
+        for name in victims:
+            (out / "cells" / name).unlink()
+        done = []
+        run_sweep(cfg, out_dir=out, workers=8,
+                  progress=lambda name, failed: done.append(name))
+        assert pools == [2]
+        assert sorted(done) == sorted(victims)
+        # one pending cell runs serially: no pool is built
+        (out / "cells" / victims[0]).unlink()
+        run_sweep(cfg, out_dir=out, workers=8)
+        assert pools == [2]
+        assert (out / "cells" / victims[0]).exists()
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers see the patched run_cell by fork")
     def test_raising_cell_stops_a_pooled_sweep(self, tmp_path, monkeypatch):
