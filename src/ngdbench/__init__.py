@@ -1,5 +1,12 @@
 """Noisy gradient descent vs tuned linear estimators on teacher-student regression."""
 
+import os
+
+# one BLAS thread unless set: 2 ran n = 2048 krr-rbf slower on 2 cores; --workers 2 oversubscribes
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .model import (
     ScheduleConfig,
     TeacherSpec,

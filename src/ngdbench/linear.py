@@ -56,8 +56,10 @@ def _block_rows(row_doubles):
 
 def _row_blocks(n_rows, row_doubles):
     """Slices of consecutive rows, _block_rows(row_doubles) per block.
-    Block shape moves gemm's rounding, so the block sizes are part of every
-    prediction's bits."""
+    Block shape moves gemm's rounding, so the block sizes are part of the
+    bits of every kernel-ridge and Nadaraya-Watson prediction.  A knn
+    prediction depends on them only through a near tie on the exact path
+    (knn_predict)."""
     step = _block_rows(row_doubles)
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
@@ -194,8 +196,9 @@ def _kernel(kind, params, data, config, kernel_seed):
 
 
 def _check_finite(*arrays):
-    """The ValueError scipy.linalg raises, checked once per gram so the
-    solves below can skip it."""
+    """The ValueError scipy.linalg raises: checked once per gram, so the
+    solves below can skip it, and on the training set of every tune and of
+    every knn and nw fit."""
     for a in arrays:
         # NaN propagates through both reductions and an inf is an extreme,
         # so no bool mask of a's size is needed
@@ -327,22 +330,85 @@ def _k_smallest_sets(D, k):
 
 
 def knn_predict(data, k, x):
-    """k nearest neighbor mean; distance ties resolved by lowest index."""
+    """k nearest neighbor mean; distance ties resolved by lowest index.
+    A query row with a NaN or inf coordinate predicts NaN.
+
+    Each block of query rows ranks the training points Z by one gemm,
+    [x, 1] @ [-2 Z^T; |z|^2], whose entry key_ij = |z_j|^2 - 2 x_i.z_j
+    orders row i as the distance does, since |x_i|^2 is constant along the
+    row.  A values-only partition of a copy gives each row's k-th smallest
+    key a and (k+1)-th b, and the row's set is {j : key_ij <= a}.
+
+    That set is the one _sq_dists' distances D = (|x|^2 + |z|^2) - 2 x.z
+    pick whenever b - a > 2 delta_i, where, with u = eps / 2 and
+    P_i = (|x_i| + max_j |z_j|)^2, delta_i = (4d + 6) u P_i + (d + 2) tiny.
+    The key, a d + 1 term dot product whose last term |z|^2 is itself a
+    d term sum, errs from its exact value by at most gamma_{2d+2} P_i, and
+    D from the exact squared distance by gamma_{d+2} P_i.  A gap above
+    2 delta_i exceeds 2 gamma_{2d+2} P_i + 3 gamma_{d+2} P_i, about
+    (7d + 10) u P_i, so the set lies strictly below every other point in D,
+    also after D's clamp at 0, and in exact arithmetic; tiny covers
+    products that underflow.  So the set does not depend on how the gemm
+    rounds.  Every other row, a near tie or a non-finite key, takes the
+    exact path: its distances by _sq_dists, its set by _k_smallest_sets,
+    so exact ties keep the lowest-index rule.
+
+    The mean sums y over each set's indices in ascending order.  So a
+    block's shape reaches a row's bits only when the row is a near tie
+    whose exact-path distances round another way in another block.
+    """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= data.n):
         raise ValueError("k must lie in {1, ..., n}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    Z, y = data.X, data.y
+    n, d = Z.shape
+    z_sq = (Z * Z).sum(1)
+    rank = np.concatenate([-2.0 * Z.T, z_sq[None]])
+    scale = (4 * d + 6) * np.finfo(float).eps / 2
+    floor = (d + 2) * np.finfo(float).tiny
+    z_norm = math.sqrt(z_sq.max())
     out = np.empty(x.shape[0])
-    for sl, sq in _dist_blocks(x, data.X):
-        # `sets` lives into the next block, so malloc keeps the heap top
-        # instead of returning it to the OS and faulting it back each block
-        sets = _k_smallest_sets(sq, k)
-        out[sl] = data.y[sets].mean(axis=1)
+    m = min(x.shape[0], _block_rows(n))
+    # one buffer each for every block: [x, 1], the key, its partitioned copy
+    # and the set mask
+    x1 = np.ones((m, d + 1))
+    key_buf, part_buf = np.empty((m, n)), np.empty((m, n))
+    near_buf = np.empty((m, n), dtype=bool)
+    for sl in _row_blocks(x.shape[0], n):
+        rows = x[sl]
+        r = rows.shape[0]
+        x1[:r, :d] = rows
+        key = np.matmul(x1[:r], rank, out=key_buf[:r])
+        if k < n:
+            part = part_buf[:r]
+            np.copyto(part, key)
+            part.partition(k, axis=1)
+            a, b = part[:, :k].max(axis=1), part[:, k]
+        else:
+            a, b = key.max(axis=1), math.inf
+        delta = scale * (np.sqrt((rows * rows).sum(1)) + z_norm) ** 2 + floor
+        with np.errstate(invalid="ignore"):  # inf - inf: not fast
+            fast = np.isfinite(a) & (b - a > 2.0 * delta)
+        finite = np.isfinite(rows).all(axis=1)
+        near = np.less_equal(key, a[:, None], out=near_buf[:r])
+        near[~fast] = False
+        # exactly k keys per fast row lie at or below a, in ascending order
+        sets = np.zeros((r, k), dtype=np.intp)
+        sets[fast] = (np.flatnonzero(near) % n).reshape(-1, k)
+        slow = np.flatnonzero(~fast & finite)
+        if slow.size:
+            sq = _sq_dists(rows[slow], Z, z_sq=z_sq)
+            sets[slow] = np.sort(_k_smallest_sets(sq, k), axis=1)
+        vals = y[sets].mean(axis=1)
+        vals[~finite] = np.nan
+        out[sl] = vals
     return out
 
 
 def nw_predict(data, bandwidth, x):
     """Gaussian-kernel local average; rows whose weights all underflow fall
-    back to the 1-nearest-neighbor value."""
+    back to the 1-nearest-neighbor value.  A query row with a NaN or inf
+    coordinate predicts NaN."""
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be finite and > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -356,8 +422,10 @@ def nw_predict(data, bandwidth, x):
         vals = np.zeros(sq.shape[0])
         vals[ok] = (w[ok] @ data.y) / denom[ok]
         if not np.all(ok):
-            bad = np.flatnonzero(~ok)
+            finite = np.isfinite(x[sl]).all(axis=1)
+            bad = np.flatnonzero(~ok & finite)
             vals[bad] = data.y[_k_smallest_sets(sq[bad], 1)[:, 0]]
+            vals[~finite] = np.nan
         out[sl] = vals
     return out
 
@@ -374,6 +442,7 @@ class LocalEstimator:
     def __post_init__(self):
         # the predictor checks k or the bandwidth: run it on no points
         self(self.data.X[:0])
+        _check_finite(self.data.X, self.data.y)
 
     def __call__(self, x):
         if self.kind == "knn":
@@ -521,7 +590,6 @@ def _krr_cv_sq_err(kind, data, masks, combos, config, kernel_seed):
     fold by _refit_sq_err through _krr_fit, on the combination's kernel:
     a feature kernel keeps the width drawn for all n points.  The refit
     runs once the failed recursion's arrays are freed."""
-    _check_finite(data.y)
     order = np.concatenate([va for _, va in masks])
     offsets = np.cumsum([0] + [va.size for _, va in masks])
     X, y = data.X[order], data.y[order]
@@ -559,6 +627,7 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     runs on the result first.  Folds are a seeded permutation split, so the
     selection is a deterministic function of (data, grid, folds, seed).
     Score ties go to the smallest parameter combination in sorted key order.
+    A NaN or inf in data's X or y raises ValueError, as in fit_estimator.
 
     Kernel ridge orders the points fold by fold and forms each kernel's
     gram in that order once, through the kernel's gram: one per krr-rbf
@@ -591,6 +660,7 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
     if data.n < folds or folds < 2:
         raise ValueError("need folds >= 2 and n >= folds")
     check_grid(kind, grid, data.n, folds)
+    _check_finite(data.X, data.y)
     masks = [(np.setdiff1d(np.arange(data.n), va), va)
              for va in _fold_indices(data.n, folds, seed)]
     combos = list(_combo_iter(grid))
@@ -626,7 +696,8 @@ def tune(kind, data, grid=None, folds=5, seed=0, config=None, kernel_seed=0):
 
 
 def fit_estimator(kind, data, params, config=None, kernel_seed=0):
-    """Fit one baseline with explicit hyperparameters; returns a predictor."""
+    """Fit one baseline with explicit hyperparameters; returns a predictor.
+    A NaN or inf in data's X or y raises ValueError."""
     if kind == "knn":
         return LocalEstimator(kind, data, {"k": params["k"]})
     if kind == "nw":

@@ -6,8 +6,9 @@ scheme, a closed-form gradient bound, the gradient on (a, n) blocks, a
 one-call kernel gram, the network and its tangent and random features
 summed block by block over every block, the zero combination, a
 zero-padded weight matrix, cross validation by full sorts and
-per-bandwidth grams, the two-sigmoid window and a ridge combination summed
-atom by atom through it), so the tests can check the program against it.
+per-bandwidth grams, k-NN means by a full stable sort of the distances,
+the two-sigmoid window and a ridge combination summed atom by atom through
+it), so the tests can check the program against it.
 `traced_peak` is the memory measurement the tests share, and `krr_fit` the
 kernel ridge fit they name by make_kernel's arguments.
 """
@@ -272,6 +273,14 @@ def cv_table(kind, data, grid, folds, seed, config=None, kernel_seed=0):
             resid = pred - data.y[va]
             sq_err[i] += float(resid @ resid)
     return tuple((combo, err / data.n) for combo, err in zip(combos, sq_err))
+
+
+def knn_reference(data, k, x):
+    """k-NN means by a full stable argsort of each row of _sq_dists (ties
+    to the lowest index): the first k points, their y averaged in index
+    order."""
+    order = np.argsort(_sq_dists(x, data.X), axis=1, kind="stable")
+    return data.y[np.sort(order[:, :k], axis=1)].mean(axis=1)
 
 
 def traced_peak(fn):

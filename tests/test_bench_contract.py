@@ -9,13 +9,23 @@ name through its module empties that layer's per-layer figures and fails
 imports crashes every workload's set-up probe; these tests make all three
 fail here instead.
 bench/ is only read, never changed.
+
+Every performance record at the repository root, BENCH_*.json, carries the
+same sections, so a reader finds the claim, the machine, the code size and
+the figures in one place whatever the record measures.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+RECORD_KEYS = {"claim", "what", "machine", "src_lines", "end_to_end",
+               "by_layer", "correctness"}
+MACHINE_KEYS = {"cpu", "python", "numpy", "scipy", "blas"}
 
 
 def test_bench_wraps_and_calls_existing_names(monkeypatch, tmp_path):
@@ -62,3 +72,12 @@ def test_setup_probe_runs():
          "0", "64"],
         cwd=BENCH.parent, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.parent.glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_bench_record_has_the_shared_sections(path):
+    record = json.loads(path.read_text())
+    assert RECORD_KEYS <= record.keys()
+    assert MACHINE_KEYS <= record["machine"].keys()
+    assert {"parent", "change"} <= record["src_lines"].keys()

@@ -1,6 +1,7 @@
 """Import hygiene: no package or test module imports a name it never uses,
 every public name has a caller outside tests, no process loads scipy until
-it solves a kernel-ridge system, and the network's forward pass, a cell's
+it solves a kernel-ridge system, importing the package pins one BLAS thread
+unless the caller chose, and the network's forward pass, a cell's
 fit-and-score, a tuning grid's completion, the record CSV, the
 kernel-ridge solve and the RBF kernel's exp each have one home."""
 
@@ -428,10 +429,10 @@ def test_one_exp_home(path):
     assert exp_copies(path.stem, path.read_text()) == []
 
 
-def fresh_run(code):
+def fresh_run(code, environ=None):
     """stdout of `code` run by a fresh interpreter that imports the package
-    from this checkout."""
-    env = dict(os.environ)
+    from this checkout, in environ (default: this process's environment)."""
+    env = dict(os.environ if environ is None else environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -457,6 +458,50 @@ def test_cli_import_skips_the_process_pool():
                     "print(' '.join(m for m in ('concurrent.futures.process',"
                     " 'multiprocessing') if m in sys.modules))")
     assert out.split() == []
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def without_blas_vars():
+    """This process's environment without the BLAS thread variables."""
+    return {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+
+
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-2"])
+def test_package_import_pins_one_blas_thread(caller):
+    """Importing the package sets each BLAS thread variable to 1 before
+    numpy loads, and keeps a value the caller set."""
+    env = without_blas_vars()
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    out = fresh_run("import os, ngdbench\n"
+                    f"print(' '.join(os.environ[v] for v in {BLAS_VARS!r}))",
+                    env)
+    assert out.split() == [caller or "1", "1", "1"]
+
+
+# the thread count numpy's bundled OpenBLAS reports, or "-" where that
+# library or its symbol does not resolve
+OPENBLAS_THREADS = """
+import ctypes, glob, os, ngdbench, numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                              'numpy.libs', '*openblas*'))
+try:
+    get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+except (IndexError, OSError, AttributeError):
+    print('-')
+else:
+    get.restype = ctypes.c_int
+    print(get())
+"""
+
+
+def test_bundled_openblas_runs_one_thread():
+    out = fresh_run(OPENBLAS_THREADS, without_blas_vars()).strip()
+    if out == "-":
+        pytest.skip("numpy's OpenBLAS thread count is not readable here")
+    assert out == "1"
 
 
 # a small run: the ngd chain and a krr-rbf baseline

@@ -2,6 +2,7 @@
 
 import io
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from ngdbench.config import ConfigError, load_config, parse_config
 from ngdbench.model import (ScheduleConfig, active_width, eval_network,
                             sample_teacher)
 from oracles import (block_activation, cv_table, feature_oracle, kernel_eval,
-                     krr_fit, traced_peak)
+                     knn_reference, krr_fit, traced_peak)
 
 
 def dataset(X, y):
@@ -276,6 +277,99 @@ class TestLocalAverages:
         for bad in (0, 2):
             with pytest.raises(ValueError):
                 knn_predict(data, bad, np.array([[0.0]]))
+
+    @pytest.mark.parametrize("n,d,k", [(50, 1, 1), (200, 3, 5), (300, 10, 16),
+                                       (64, 2, 64), (1030, 4, 8)])
+    def test_knn_matches_reference_without_the_exact_path(self, monkeypatch,
+                                                          n, d, k):
+        # random points leave every k-th and (k+1)-th key far outside the
+        # margin, so no row takes the exact path; the sets are the
+        # reference's and both sum y in index order
+        rng = np.random.default_rng(n + d)
+        data = dataset(rng.normal(scale=3.0, size=(n, d)) + 1.0,
+                       rng.normal(size=n))
+        x = rng.normal(scale=3.0, size=(700, d))
+        calls = counting(monkeypatch, linear, "_k_smallest_sets")
+        got = knn_predict(data, k, x)
+        assert calls == []
+        np.testing.assert_array_equal(got, knn_reference(data, k, x))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_knn_near_tie_takes_the_exact_path(self, monkeypatch, k):
+        # integer coordinates times 2^-26, so every key and distance is
+        # exact.  From the origin, k - 1 points lie at squared distances
+        # c^2 2^-52 and two at N 2^-52 and (N + 1) 2^-52, N = a^2 + b^2 near
+        # 2^49: the k-th and (k+1)-th are 2^-52 apart, inside the margin
+        # 2 delta = 2 * 9 eps (|x| + max |z|)^2, over 13 * 2^-52 here since
+        # max |z| > 0.86.  The other points and the other queries lie in
+        # [0.5, 1]^3, far from every boundary
+        a, b = 2**24 - 3, 2**24 + 5
+        near = [(c, 0, 0) for c in range(1, k)] + [(a, b, 0), (a, b, 1)]
+        rng = np.random.default_rng(k)
+        X = np.vstack([np.array(near) * 2.0**-26,
+                       rng.uniform(0.5, 1.0, size=(40, 3))])
+        data = dataset(X, rng.normal(size=len(X)))
+        x = rng.uniform(0.5, 1.0, size=(30, 3))
+        x[[4, 19]] = 0.0
+        calls = counting(monkeypatch, linear, "_sq_dists")
+        got = knn_predict(data, k, x)
+        assert [c[0].tolist() for c in calls] == [[[0.0] * 3] * 2]
+        np.testing.assert_array_equal(got, knn_reference(data, k, x))
+        # N + 1 is the (k+1)-th: the set holds N's point, never N + 1's
+        assert got[4] == data.y[:k].mean()
+
+    def test_knn_lattice_ties_take_the_exact_path(self, monkeypatch):
+        # exact squared distances on a dyadic lattice: a row takes the exact
+        # path exactly when its k-th and (k+1)-th distances tie
+        data = lattice_dataset(60, 2, seed=3)
+        x = np.random.default_rng(4).integers(0, 4, size=(50, 2)) / 4.0
+        D = np.sort(linear._sq_dists(x, data.X), axis=1)
+        for k in (1, 4, 16):
+            tied = D[:, k - 1] == D[:, k]
+            calls = counting(monkeypatch, linear, "_sq_dists")
+            got = knn_predict(data, k, x)
+            assert tied.any()
+            assert [c[0].tolist() for c in calls] == [x[tied].tolist()]
+            np.testing.assert_array_equal(got, knn_reference(data, k, x))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_rows_predict_nan(self, value):
+        # the other rows keep their bits.  x_far holds far points where
+        # x_bad holds non-finite ones; nw's weights underflow at both, so
+        # the two calls weight the same rows.  Bandwidth 1e-3 sends most
+        # rows to nw's nearest-neighbour fallback
+        rng = np.random.default_rng(12)
+        data = dataset(rng.random((40, 2)), rng.normal(size=40))
+        x = rng.random((25, 2))
+        bad = np.zeros(25, dtype=bool)
+        bad[[3, 17]] = True
+        x_bad, x_far = x.copy(), x.copy()
+        x_bad[3, 0] = x_bad[17, 1] = value
+        x_far[bad] = 1e3
+        for predict in (partial(knn_predict, data, 1),
+                        partial(knn_predict, data, 6),
+                        partial(knn_predict, data, 40),
+                        partial(nw_predict, data, 0.3),
+                        partial(nw_predict, data, 1e-3)):
+            with np.errstate(invalid="ignore"):  # nw's distances warn
+                got = predict(x_bad)
+            assert np.isnan(got[bad]).all()
+            np.testing.assert_array_equal(got[~bad], predict(x_far)[~bad])
+
+    @pytest.mark.parametrize("kind,params", [("knn", {"k": 2}),
+                                             ("nw", {"bandwidth": 0.4})])
+    @pytest.mark.parametrize("bad", ["X", "y"])
+    def test_nonfinite_training_set_raises(self, kind, params, bad):
+        rng = np.random.default_rng(13)
+        for value in (np.nan, np.inf, -np.inf):
+            X, y = rng.random((12, 2)), rng.normal(size=12)
+            (X if bad == "X" else y)[4] = value
+            data = dataset(X, y)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit_estimator(kind, data, params)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                tune(kind, data, folds=3)
 
     def test_nw_hand_case(self):
         data = dataset([[0.0], [1.0]], [0.0, 1.0])
